@@ -24,12 +24,24 @@ letter s_i^{-1} enters as D^{-1} times the permutation braid rev . t_i,
 and D powers migrate to the front through the flip automorphism
 tau(s_i) = s_{n-i}, which has order two.
 
+Conjugation by t needs the normal forms of both t and t^{-1}.  A
+Conjugator holds that pair, computed once, so that a secret or an
+ephemeral conjugating several elements is normalized and inverted only
+once; ``nf_conjugate`` accepts either a Conjugator or a plain word, which
+it turns into one on the spot.  Likewise GroupParams computes the normal
+form of its base element g once, on first use.
+
+Factors the engine builds itself are permutations by construction and
+skip validation; factors from outside (``PermutationBraid(n, perm)``,
+and hence every decoded factor) are checked.
+
 All values are immutable; every operation is a pure function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import permutations as pm
 from .permutations import Perm
@@ -77,6 +89,15 @@ class PermutationBraid:
         object.__setattr__(self, "perm", tuple(self.perm))
         if len(self.perm) != self.n or not pm.is_permutation(self.perm):
             raise ValueError(f"not a permutation of 0..{self.n - 1}: {self.perm}")
+
+    @classmethod
+    def _built(cls, n: int, perm: Perm) -> "PermutationBraid":
+        """A factor the engine built itself: a permutation tuple by
+        construction, so the validation above is skipped."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "perm", perm)
+        return f
 
     def is_identity(self) -> bool:
         return self.perm == pm.identity(self.n)
@@ -147,6 +168,11 @@ class GroupParams:
     @property
     def n(self) -> int:
         return self.l + self.r
+
+    @cached_property
+    def g_nf(self) -> "CanonicalForm":
+        """Normal form of the base element, computed on first use."""
+        return normal_form(self.g)
 
 
 # Fixed default base element of B_16: mixes both halves and uses the coupling
@@ -292,7 +318,7 @@ def _collect_deltas(entries: list) -> tuple[int, list[list[int]]]:
 def _assemble(n: int, entries: list) -> CanonicalForm:
     dtot, facs = _collect_deltas(entries)
     dp, tuples = _normalize_factors(facs, n)
-    return CanonicalForm(n, dtot + dp, tuple(PermutationBraid(n, p) for p in tuples))
+    return CanonicalForm(n, dtot + dp, tuple(PermutationBraid._built(n, p) for p in tuples))
 
 
 def normal_form(a: BraidWord) -> CanonicalForm:
@@ -334,10 +360,30 @@ def nf_invert(x: CanonicalForm) -> CanonicalForm:
     return _assemble(n, entries)
 
 
-def nf_conjugate(x: CanonicalForm, t: BraidWord) -> CanonicalForm:
-    """normal_form(t * x * t^{-1}) computed without leaving canonical forms."""
+@dataclass(frozen=True)
+class Conjugator:
+    """A conjugating element t held canonically: the normal forms of t and
+    of t^{-1}.  Build one with ``conjugator(t)`` and reuse it."""
+
+    form: CanonicalForm
+    inverse: CanonicalForm
+
+
+def conjugator(t: "BraidWord | Conjugator") -> Conjugator:
+    """The canonical conjugator of a word; a Conjugator is returned as is."""
+    if isinstance(t, Conjugator):
+        return t
     tf = normal_form(t)
-    return nf_multiply(nf_multiply(tf, x), nf_invert(tf))
+    return Conjugator(tf, nf_invert(tf))
+
+
+def nf_conjugate(x: CanonicalForm, t: "Conjugator | BraidWord") -> CanonicalForm:
+    """normal_form(t * x * t^{-1}) computed without leaving canonical forms.
+
+    Pass a Conjugator when t conjugates more than one element; a word is
+    normalized and inverted on every call."""
+    c = conjugator(t)
+    return nf_multiply(nf_multiply(c.form, x), c.inverse)
 
 
 def equals(a: BraidWord, b: BraidWord) -> bool:

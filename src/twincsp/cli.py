@@ -16,7 +16,7 @@ import socket
 import sys
 
 from . import keyfiles
-from .braid import default_params, nf_conjugate, normal_form
+from .braid import default_params, nf_conjugate
 from .codec import AuthenticationError, CodecError
 from .elgamal import (
     SCHEME_CS,
@@ -292,14 +292,13 @@ def _cmd_kex_demo(args) -> int:
 def _cmd_trapdoor_demo(args) -> int:
     rng = _get_rng(args)
     params = _get_params(args)
-    g_nf = normal_form(params.g)
     trials = args.trials
 
     complete = rejected = random_pass = 0
     for _ in range(trials):
         # fresh trapdoor per trial on a fresh public element
         x = sample_subgroup(params, SubgroupSide.LEFT, rng)
-        X1 = nf_conjugate(g_nf, x)
+        X1 = nf_conjugate(params.g_nf, x)
         td = trapdoor_setup(params, X1, rng)
 
         q, _y = honest_query((td.X1, td.X2), params, rng)

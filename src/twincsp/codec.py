@@ -3,13 +3,18 @@ symmetric cipher pair.
 
 H must be well-defined on group elements, so only canonical forms are
 ever hashed: the encoding below is injective on canonical forms, and two
-group-equal words serialize identically after normal_form.  Domain labels
+group-equal words serialize identically after normal_form.  The decoder
+accepts exactly the encodings of canonical forms (no identity or half-twist
+factor, every adjacent pair left-weighted), so decoding then encoding is
+the identity and no second encoding of an element exists.  Domain labels
 ("cs", "twin", "nike", "kex", "confirm") keep the protocols' key spaces
 disjoint.
 
-The cipher is a deterministic hash-counter keystream with a hash MAC over
-the ciphertext.  Keys here are one-time outputs of H, which is what makes
-that adequate; this is deliberately not a general-purpose AEAD.
+The cipher is a deterministic hash-counter keystream with an HMAC-SHA-256
+tag over "mac" || ciphertext; HMAC, unlike a bare hash of key || data,
+cannot be extended to a longer ciphertext without the key.  Keys here are
+one-time outputs of H, which is what makes that adequate; this is
+deliberately not a general-purpose AEAD.
 
 Wire encoding of a canonical form (all integers big-endian):
 
@@ -92,22 +97,33 @@ def deserialize_canonical(data: bytes) -> CanonicalForm:
 
 
 def read_canonical(data: bytes, offset: int) -> tuple[CanonicalForm, int]:
-    """Parse one canonical form starting at offset; returns (value, next offset)."""
+    """Parse one canonical form starting at offset; returns (value, next offset).
+
+    Rejects factor tables that are not those of a normal form: a factor
+    that is not a permutation, an identity or half-twist factor, or an
+    adjacent pair that is not left-weighted."""
     n, offset = _read_common(data, offset, KIND_CANONICAL)
     if offset + 8 > len(data):
         raise CodecError("truncated header", offset)
     delta_exp, count = struct.unpack_from(">iI", data, offset)
     offset += 8
-    factors = []
+    factors: list[PermutationBraid] = []
     for _ in range(count):
         if offset + 2 * n > len(data):
             raise CodecError("truncated factor table", offset)
         perm = struct.unpack_from(f">{n}H", data, offset)
-        offset += 2 * n
         try:
-            factors.append(PermutationBraid(n, perm))
+            f = PermutationBraid(n, perm)
         except ValueError as exc:
-            raise CodecError(str(exc), offset - 2 * n) from exc
+            raise CodecError(str(exc), offset) from exc
+        if f.is_identity():
+            raise CodecError("identity factor in canonical form", offset)
+        if f.is_half_twist():
+            raise CodecError("half-twist factor in canonical form", offset)
+        if factors and not f.starting_set() <= factors[-1].finishing_set():
+            raise CodecError("factor pair not left-weighted", offset)
+        factors.append(f)
+        offset += 2 * n
     return CanonicalForm(n, delta_exp, tuple(factors)), offset
 
 
@@ -173,12 +189,20 @@ def _keystream(key: SymKey, length: int) -> bytes:
 
 
 def _tag(key: SymKey, ct: bytes) -> bytes:
-    return hashlib.sha256(key.bytes + b"mac" + ct).digest()
+    mac = hmac.new(key.bytes, b"mac", hashlib.sha256)
+    mac.update(ct)
+    return mac.digest()
+
+
+def _xor_keystream(key: SymKey, data: bytes) -> bytes:
+    stream = _keystream(key, len(data))
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
 
 
 def sym_encrypt(key: SymKey, message: bytes) -> SealedBox:
     """XOR with the hash-counter keystream, then MAC the ciphertext."""
-    ct = bytes(m ^ k for m, k in zip(message, _keystream(key, len(message))))
+    ct = _xor_keystream(key, message)
     return SealedBox(ct=ct, tag=_tag(key, ct))
 
 
@@ -186,4 +210,4 @@ def sym_decrypt(key: SymKey, box: SealedBox) -> bytes:
     """Verify the tag in constant time, then strip the keystream."""
     if not hmac.compare_digest(_tag(key, box.ct), box.tag):
         raise AuthenticationError("authentication tag mismatch")
-    return bytes(c ^ k for c, k in zip(box.ct, _keystream(key, len(box.ct))))
+    return _xor_keystream(key, box.ct)

@@ -11,19 +11,26 @@ right one, and those commute elementwise.  The single scheme hashes
 X_1, X_2, reuses one ephemeral y for Z_1 and Z_2, and hashes (Y, Z1, Z2)
 under label "twin" so that both secrets enter the key.
 
+Each conjugator is normalized once: an encryption conjugates g and every
+public element by one canonical ephemeral, and a key pair holds its
+secrets as canonical conjugators.  Key generation stores the conjugators
+it used for the public keys; a key pair read from a key file derives them
+on first use, so decoding a key file does no normal-form work.
+
 Messages are arbitrary byte strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .braid import (
     BraidWord,
     CanonicalForm,
+    Conjugator,
     GroupParams,
+    conjugator,
     nf_conjugate,
-    normal_form,
 )
 from .codec import SealedBox, hash_elements, sym_decrypt, sym_encrypt
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
@@ -43,10 +50,18 @@ class CsKeyPair:
     params: GroupParams
     sk_x: BraidWord
     pk_X: CanonicalForm
+    canonical: tuple[Conjugator] | None = field(default=None, compare=False, repr=False)
 
     @property
     def public(self) -> CsPublicKey:
         return CsPublicKey(self.params, self.pk_X)
+
+    @property
+    def conjugators(self) -> tuple[Conjugator]:
+        """The secret x in canonical form, derived on first use if not given."""
+        if self.canonical is None:
+            object.__setattr__(self, "canonical", (conjugator(self.sk_x),))
+        return self.canonical
 
 
 @dataclass(frozen=True)
@@ -63,10 +78,21 @@ class TwinKeyPair:
     sk_x2: BraidWord
     pk_X1: CanonicalForm
     pk_X2: CanonicalForm
+    canonical: tuple[Conjugator, Conjugator] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def public(self) -> TwinPublicKey:
         return TwinPublicKey(self.params, self.pk_X1, self.pk_X2)
+
+    @property
+    def conjugators(self) -> tuple[Conjugator, Conjugator]:
+        """The secrets (x1, x2) in canonical form, derived on first use if
+        not given."""
+        if self.canonical is None:
+            object.__setattr__(
+                self, "canonical", (conjugator(self.sk_x1), conjugator(self.sk_x2)))
+        return self.canonical
 
 
 @dataclass(frozen=True)
@@ -92,14 +118,14 @@ def ccs_shared(secret: BraidWord, peer_public: CanonicalForm) -> CanonicalForm:
 def cs_keygen(params: GroupParams, rng: SeededRng) -> CsKeyPair:
     """Secret conjugator from LB_l; public key X = x g x^{-1}."""
     x = sample_subgroup(params, SubgroupSide.LEFT, rng)
-    X = nf_conjugate(normal_form(params.g), x)
-    return CsKeyPair(params, x, X)
+    cx = conjugator(x)
+    return CsKeyPair(params, x, nf_conjugate(params.g_nf, cx), (cx,))
 
 
 def cs_encrypt(pk: CsPublicKey, message: bytes, rng: SeededRng) -> Ciphertext:
     """Ephemeral y from RB_r; Y = ygy^{-1}, Z = yXy^{-1}, k = H("cs", Y, Z)."""
-    y = sample_subgroup(pk.params, SubgroupSide.RIGHT, rng)
-    Y = nf_conjugate(normal_form(pk.params.g), y)
+    y = conjugator(sample_subgroup(pk.params, SubgroupSide.RIGHT, rng))
+    Y = nf_conjugate(pk.params.g_nf, y)
     Z = nf_conjugate(pk.X, y)
     key = hash_elements("cs", [Y, Z])
     return Ciphertext(SCHEME_CS, Y, sym_encrypt(key, message))
@@ -108,23 +134,25 @@ def cs_encrypt(pk: CsPublicKey, message: bytes, rng: SeededRng) -> Ciphertext:
 def cs_decrypt(kp: CsKeyPair, ct: Ciphertext) -> bytes:
     """Recompute Z = x Y x^{-1} and open the box; raises AuthenticationError
     on forged or mis-keyed ciphertexts."""
-    Z = nf_conjugate(ct.Y, kp.sk_x)
+    (cx,) = kp.conjugators
+    Z = nf_conjugate(ct.Y, cx)
     key = hash_elements("cs", [ct.Y, Z])
     return sym_decrypt(key, ct.box)
 
 
 def twin_keygen(params: GroupParams, rng: SeededRng) -> TwinKeyPair:
     """Two independent secret conjugators from LB_l."""
-    g_nf = normal_form(params.g)
     x1 = sample_subgroup(params, SubgroupSide.LEFT, rng)
     x2 = sample_subgroup(params, SubgroupSide.LEFT, rng)
-    return TwinKeyPair(params, x1, x2, nf_conjugate(g_nf, x1), nf_conjugate(g_nf, x2))
+    c1, c2 = conjugator(x1), conjugator(x2)
+    return TwinKeyPair(params, x1, x2, nf_conjugate(params.g_nf, c1),
+                       nf_conjugate(params.g_nf, c2), (c1, c2))
 
 
 def twin_encrypt(pk: TwinPublicKey, message: bytes, rng: SeededRng) -> Ciphertext:
     """One ephemeral y serves both halves: k = H("twin", Y, Z1, Z2)."""
-    y = sample_subgroup(pk.params, SubgroupSide.RIGHT, rng)
-    Y = nf_conjugate(normal_form(pk.params.g), y)
+    y = conjugator(sample_subgroup(pk.params, SubgroupSide.RIGHT, rng))
+    Y = nf_conjugate(pk.params.g_nf, y)
     Z1 = nf_conjugate(pk.X1, y)
     Z2 = nf_conjugate(pk.X2, y)
     key = hash_elements("twin", [Y, Z1, Z2])
@@ -132,7 +160,8 @@ def twin_encrypt(pk: TwinPublicKey, message: bytes, rng: SeededRng) -> Ciphertex
 
 
 def twin_decrypt(kp: TwinKeyPair, ct: Ciphertext) -> bytes:
-    Z1 = nf_conjugate(ct.Y, kp.sk_x1)
-    Z2 = nf_conjugate(ct.Y, kp.sk_x2)
+    c1, c2 = kp.conjugators
+    Z1 = nf_conjugate(ct.Y, c1)
+    Z2 = nf_conjugate(ct.Y, c2)
     key = hash_elements("twin", [ct.Y, Z1, Z2])
     return sym_decrypt(key, ct.box)

@@ -25,10 +25,10 @@ import hashlib
 import hmac
 import socket
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .braid import BraidWord, CanonicalForm, GroupParams, nf_conjugate, normal_form
+from .braid import BraidWord, CanonicalForm, Conjugator, GroupParams, conjugator, nf_conjugate
 from .codec import CodecError, SymKey, hash_elements, read_canonical, serialize_canonical
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
@@ -62,12 +62,14 @@ class NikePublic:
 
 @dataclass(frozen=True)
 class NikeIdentity:
-    """A party's long-term material: two secrets and their public conjugates."""
+    """A party's long-term material: two secrets, the same secrets in
+    canonical form, and their public conjugates."""
 
     params: GroupParams
     side: SubgroupSide
     secrets: tuple[BraidWord, BraidWord]
     publics: tuple[CanonicalForm, CanonicalForm]
+    conjugators: tuple[Conjugator, Conjugator] = field(compare=False, repr=False)
 
     @property
     def public(self) -> NikePublic:
@@ -75,10 +77,11 @@ class NikeIdentity:
 
 
 def nike_keygen(params: GroupParams, side: SubgroupSide, rng: SeededRng) -> NikeIdentity:
-    g_nf = normal_form(params.g)
     w1 = sample_subgroup(params, side, rng)
     w2 = sample_subgroup(params, side, rng)
-    return NikeIdentity(params, side, (w1, w2), (nf_conjugate(g_nf, w1), nf_conjugate(g_nf, w2)))
+    c1, c2 = conjugator(w1), conjugator(w2)
+    publics = (nf_conjugate(params.g_nf, c1), nf_conjugate(params.g_nf, c2))
+    return NikeIdentity(params, side, (w1, w2), publics, (c1, c2))
 
 
 def _four_shared(me: NikeIdentity, peer: NikePublic) -> list[CanonicalForm]:
@@ -90,10 +93,10 @@ def _four_shared(me: NikeIdentity, peer: NikePublic) -> list[CanonicalForm]:
         for j in (0, 1):
             if me.side is SubgroupSide.LEFT:
                 # I hold x_i; ccs(X_i, Y_j) = x_i Y_j x_i^{-1}
-                out.append(nf_conjugate(peer.elements[j], me.secrets[i]))
+                out.append(nf_conjugate(peer.elements[j], me.conjugators[i]))
             else:
                 # I hold y_j; ccs(X_i, Y_j) = y_j X_i y_j^{-1}
-                out.append(nf_conjugate(peer.elements[i], me.secrets[j]))
+                out.append(nf_conjugate(peer.elements[i], me.conjugators[j]))
     return out
 
 

@@ -5,8 +5,12 @@ Layouts (all integers big-endian, blob = 4-byte length + payload):
     key file:   "TCSPKEY" | version 0x01 | scheme (0x01 cs / 0x02 twin) |
                 role (0x01 public / 0x02 secret) | n:2 l:2 r:2 W:2 |
                 blob(raw word g) | key material blobs
-    ct file:    "TCSPCT"  | version 0x01 | scheme |
+    ct file:    "TCSPCT"  | version 0x02 | scheme |
                 blob(canonical Y) | blob(ciphertext) | blob(tag)
+
+Ciphertext files of version 0x01 carried a tag SHA256(key || "mac" || ct),
+which length extension forges; version 0x02 carries the HMAC tag of the
+codec, and 0x01 files are refused.
 
 Key material: public cs = X; secret cs = x, X; public twin = X1, X2;
 secret twin = x1, x2, X1, X2.  Words use the codec's kind 0x01 encoding,
@@ -39,7 +43,8 @@ from .elgamal import (
 
 KEY_MAGIC = b"TCSPKEY"
 CT_MAGIC = b"TCSPCT"
-FILE_VERSION = 0x01
+KEY_FILE_VERSION = 0x01
+CT_FILE_VERSION = 0x02
 ROLE_PUBLIC = 0x01
 ROLE_SECRET = 0x02
 
@@ -97,7 +102,7 @@ class _Reader:
 def _key_header(scheme: int, role: int, params: GroupParams) -> bytes:
     return (
         KEY_MAGIC
-        + bytes([FILE_VERSION, scheme, role])
+        + bytes([KEY_FILE_VERSION, scheme, role])
         + struct.pack(">HHHH", params.n, params.l, params.r, params.W)
         + _blob(serialize_word(params.g))
     )
@@ -107,7 +112,7 @@ def _read_key_header(r: _Reader) -> tuple[int, int, GroupParams]:
     if r.take(len(KEY_MAGIC), "magic") != KEY_MAGIC:
         raise KeyFileError("bad magic", 0)
     (version,) = r.take(1, "version")
-    if version != FILE_VERSION:
+    if version != KEY_FILE_VERSION:
         raise KeyFileError(f"unsupported version 0x{version:02x}", r.offset - 1)
     (scheme,) = r.take(1, "scheme byte")
     if scheme not in (SCHEME_CS, SCHEME_TWIN):
@@ -191,7 +196,7 @@ def decode_keypair(data: bytes) -> CsKeyPair | TwinKeyPair:
 def encode_ciphertext(ct: Ciphertext) -> bytes:
     return (
         CT_MAGIC
-        + bytes([FILE_VERSION, ct.scheme])
+        + bytes([CT_FILE_VERSION, ct.scheme])
         + _blob(serialize_canonical(ct.Y))
         + _blob(ct.box.ct)
         + _blob(ct.box.tag)
@@ -203,7 +208,11 @@ def decode_ciphertext(data: bytes) -> Ciphertext:
     if r.take(len(CT_MAGIC), "magic") != CT_MAGIC:
         raise KeyFileError("bad magic", 0)
     (version,) = r.take(1, "version")
-    if version != FILE_VERSION:
+    if version == 0x01:
+        raise KeyFileError(
+            "unsupported ciphertext file version 0x01: its tag is forgeable by "
+            "length extension; encrypt the message again", r.offset - 1)
+    if version != CT_FILE_VERSION:
         raise KeyFileError(f"unsupported version 0x{version:02x}", r.offset - 1)
     (scheme,) = r.take(1, "scheme byte")
     if scheme not in (SCHEME_CS, SCHEME_TWIN):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .braid import BraidWord, CanonicalForm, GroupParams, nf_conjugate, normal_form
+from .braid import BraidWord, CanonicalForm, GroupParams, conjugator, nf_conjugate
 from .codec import AuthenticationError, hash_elements, sym_encrypt
 from .elgamal import Ciphertext, CsKeyPair, SCHEME_CS, cs_decrypt
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
@@ -64,10 +64,9 @@ class CcsInstance:
 
 def make_ccs_instance(params: GroupParams, rng: SeededRng) -> CcsInstance:
     """X = xgx^{-1} with x from LB_l; Y = ygy^{-1} with y from RB_r."""
-    g_nf = normal_form(params.g)
     x = sample_subgroup(params, SubgroupSide.LEFT, rng)
     y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
-    return CcsInstance(params, nf_conjugate(g_nf, x), nf_conjugate(g_nf, y), x, y)
+    return CcsInstance(params, nf_conjugate(params.g_nf, x), nf_conjugate(params.g_nf, y), x, y)
 
 
 @dataclass
@@ -117,9 +116,10 @@ def run_reduction(
 def perfect_adversary(witness_y: BraidWord) -> Adversary:
     """Answers with the true conjugates, using the ephemeral witness the
     test extracted from the instance."""
+    cy = conjugator(witness_y)
 
     def run(X1, X2, Y, oracle):
-        return nf_conjugate(X1, witness_y), nf_conjugate(X2, witness_y)
+        return nf_conjugate(X1, cy), nf_conjugate(X2, cy)
 
     return run
 
@@ -148,6 +148,7 @@ def probing_adversary(
     component replaced by a random conjugate verified to differ.
     """
     labels: list[bool] = []
+    cy = conjugator(witness_y)
 
     def run(X1, X2, Y, oracle):
         for _ in range(n_queries):
@@ -164,7 +165,7 @@ def probing_adversary(
                 q = DecisionQuery(q.Yhat, z1, z2)
                 labels.append(False)
             oracle(q)
-        return nf_conjugate(X1, witness_y), nf_conjugate(X2, witness_y)
+        return nf_conjugate(X1, cy), nf_conjugate(X2, cy)
 
     return run, labels
 

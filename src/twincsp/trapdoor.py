@@ -26,12 +26,14 @@ s from RB_r, honest queries fail, because s and y need not commute.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .braid import (
     BraidWord,
     CanonicalForm,
+    Conjugator,
     GroupParams,
+    conjugator,
     nf_conjugate,
     nf_invert,
     nf_multiply,
@@ -42,13 +44,16 @@ from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
 @dataclass(frozen=True)
 class Trapdoor:
-    """Hidden (r, s) plus the tied public pair (X1, X2)."""
+    """Hidden (r, s) plus the tied public pair (X1, X2); r_conj and s_conj
+    hold r and s in canonical form for the checks."""
 
     params: GroupParams
     r: BraidWord
     s: BraidWord
     X1: CanonicalForm
     X2: CanonicalForm
+    r_conj: Conjugator = field(compare=False, repr=False)
+    s_conj: Conjugator = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,11 @@ def trapdoor_from_secrets(
     """Build the trapdoor for explicit (r, s); X2 = (sgs^{-1})(rX1r^{-1})^{-1}."""
     if X1.n != params.n:
         raise ValueError(f"X1 lives in B_{X1.n}, params say B_{params.n}")
-    sgs = nf_conjugate(normal_form(params.g), s)
-    rX1r = nf_conjugate(X1, r)
+    r_conj, s_conj = conjugator(r), conjugator(s)
+    sgs = nf_conjugate(params.g_nf, s_conj)
+    rX1r = nf_conjugate(X1, r_conj)
     X2 = nf_multiply(sgs, nf_invert(rX1r))
-    return Trapdoor(params, r, s, X1, X2)
+    return Trapdoor(params, r, s, X1, X2, r_conj, s_conj)
 
 
 def trapdoor_setup(params: GroupParams, X1: CanonicalForm, rng: SeededRng) -> Trapdoor:
@@ -85,8 +91,8 @@ def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
     """Accept iff Z2hat * r Z1hat r^{-1} == s Yhat s^{-1} (normal forms)."""
     if q.Yhat.n != td.params.n:
         raise ValueError(f"query lives in B_{q.Yhat.n}, trapdoor in B_{td.params.n}")
-    lhs = nf_multiply(q.Z2hat, nf_conjugate(q.Z1hat, td.r))
-    rhs = nf_conjugate(q.Yhat, td.s)
+    lhs = nf_multiply(q.Z2hat, nf_conjugate(q.Z1hat, td.r_conj))
+    rhs = nf_conjugate(q.Yhat, td.s_conj)
     return lhs == rhs
 
 
@@ -110,10 +116,11 @@ def honest_query(td_publics: tuple[CanonicalForm, CanonicalForm],
     """
     X1, X2 = td_publics
     y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
+    cy = conjugator(y)
     q = DecisionQuery(
-        Yhat=nf_conjugate(normal_form(params.g), y),
-        Z1hat=nf_conjugate(X1, y),
-        Z2hat=nf_conjugate(X2, y),
+        Yhat=nf_conjugate(params.g_nf, cy),
+        Z1hat=nf_conjugate(X1, cy),
+        Z2hat=nf_conjugate(X2, cy),
     )
     return q, y
 

@@ -2,6 +2,7 @@
 
 import os
 import socket
+import struct
 import threading
 import time
 
@@ -120,6 +121,37 @@ class TestExitCodes:
             ["decrypt", "--sk", str(workdir / "k.sec"), "--in", str(workdir / "ct"),
              "--out", str(workdir / "pt")]
         ) == EXIT_CRYPTO
+
+    def encrypted(self, workdir) -> bytes:
+        (workdir / "msg").write_bytes(b"header under test")
+        keygen(workdir)
+        dispatch(["encrypt", "--pk", str(workdir / "k.pub"), "--in", str(workdir / "msg"),
+                  "--out", str(workdir / "ct"), "--seed", SEED2])
+        return (workdir / "ct").read_bytes()
+
+    def decrypt(self, workdir, blob: bytes) -> int:
+        (workdir / "ct").write_bytes(blob)
+        return dispatch(["decrypt", "--sk", str(workdir / "k.sec"), "--in", str(workdir / "ct"),
+                         "--out", str(workdir / "pt")])
+
+    def test_noncanonical_header_is_exit_2(self, workdir, capsys):
+        blob = self.encrypted(workdir)
+        # ciphertext file: magic(6) version scheme | blob(Y) | ...; inside Y,
+        # n sits at bytes 6..8 and the factor count at 12..16
+        (ylen,) = struct.unpack(">I", blob[8:12])
+        Y = blob[12 : 12 + ylen]
+        (n,) = struct.unpack(">H", Y[6:8])
+        (count,) = struct.unpack(">I", Y[12:16])
+        padded = Y[:12] + struct.pack(">I", count + 1) + struct.pack(f">{n}H", *range(n)) + Y[16:]
+        forged = blob[:8] + struct.pack(">I", len(padded)) + padded + blob[12 + ylen :]
+        assert self.decrypt(workdir, forged) == EXIT_IO
+        assert "identity factor" in capsys.readouterr().err
+
+    def test_version_1_ciphertext_is_exit_2(self, workdir, capsys):
+        blob = bytearray(self.encrypted(workdir))
+        blob[6] = 0x01
+        assert self.decrypt(workdir, bytes(blob)) == EXIT_IO
+        assert "length extension" in capsys.readouterr().err
 
     def test_bad_seed_is_usage_error(self, workdir):
         assert dispatch(["keygen", "--out", str(workdir / "k"), "--seed", "zz"]) == EXIT_USAGE

@@ -66,6 +66,15 @@ class TestDiagnostics:
         with pytest.raises(KeyFileError, match="unsupported version"):
             decode_keypair(bytes(data))
 
+    def test_ciphertext_version_1_refused(self, twin_material):
+        _, ct = twin_material
+        data = bytearray(encode_ciphertext(ct))
+        assert data[6] == 0x02  # version byte follows the 6-byte magic
+        data[6] = 0x01
+        with pytest.raises(KeyFileError, match="0x01.*length extension") as exc:
+            decode_ciphertext(bytes(data))
+        assert exc.value.offset == 6
+
     def test_unknown_scheme(self, twin_material):
         kp, _ = twin_material
         data = bytearray(encode_keypair(kp))

@@ -1,0 +1,97 @@
+"""Known-answer vectors: fixed-seed key files, ciphertext headers, derived
+keys, trapdoor publics and reduction answers.
+
+Normal forms are unique, so any rewrite of the engine or of how secrets
+are held must reproduce these bytes exactly; a deliberate format change
+bumps a version instead.  The ciphertext tag is not pinned here (the MAC
+has its own version); the keystream body is.
+"""
+
+import hashlib
+
+from conftest import rng_from
+from twincsp import (
+    SubgroupSide,
+    cs_encrypt,
+    cs_keygen,
+    hash_elements,
+    make_ccs_instance,
+    nf_conjugate,
+    perfect_adversary,
+    run_reduction,
+    sample_subgroup,
+    serialize_canonical,
+    sym_decrypt,
+    trapdoor_from_secrets,
+    twin_encrypt,
+    twin_keygen,
+)
+from twincsp.keyfiles import encode_keypair, encode_public_key
+
+MESSAGE = b"known answer"
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def form_digest(cf) -> str:
+    return digest(serialize_canonical(cf))
+
+
+def test_twin_key_files(params):
+    kp = twin_keygen(params, rng_from(9001))
+    assert digest(encode_public_key(kp.public)) == (
+        "d620ae675b3ce3dfba200e120f18c992cc386f3fc95c87ea593aff10e8de74ff"
+    )
+    assert digest(encode_keypair(kp)) == (
+        "7696617efb71df5b07eb8de7ccdc14685c8947c03e090c7a450536fb2c885bb7"
+    )
+
+
+def test_twin_encrypt(params):
+    kp = twin_keygen(params, rng_from(9001))
+    ct = twin_encrypt(kp.public, MESSAGE, rng_from(9002))
+    assert form_digest(ct.Y) == (
+        "d334041fb4662812b73cf05dc13ece4fb3b0c56a6dd182712c0d2f37394bc049"
+    )
+    key = hash_elements(
+        "twin", [ct.Y, nf_conjugate(ct.Y, kp.sk_x1), nf_conjugate(ct.Y, kp.sk_x2)]
+    )
+    assert key.bytes.hex() == (
+        "d7991426b4e7a24a4a7add6ebde84658ee8a61470f6ea534397e382a50ac8240"
+    )
+    assert ct.box.ct.hex() == "340c96ffcaf81107988ca6b7"
+    assert sym_decrypt(key, ct.box) == MESSAGE
+
+
+def test_cs_encrypt(params):
+    kp = cs_keygen(params, rng_from(9003))
+    ct = cs_encrypt(kp.public, MESSAGE, rng_from(9004))
+    assert form_digest(ct.Y) == (
+        "0fe8ad993da672980684b42bc7c81db973dc3065c9b610105e4f7907c5745cc0"
+    )
+    key = hash_elements("cs", [ct.Y, nf_conjugate(ct.Y, kp.sk_x)])
+    assert key.bytes.hex() == (
+        "1fefff474ec6a365be30fdfc9a0ce23bb863537a859e5bfe2fa055bd7a0633a5"
+    )
+    assert ct.box.ct.hex() == "285c51a6f5cb13b757e8376c"
+    assert sym_decrypt(key, ct.box) == MESSAGE
+
+
+def test_trapdoor_X2(params):
+    X1 = twin_keygen(params, rng_from(9001)).pk_X1
+    rng = rng_from(9005)
+    r = sample_subgroup(params, SubgroupSide.LEFT, rng)
+    s = sample_subgroup(params, SubgroupSide.LEFT, rng)
+    assert form_digest(trapdoor_from_secrets(params, X1, r, s).X2) == (
+        "b7c6a97c3f1564ea682c0862976b861ad223c113cd2ace75fa6cc5d594e8b4dc"
+    )
+
+
+def test_reduction_answer(params):
+    inst = make_ccs_instance(params, rng_from(9006))
+    result = run_reduction(inst, perfect_adversary(inst.witness_y), rng_from(9007))
+    assert form_digest(result.value) == (
+        "afd698c58aebd9af1e567d6e4dcf3883f6f0fb625f93eeacdbc5ed3fd64286b7"
+    )
