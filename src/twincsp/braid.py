@@ -74,9 +74,6 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return multiply(self, other)
-
 
 @dataclass(frozen=True)
 class PermutationBraid:
@@ -113,9 +110,6 @@ class PermutationBraid:
         """Generator indices that can end a positive word for this braid."""
         return pm.descents(self.perm)
 
-    def crossing_count(self) -> int:
-        return pm.inversion_count(self.perm)
-
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -129,12 +123,6 @@ class CanonicalForm:
     n: int
     delta_exp: int
     factors: tuple[PermutationBraid, ...] = ()
-
-    def __mul__(self, other: "CanonicalForm") -> "CanonicalForm":
-        return nf_multiply(self, other)
-
-    def inverse(self) -> "CanonicalForm":
-        return nf_invert(self)
 
     def is_identity(self) -> bool:
         return self.delta_exp == 0 and not self.factors

@@ -18,18 +18,7 @@ import sys
 from . import keyfiles
 from .braid import default_params, nf_conjugate
 from .codec import AuthenticationError, CodecError
-from .elgamal import (
-    SCHEME_CS,
-    SCHEME_TWIN,
-    CsKeyPair,
-    CsPublicKey,
-    cs_decrypt,
-    cs_encrypt,
-    cs_keygen,
-    twin_decrypt,
-    twin_encrypt,
-    twin_keygen,
-)
+from .elgamal import SCHEME_NAMES, cs_keygen, decrypt, encrypt, twin_keygen
 from .kex import (
     KeyConfirmError,
     ProtocolError,
@@ -42,14 +31,8 @@ from .kex import (
 )
 from .keyfiles import KeyFileError
 from .reduction import make_ccs_instance, probing_adversary, run_reduction
-from .sampling import SeededRng, SubgroupSide, sample_subgroup
-from .trapdoor import (
-    DecisionQuery,
-    honest_query,
-    random_element,
-    trapdoor_check,
-    trapdoor_setup,
-)
+from .sampling import SeededRng, SubgroupSide
+from .trapdoor import trapdoor_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,16 +117,11 @@ def _get_params(args):
 def _cmd_keygen(args) -> int:
     rng = _get_rng(args)
     params = _get_params(args)
-    if args.scheme == "cs":
-        kp = cs_keygen(params, rng)
-        pub, sec = keyfiles.encode_public_key(kp.public), keyfiles.encode_keypair(kp)
-    else:
-        kp = twin_keygen(params, rng)
-        pub, sec = keyfiles.encode_public_key(kp.public), keyfiles.encode_keypair(kp)
+    kp = (cs_keygen if args.scheme == "cs" else twin_keygen)(params, rng)
     with open(args.out + ".pub", "wb") as f:
-        f.write(pub)
+        f.write(keyfiles.encode_public_key(kp.public))
     with open(args.out + ".sec", "wb") as f:
-        f.write(sec)
+        f.write(keyfiles.encode_keypair(kp))
     print(f"wrote {args.out}.pub and {args.out}.sec ({args.scheme}, B_{params.n})")
     return EXIT_OK
 
@@ -154,10 +132,7 @@ def _cmd_encrypt(args) -> int:
         pk = keyfiles.decode_public_key(f.read())
     with open(args.infile, "rb") as f:
         message = f.read()
-    if isinstance(pk, CsPublicKey):
-        ct = cs_encrypt(pk, message, rng)
-    else:
-        ct = twin_encrypt(pk, message, rng)
+    ct = encrypt(pk, message, rng)
     with open(args.out, "wb") as f:
         f.write(keyfiles.encode_ciphertext(ct))
     print(f"encrypted {len(message)} bytes -> {args.out}")
@@ -169,14 +144,9 @@ def _cmd_decrypt(args) -> int:
         kp = keyfiles.decode_keypair(f.read())
     with open(args.infile, "rb") as f:
         ct = keyfiles.decode_ciphertext(f.read())
-    if isinstance(kp, CsKeyPair):
-        if ct.scheme != SCHEME_CS:
-            raise KeyFileError("ciphertext scheme does not match key", 8)
-        message = cs_decrypt(kp, ct)
-    else:
-        if ct.scheme != SCHEME_TWIN:
-            raise KeyFileError("ciphertext scheme does not match key", 8)
-        message = twin_decrypt(kp, ct)
+    if ct.scheme != kp.k:
+        raise KeyFileError("ciphertext scheme does not match key", 8)
+    message = decrypt(kp, ct)
     if args.out:
         with open(args.out, "wb") as f:
             f.write(message)
@@ -202,29 +172,22 @@ def _cmd_inspect(args) -> int:
     if data.startswith(keyfiles.KEY_MAGIC):
         role = data[9] if len(data) > 9 else 0
         if role == keyfiles.ROLE_PUBLIC:
-            pk = keyfiles.decode_public_key(data)
-            scheme = "cs" if isinstance(pk, CsPublicKey) else "twin"
-            print(f"public key ({scheme}), B_{pk.params.n}, l={pk.params.l}, "
-                  f"r={pk.params.r}, W={pk.params.W}")
-            elems = [("X", pk.X)] if isinstance(pk, CsPublicKey) else [("X1", pk.X1), ("X2", pk.X2)]
+            pk, secrets = keyfiles.decode_public_key(data), ()
         else:
             kp = keyfiles.decode_keypair(data)
-            scheme = "cs" if isinstance(kp, CsKeyPair) else "twin"
-            print(f"secret key ({scheme}), B_{kp.params.n}, l={kp.params.l}, "
-                  f"r={kp.params.r}, W={kp.params.W}")
-            if isinstance(kp, CsKeyPair):
-                print(f"  secret word length: {len(kp.sk_x)}")
-                elems = [("X", kp.pk_X)]
-            else:
-                print(f"  secret word lengths: {len(kp.sk_x1)}, {len(kp.sk_x2)}")
-                elems = [("X1", kp.pk_X1), ("X2", kp.pk_X2)]
-        for name, e in elems:
-            print(f"{name}:")
+            pk, secrets = kp.public, kp.secrets
+        params = pk.params
+        print(f"{keyfiles.ROLE_NAMES[role]} key ({SCHEME_NAMES[pk.k]}), B_{params.n}, "
+              f"l={params.l}, r={params.r}, W={params.W}")
+        if secrets:
+            lengths = ", ".join(str(len(w)) for w in secrets)
+            print(f"  secret word length{'s' if pk.k > 1 else ''}: {lengths}")
+        for i, e in enumerate(pk.elements):
+            print(f"X{i + 1 if pk.k > 1 else ''}:")
             print(_describe_canonical(e))
     elif data.startswith(keyfiles.CT_MAGIC):
         ct = keyfiles.decode_ciphertext(data)
-        scheme = "cs" if ct.scheme == SCHEME_CS else "twin"
-        print(f"ciphertext ({scheme}), {len(ct.box.ct)} payload bytes")
+        print(f"ciphertext ({SCHEME_NAMES[ct.scheme]}), {len(ct.box.ct)} payload bytes")
         print("Y:")
         print(_describe_canonical(ct.Y))
         print(f"tag: {ct.box.tag.hex()}")
@@ -293,25 +256,7 @@ def _cmd_trapdoor_demo(args) -> int:
     rng = _get_rng(args)
     params = _get_params(args)
     trials = args.trials
-
-    complete = rejected = random_pass = 0
-    for _ in range(trials):
-        # fresh trapdoor per trial on a fresh public element
-        x = sample_subgroup(params, SubgroupSide.LEFT, rng)
-        X1 = nf_conjugate(params.g_nf, x)
-        td = trapdoor_setup(params, X1, rng)
-
-        q, _y = honest_query((td.X1, td.X2), params, rng)
-        complete += trapdoor_check(td, q)
-
-        bad2 = DecisionQuery(q.Yhat, q.Z1hat, random_element(params, rng))
-        rejected += not trapdoor_check(td, bad2)
-
-        rnd = DecisionQuery(random_element(params, rng),
-                            random_element(params, rng),
-                            random_element(params, rng))
-        random_pass += trapdoor_check(td, rnd)
-
+    complete, rejected, random_pass = trapdoor_stats(params, trials, rng)
     print(f"trapdoor-demo over {trials} trials: "
           f"completeness {complete}/{trials} ({100.0 * complete / trials:.2f}%), "
           f"half-dishonest rejected {rejected}/{trials} ({100.0 * rejected / trials:.2f}%), "

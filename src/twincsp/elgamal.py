@@ -1,23 +1,21 @@
-"""Hashed encryption from the conjugacy search problem, single and twin.
+"""Hashed encryption from the conjugacy search problem, single and twin,
+and the one key type of the package.
 
-Both schemes are hybrids: a conjugate header plus a symmetric box.  The
-secret key holder and the encryptor compute the same shared conjugate
-
-    ccs(X, Y) = (xy) g (xy)^{-1} = x Y x^{-1} = y X y^{-1}
-
-because x is drawn from the left subgroup and the ephemeral y from the
-right one, and those commute elementwise.  The single scheme hashes
-(Y, Z) under label "cs"; the twin scheme carries two public conjugates
-X_1, X_2, reuses one ephemeral y for Z_1 and Z_2, and hashes (Y, Z1, Z2)
-under label "twin" so that both secrets enter the key.
+A key is k secrets w_i from one subgroup (its side) and their public
+conjugates X_i = w_i g w_i^{-1}: k = 1 for the single scheme, k = 2 for
+the twin scheme and both key exchanges.  Both schemes are hybrids, a
+conjugate header plus a symmetric box.  An encryption draws one ephemeral
+y from the right subgroup and hashes Y = y g y^{-1} with every shared
+conjugate Z_i = y X_i y^{-1} = w_i Y w_i^{-1} (the secrets come from the
+left subgroup, which commutes with the right one elementwise) under label
+"cs" for k = 1 or "twin" for k = 2, so that every secret enters the key.
+The ciphertext's scheme byte is k.
 
 Each conjugator is normalized once: an encryption conjugates g and every
 public element by one canonical ephemeral, and a key pair holds its
-secrets as canonical conjugators.  Key generation stores the conjugators
-it used for the public keys; a key pair read from a key file derives them
-on first use, so decoding a key file does no normal-form work.
-
-Messages are arbitrary byte strings.
+secrets as canonical conjugators, stored by keygen or, for a pair read
+from a key file, derived on first use, so decoding a key file does no
+normal-form work.  Messages are arbitrary byte strings.
 """
 
 from __future__ import annotations
@@ -37,61 +35,46 @@ from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
 SCHEME_CS = 0x01
 SCHEME_TWIN = 0x02
+# The scheme byte is k, the number of secrets; the name is the hash label.
+SCHEME_NAMES = {SCHEME_CS: "cs", SCHEME_TWIN: "twin"}
 
 
 @dataclass(frozen=True)
-class CsPublicKey:
+class PublicKey:
+    """The public conjugates X_i = w_i g w_i^{-1} of k secrets from one side."""
+
     params: GroupParams
-    X: CanonicalForm
+    side: SubgroupSide
+    elements: tuple[CanonicalForm, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.elements)
 
 
 @dataclass(frozen=True)
-class CsKeyPair:
+class KeyPair:
+    """k secret words from one subgroup and their public conjugates;
+    ``conjugators`` holds the secrets in canonical form (see the module)."""
+
     params: GroupParams
-    sk_x: BraidWord
-    pk_X: CanonicalForm
-    canonical: tuple[Conjugator] | None = field(default=None, compare=False, repr=False)
+    side: SubgroupSide
+    secrets: tuple[BraidWord, ...]
+    publics: tuple[CanonicalForm, ...]
+    canonical: tuple[Conjugator, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
-    def public(self) -> CsPublicKey:
-        return CsPublicKey(self.params, self.pk_X)
+    def k(self) -> int:
+        return len(self.secrets)
 
     @property
-    def conjugators(self) -> tuple[Conjugator]:
-        """The secret x in canonical form, derived on first use if not given."""
+    def public(self) -> PublicKey:
+        return PublicKey(self.params, self.side, self.publics)
+
+    @property
+    def conjugators(self) -> tuple[Conjugator, ...]:
         if self.canonical is None:
-            object.__setattr__(self, "canonical", (conjugator(self.sk_x),))
-        return self.canonical
-
-
-@dataclass(frozen=True)
-class TwinPublicKey:
-    params: GroupParams
-    X1: CanonicalForm
-    X2: CanonicalForm
-
-
-@dataclass(frozen=True)
-class TwinKeyPair:
-    params: GroupParams
-    sk_x1: BraidWord
-    sk_x2: BraidWord
-    pk_X1: CanonicalForm
-    pk_X2: CanonicalForm
-    canonical: tuple[Conjugator, Conjugator] | None = field(
-        default=None, compare=False, repr=False)
-
-    @property
-    def public(self) -> TwinPublicKey:
-        return TwinPublicKey(self.params, self.pk_X1, self.pk_X2)
-
-    @property
-    def conjugators(self) -> tuple[Conjugator, Conjugator]:
-        """The secrets (x1, x2) in canonical form, derived on first use if
-        not given."""
-        if self.canonical is None:
-            object.__setattr__(
-                self, "canonical", (conjugator(self.sk_x1), conjugator(self.sk_x2)))
+            object.__setattr__(self, "canonical", tuple(conjugator(w) for w in self.secrets))
         return self.canonical
 
 
@@ -104,64 +87,64 @@ class Ciphertext:
     box: SealedBox
 
 
-def ccs_shared(secret: BraidWord, peer_public: CanonicalForm) -> CanonicalForm:
-    """The shared conjugate: normal_form(secret * peer_public * secret^{-1}).
-
-    Symmetric across sides: with X = xgx^{-1} (x left) and Y = ygy^{-1}
-    (y right), ccs_shared(x, Y) == ccs_shared(y, X).
-    """
-    if secret.n != peer_public.n:
-        raise ValueError(f"strand counts differ: {secret.n} != {peer_public.n}")
-    return nf_conjugate(peer_public, secret)
+def keygen(params: GroupParams, side: SubgroupSide, k: int, rng: SeededRng) -> KeyPair:
+    """k independent secrets from the side's subgroup; X_i = w_i g w_i^{-1}."""
+    secrets = tuple(sample_subgroup(params, side, rng) for _ in range(k))
+    conjugators = tuple(conjugator(w) for w in secrets)
+    publics = tuple(nf_conjugate(params.g_nf, c) for c in conjugators)
+    return KeyPair(params, side, secrets, publics, conjugators)
 
 
-def cs_keygen(params: GroupParams, rng: SeededRng) -> CsKeyPair:
-    """Secret conjugator from LB_l; public key X = x g x^{-1}."""
-    x = sample_subgroup(params, SubgroupSide.LEFT, rng)
-    cx = conjugator(x)
-    return CsKeyPair(params, x, nf_conjugate(params.g_nf, cx), (cx,))
+def _label(key: PublicKey | KeyPair, k: int | None = None) -> str:
+    """The hash label of a key of left-subgroup secrets (exactly k, if given)."""
+    if key.side is not SubgroupSide.LEFT:
+        raise ValueError("encryption keys hold left-subgroup secrets")
+    if key.k not in SCHEME_NAMES or k not in (None, key.k):
+        raise ValueError(f"a key of {key.k} elements does not fit this scheme")
+    return SCHEME_NAMES[key.k]
 
 
-def cs_encrypt(pk: CsPublicKey, message: bytes, rng: SeededRng) -> Ciphertext:
-    """Ephemeral y from RB_r; Y = ygy^{-1}, Z = yXy^{-1}, k = H("cs", Y, Z)."""
+def encrypt(pk: PublicKey, message: bytes, rng: SeededRng, k: int | None = None) -> Ciphertext:
+    """Ephemeral y from RB_r; Y = ygy^{-1}, Z_i = y X_i y^{-1},
+    key = H(label, Y, Z_1, .., Z_k).  k, if given, is the size the key must have."""
+    label = _label(pk, k)
     y = conjugator(sample_subgroup(pk.params, SubgroupSide.RIGHT, rng))
     Y = nf_conjugate(pk.params.g_nf, y)
-    Z = nf_conjugate(pk.X, y)
-    key = hash_elements("cs", [Y, Z])
-    return Ciphertext(SCHEME_CS, Y, sym_encrypt(key, message))
+    key = hash_elements(label, [Y, *(nf_conjugate(X, y) for X in pk.elements)])
+    return Ciphertext(pk.k, Y, sym_encrypt(key, message))
 
 
-def cs_decrypt(kp: CsKeyPair, ct: Ciphertext) -> bytes:
-    """Recompute Z = x Y x^{-1} and open the box; raises AuthenticationError
-    on forged or mis-keyed ciphertexts."""
-    (cx,) = kp.conjugators
-    Z = nf_conjugate(ct.Y, cx)
-    key = hash_elements("cs", [ct.Y, Z])
+def decrypt(kp: KeyPair, ct: Ciphertext, k: int | None = None) -> bytes:
+    """Recompute Z_i = w_i Y w_i^{-1} and open the box; raises
+    AuthenticationError on forged or mis-keyed ciphertexts."""
+    label = _label(kp, k)
+    key = hash_elements(label, [ct.Y, *(nf_conjugate(ct.Y, c) for c in kp.conjugators)])
     return sym_decrypt(key, ct.box)
 
 
-def twin_keygen(params: GroupParams, rng: SeededRng) -> TwinKeyPair:
+def cs_keygen(params: GroupParams, rng: SeededRng) -> KeyPair:
+    """Secret conjugator x from LB_l; public key X = x g x^{-1}."""
+    return keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
+
+
+def cs_encrypt(pk: PublicKey, message: bytes, rng: SeededRng) -> Ciphertext:
+    """key = H("cs", Y, Z) for a one-element public key."""
+    return encrypt(pk, message, rng, SCHEME_CS)
+
+
+def cs_decrypt(kp: KeyPair, ct: Ciphertext) -> bytes:
+    return decrypt(kp, ct, SCHEME_CS)
+
+
+def twin_keygen(params: GroupParams, rng: SeededRng) -> KeyPair:
     """Two independent secret conjugators from LB_l."""
-    x1 = sample_subgroup(params, SubgroupSide.LEFT, rng)
-    x2 = sample_subgroup(params, SubgroupSide.LEFT, rng)
-    c1, c2 = conjugator(x1), conjugator(x2)
-    return TwinKeyPair(params, x1, x2, nf_conjugate(params.g_nf, c1),
-                       nf_conjugate(params.g_nf, c2), (c1, c2))
+    return keygen(params, SubgroupSide.LEFT, SCHEME_TWIN, rng)
 
 
-def twin_encrypt(pk: TwinPublicKey, message: bytes, rng: SeededRng) -> Ciphertext:
-    """One ephemeral y serves both halves: k = H("twin", Y, Z1, Z2)."""
-    y = conjugator(sample_subgroup(pk.params, SubgroupSide.RIGHT, rng))
-    Y = nf_conjugate(pk.params.g_nf, y)
-    Z1 = nf_conjugate(pk.X1, y)
-    Z2 = nf_conjugate(pk.X2, y)
-    key = hash_elements("twin", [Y, Z1, Z2])
-    return Ciphertext(SCHEME_TWIN, Y, sym_encrypt(key, message))
+def twin_encrypt(pk: PublicKey, message: bytes, rng: SeededRng) -> Ciphertext:
+    """One ephemeral y serves both halves: key = H("twin", Y, Z1, Z2)."""
+    return encrypt(pk, message, rng, SCHEME_TWIN)
 
 
-def twin_decrypt(kp: TwinKeyPair, ct: Ciphertext) -> bytes:
-    c1, c2 = kp.conjugators
-    Z1 = nf_conjugate(ct.Y, c1)
-    Z2 = nf_conjugate(ct.Y, c2)
-    key = hash_elements("twin", [ct.Y, Z1, Z2])
-    return sym_decrypt(key, ct.box)
+def twin_decrypt(kp: KeyPair, ct: Ciphertext) -> bytes:
+    return decrypt(kp, ct, SCHEME_TWIN)

@@ -1,12 +1,14 @@
 """Non-interactive and interactive key exchange over the twin construction.
 
-Both protocols give each party a pair of secret conjugators and derive
+Each party holds a two-element ``KeyPair`` (two secret words from its own
+subgroup, then their public conjugates), and both derive
 
     k = H(ccs(X1,Y1), ccs(X1,Y2), ccs(X2,Y1), ccs(X2,Y2))
 
 where the X side always denotes the left-subgroup party and the Y side
 the right-subgroup party; each of the four values is computable by either
-party because opposite subgroups commute.  The non-interactive variant
+party because opposite subgroups commute.  The peer's key is a
+``PublicKey`` of its side.  The non-interactive variant
 assumes the publics arrived out of band; the interactive variant ships
 them over a framed byte stream and finishes with a key-confirmation round
 so that tampering has a testable failure mode (confirmation can be
@@ -25,12 +27,13 @@ import hashlib
 import hmac
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .braid import BraidWord, CanonicalForm, Conjugator, GroupParams, conjugator, nf_conjugate
+from .braid import CanonicalForm, GroupParams, nf_conjugate
 from .codec import CodecError, SymKey, hash_elements, read_canonical, serialize_canonical
-from .sampling import SeededRng, SubgroupSide, sample_subgroup
+from .elgamal import KeyPair, PublicKey, keygen
+from .sampling import SeededRng, SubgroupSide
 
 MSG_INIT = 0x01
 MSG_RESP = 0x02
@@ -54,43 +57,18 @@ class Role(Enum):
     RESPONDER = "responder"
 
 
-@dataclass(frozen=True)
-class NikePublic:
-    side: SubgroupSide
-    elements: tuple[CanonicalForm, CanonicalForm]
+def nike_keygen(params: GroupParams, side: SubgroupSide, rng: SeededRng) -> KeyPair:
+    return keygen(params, side, 2, rng)
 
 
-@dataclass(frozen=True)
-class NikeIdentity:
-    """A party's long-term material: two secrets, the same secrets in
-    canonical form, and their public conjugates."""
-
-    params: GroupParams
-    side: SubgroupSide
-    secrets: tuple[BraidWord, BraidWord]
-    publics: tuple[CanonicalForm, CanonicalForm]
-    conjugators: tuple[Conjugator, Conjugator] = field(compare=False, repr=False)
-
-    @property
-    def public(self) -> NikePublic:
-        return NikePublic(self.side, self.publics)
-
-
-def nike_keygen(params: GroupParams, side: SubgroupSide, rng: SeededRng) -> NikeIdentity:
-    w1 = sample_subgroup(params, side, rng)
-    w2 = sample_subgroup(params, side, rng)
-    c1, c2 = conjugator(w1), conjugator(w2)
-    publics = (nf_conjugate(params.g_nf, c1), nf_conjugate(params.g_nf, c2))
-    return NikeIdentity(params, side, (w1, w2), publics, (c1, c2))
-
-
-def _four_shared(me: NikeIdentity, peer: NikePublic) -> list[CanonicalForm]:
-    """The four shared conjugates in the fixed order ccs(X_i, Y_j), i outer."""
+def _four_shared(me: KeyPair, peer: PublicKey) -> list[CanonicalForm]:
+    """The shared conjugates in the fixed order ccs(X_i, Y_j), i outer."""
     if peer.side is me.side:
         raise ValueError("parties must use opposite subgroups")
+    left_k, right_k = (me.k, peer.k) if me.side is SubgroupSide.LEFT else (peer.k, me.k)
     out = []
-    for i in (0, 1):
-        for j in (0, 1):
+    for i in range(left_k):
+        for j in range(right_k):
             if me.side is SubgroupSide.LEFT:
                 # I hold x_i; ccs(X_i, Y_j) = x_i Y_j x_i^{-1}
                 out.append(nf_conjugate(peer.elements[j], me.conjugators[i]))
@@ -100,7 +78,7 @@ def _four_shared(me: NikeIdentity, peer: NikePublic) -> list[CanonicalForm]:
     return out
 
 
-def nike_shared_key(me: NikeIdentity, peer: NikePublic, label: str = "nike") -> SymKey:
+def nike_shared_key(me: KeyPair, peer: PublicKey, label: str = "nike") -> SymKey:
     """Shared key of the non-interactive protocol; both sides agree."""
     return hash_elements(label, _four_shared(me, peer))
 
@@ -110,7 +88,8 @@ def nike_shared_key(me: NikeIdentity, peer: NikePublic, label: str = "nike") -> 
 # ---------------------------------------------------------------------------
 
 class StreamChannel:
-    """Reliable ordered byte stream over a connected socket."""
+    """Reliable ordered byte stream over a connected socket.  Transport
+    failures (timeouts, resets, broken pipes) surface as ProtocolError."""
 
     def __init__(self, sock: socket.socket, timeout: float | None = None):
         self._sock = sock
@@ -118,7 +97,10 @@ class StreamChannel:
             sock.settimeout(timeout)
 
     def send_bytes(self, data: bytes) -> None:
-        self._sock.sendall(data)
+        try:
+            self._sock.sendall(data)
+        except OSError as exc:
+            raise ProtocolError(f"transport failed while sending: {exc}") from exc
 
     def recv_exact(self, k: int) -> bytes:
         chunks = []
@@ -128,6 +110,8 @@ class StreamChannel:
                 chunk = self._sock.recv(k - got)
             except (TimeoutError, socket.timeout) as exc:
                 raise ProtocolError("timed out waiting for peer bytes") from exc
+            except OSError as exc:
+                raise ProtocolError(f"transport failed while receiving: {exc}") from exc
             if not chunk:
                 raise ProtocolError(f"stream truncated: wanted {k} bytes, got {got}")
             chunks.append(chunk)
@@ -260,14 +244,14 @@ def kex_run(
     if role is Role.INITIATOR:
         me = nike_keygen(params, SubgroupSide.LEFT, rng)
         session.send_frame(MSG_INIT, _encode_elements(me.publics))
-        peer_elements = _decode_elements(session.recv_frame(MSG_RESP))
-        peer = NikePublic(SubgroupSide.RIGHT, peer_elements)
+        peer = PublicKey(params, SubgroupSide.RIGHT,
+                         _decode_elements(session.recv_frame(MSG_RESP)))
     else:
         me = nike_keygen(params, SubgroupSide.RIGHT, rng)
-        peer_elements = _decode_elements(session.recv_frame(MSG_INIT))
-        peer = NikePublic(SubgroupSide.LEFT, peer_elements)
+        peer = PublicKey(params, SubgroupSide.LEFT,
+                         _decode_elements(session.recv_frame(MSG_INIT)))
         session.send_frame(MSG_RESP, _encode_elements(me.publics))
-    for e in peer_elements:
+    for e in peer.elements:
         if e.n != params.n:
             raise ProtocolError(f"peer element lives in B_{e.n}, expected B_{params.n}")
 

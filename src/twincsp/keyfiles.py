@@ -12,10 +12,14 @@ Ciphertext files of version 0x01 carried a tag SHA256(key || "mac" || ct),
 which length extension forges; version 0x02 carries the HMAC tag of the
 codec, and 0x01 files are refused.
 
-Key material: public cs = X; secret cs = x, X; public twin = X1, X2;
-secret twin = x1, x2, X1, X2.  Words use the codec's kind 0x01 encoding,
-group elements the canonical kind 0x02 encoding.  Parse failures name the
-offending byte offset.
+Key files hold one key type for both schemes: the scheme byte is k, the
+number of secrets, and the key material is the k secret words w_1..w_k
+(secret files only) followed by the k public elements X_1..X_k.  The
+secrets come from the left subgroup.  Words use the codec's kind 0x01
+encoding, group elements the canonical kind 0x02 encoding.  Decoding
+checks each word and element against the header's params (strand count,
+and for secrets every letter in 1..l-1) without normal-form work; every
+failure names the offending byte offset.
 """
 
 from __future__ import annotations
@@ -31,15 +35,8 @@ from .codec import (
     serialize_canonical,
     serialize_word,
 )
-from .elgamal import (
-    Ciphertext,
-    CsKeyPair,
-    CsPublicKey,
-    SCHEME_CS,
-    SCHEME_TWIN,
-    TwinKeyPair,
-    TwinPublicKey,
-)
+from .elgamal import SCHEME_NAMES, Ciphertext, KeyPair, PublicKey
+from .sampling import SubgroupSide
 
 KEY_MAGIC = b"TCSPKEY"
 CT_MAGIC = b"TCSPCT"
@@ -47,6 +44,7 @@ KEY_FILE_VERSION = 0x01
 CT_FILE_VERSION = 0x02
 ROLE_PUBLIC = 0x01
 ROLE_SECRET = 0x02
+ROLE_NAMES = {ROLE_PUBLIC: "public", ROLE_SECRET: "secret"}
 
 
 class KeyFileError(ValueError):
@@ -77,21 +75,34 @@ class _Reader:
         (ln,) = struct.unpack(">I", self.take(4, f"{what} length"))
         return self.take(ln, what)
 
-    def word(self, what: str) -> BraidWord:
-        return self._element(read_word, what)
+    def word(self, what: str, n: int | None = None) -> BraidWord:
+        return self._element(read_word, what, n)
 
-    def canonical(self, what: str) -> CanonicalForm:
-        return self._element(read_canonical, what)
+    def canonical(self, what: str, n: int | None = None) -> CanonicalForm:
+        return self._element(read_canonical, what, n)
 
-    def _element(self, reader, what: str):
-        base = self.offset
+    def secret(self, what: str, params: GroupParams) -> BraidWord:
+        """A secret word in B_n whose letters all lie in the left subgroup."""
+        w = self.word(what, params.n)
+        start = self.offset - 2 * len(w.letters)  # 2-byte letters end the blob
+        for i, v in enumerate(w.letters):
+            if abs(v) >= params.l:
+                raise KeyFileError(
+                    f"{what} letter {v} is outside the left subgroup 1..{params.l - 1}",
+                    start + 2 * i)
+        return w
+
+    def _element(self, reader, what: str, n: int | None):
+        base = self.offset + 4
         payload = self.blob(what)
         try:
             value, used = reader(payload, 0)
         except CodecError as exc:
-            raise KeyFileError(f"bad {what}: {exc}", base + 4 + exc.offset) from exc
+            raise KeyFileError(f"bad {what}: {exc}", base + exc.offset) from exc
         if used != len(payload):
-            raise KeyFileError(f"trailing bytes in {what}", base + 4 + used)
+            raise KeyFileError(f"trailing bytes in {what}", base + used)
+        if n is not None and value.n != n:
+            raise KeyFileError(f"{what} lives in B_{value.n}, params say B_{n}", base)
         return value
 
     def done(self) -> None:
@@ -99,12 +110,17 @@ class _Reader:
             raise KeyFileError("trailing bytes", self.offset)
 
 
-def _key_header(scheme: int, role: int, params: GroupParams) -> bytes:
+def _encode_key(role: int, key: PublicKey | KeyPair, secrets, publics) -> bytes:
+    if key.side is not SubgroupSide.LEFT or key.k not in SCHEME_NAMES:
+        raise ValueError("key files hold one or two left-subgroup secrets")
+    params = key.params
     return (
         KEY_MAGIC
-        + bytes([KEY_FILE_VERSION, scheme, role])
+        + bytes([KEY_FILE_VERSION, key.k, role])
         + struct.pack(">HHHH", params.n, params.l, params.r, params.W)
         + _blob(serialize_word(params.g))
+        + b"".join(_blob(serialize_word(w)) for w in secrets)
+        + b"".join(_blob(serialize_canonical(X)) for X in publics)
     )
 
 
@@ -115,10 +131,10 @@ def _read_key_header(r: _Reader) -> tuple[int, int, GroupParams]:
     if version != KEY_FILE_VERSION:
         raise KeyFileError(f"unsupported version 0x{version:02x}", r.offset - 1)
     (scheme,) = r.take(1, "scheme byte")
-    if scheme not in (SCHEME_CS, SCHEME_TWIN):
+    if scheme not in SCHEME_NAMES:
         raise KeyFileError(f"unknown scheme 0x{scheme:02x}", r.offset - 1)
     (role,) = r.take(1, "role byte")
-    if role not in (ROLE_PUBLIC, ROLE_SECRET):
+    if role not in ROLE_NAMES:
         raise KeyFileError(f"unknown role 0x{role:02x}", r.offset - 1)
     n, l, rr, W = struct.unpack(">HHHH", r.take(8, "params"))
     g = r.word("base element")
@@ -131,66 +147,39 @@ def _read_key_header(r: _Reader) -> tuple[int, int, GroupParams]:
     return scheme, role, params
 
 
-def encode_public_key(pk: CsPublicKey | TwinPublicKey) -> bytes:
-    if isinstance(pk, CsPublicKey):
-        return _key_header(SCHEME_CS, ROLE_PUBLIC, pk.params) + _blob(
-            serialize_canonical(pk.X)
-        )
-    return (
-        _key_header(SCHEME_TWIN, ROLE_PUBLIC, pk.params)
-        + _blob(serialize_canonical(pk.X1))
-        + _blob(serialize_canonical(pk.X2))
-    )
-
-
-def decode_public_key(data: bytes) -> CsPublicKey | TwinPublicKey:
+def _decode_key(data: bytes, role: int):
+    """(params, secrets, publics): k secret words for a secret key file,
+    then k public elements, each checked against the params."""
     r = _Reader(data)
-    scheme, role, params = _read_key_header(r)
-    if role != ROLE_PUBLIC:
-        raise KeyFileError("expected a public key file, found a secret key", 9)
-    if scheme == SCHEME_CS:
-        pk = CsPublicKey(params, r.canonical("public element"))
-    else:
-        pk = TwinPublicKey(
-            params, r.canonical("first public element"), r.canonical("second public element")
-        )
+    k, found, params = _read_key_header(r)
+    if found != role:
+        raise KeyFileError(f"expected a {ROLE_NAMES[role]} key file, "
+                           f"found a {ROLE_NAMES[found]} key", 9)
+    ordinals = ("",) if k == 1 else ("first ", "second ")
+    secrets = ()
+    if role == ROLE_SECRET:
+        secrets = tuple(r.secret(f"{o}secret word", params) for o in ordinals)
+    publics = tuple(r.canonical(f"{o}public element", params.n) for o in ordinals)
     r.done()
-    return pk
+    return params, secrets, publics
 
 
-def encode_keypair(kp: CsKeyPair | TwinKeyPair) -> bytes:
-    if isinstance(kp, CsKeyPair):
-        return (
-            _key_header(SCHEME_CS, ROLE_SECRET, kp.params)
-            + _blob(serialize_word(kp.sk_x))
-            + _blob(serialize_canonical(kp.pk_X))
-        )
-    return (
-        _key_header(SCHEME_TWIN, ROLE_SECRET, kp.params)
-        + _blob(serialize_word(kp.sk_x1))
-        + _blob(serialize_word(kp.sk_x2))
-        + _blob(serialize_canonical(kp.pk_X1))
-        + _blob(serialize_canonical(kp.pk_X2))
-    )
+def encode_public_key(pk: PublicKey) -> bytes:
+    return _encode_key(ROLE_PUBLIC, pk, (), pk.elements)
 
 
-def decode_keypair(data: bytes) -> CsKeyPair | TwinKeyPair:
-    r = _Reader(data)
-    scheme, role, params = _read_key_header(r)
-    if role != ROLE_SECRET:
-        raise KeyFileError("expected a secret key file, found a public key", 9)
-    if scheme == SCHEME_CS:
-        kp = CsKeyPair(params, r.word("secret word"), r.canonical("public element"))
-    else:
-        kp = TwinKeyPair(
-            params,
-            r.word("first secret word"),
-            r.word("second secret word"),
-            r.canonical("first public element"),
-            r.canonical("second public element"),
-        )
-    r.done()
-    return kp
+def decode_public_key(data: bytes) -> PublicKey:
+    params, _, publics = _decode_key(data, ROLE_PUBLIC)
+    return PublicKey(params, SubgroupSide.LEFT, publics)
+
+
+def encode_keypair(kp: KeyPair) -> bytes:
+    return _encode_key(ROLE_SECRET, kp, kp.secrets, kp.publics)
+
+
+def decode_keypair(data: bytes) -> KeyPair:
+    params, secrets, publics = _decode_key(data, ROLE_SECRET)
+    return KeyPair(params, SubgroupSide.LEFT, secrets, publics)
 
 
 def encode_ciphertext(ct: Ciphertext) -> bytes:
@@ -215,7 +204,7 @@ def decode_ciphertext(data: bytes) -> Ciphertext:
     if version != CT_FILE_VERSION:
         raise KeyFileError(f"unsupported version 0x{version:02x}", r.offset - 1)
     (scheme,) = r.take(1, "scheme byte")
-    if scheme not in (SCHEME_CS, SCHEME_TWIN):
+    if scheme not in SCHEME_NAMES:
         raise KeyFileError(f"unknown scheme 0x{scheme:02x}", r.offset - 1)
     Y = r.canonical("header element")
     ct_bytes = r.blob("ciphertext body")

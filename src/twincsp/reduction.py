@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 from .braid import BraidWord, CanonicalForm, GroupParams, conjugator, nf_conjugate
 from .codec import AuthenticationError, hash_elements, sym_encrypt
-from .elgamal import Ciphertext, CsKeyPair, SCHEME_CS, cs_decrypt
+from .elgamal import SCHEME_CS, Ciphertext, KeyPair, cs_decrypt
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
 from .trapdoor import (
     DecisionQuery,
@@ -113,26 +113,6 @@ def run_reduction(
     return ReductionResult(Z1, transcript, td)
 
 
-def perfect_adversary(witness_y: BraidWord) -> Adversary:
-    """Answers with the true conjugates, using the ephemeral witness the
-    test extracted from the instance."""
-    cy = conjugator(witness_y)
-
-    def run(X1, X2, Y, oracle):
-        return nf_conjugate(X1, cy), nf_conjugate(X2, cy)
-
-    return run
-
-
-def random_adversary(params: GroupParams, rng: SeededRng) -> Adversary:
-    """Outputs two random conjugates; its answer should always be rejected."""
-
-    def run(X1, X2, Y, oracle):
-        return random_element(params, rng), random_element(params, rng)
-
-    return run
-
-
 def probing_adversary(
     params: GroupParams,
     witness_y: BraidWord,
@@ -180,10 +160,10 @@ def _fresh_conjugate_differing(
 
 
 def oracle_leak_demo(
-    kp: CsKeyPair, Yhat: CanonicalForm, Zhat: CanonicalForm, rng: SeededRng
+    kp: KeyPair, Yhat: CanonicalForm, Zhat: CanonicalForm, rng: SeededRng
 ) -> bool:
     """Answer the decision predicate "is Zhat == ccs(X, Yhat)?" using only a
-    decryption oracle for the single-key scheme.
+    decryption oracle for the single-key scheme (kp holds one secret).
 
     Forges a ciphertext for a known message under H("cs", Yhat, Zhat); the
     oracle (an honest cs_decrypt) recomputes the key from its secret, so

@@ -22,9 +22,6 @@ class SubgroupSide(Enum):
     LEFT = "left"
     RIGHT = "right"
 
-    def other(self) -> "SubgroupSide":
-        return SubgroupSide.RIGHT if self is SubgroupSide.LEFT else SubgroupSide.LEFT
-
 
 class SeededRng:
     """Deterministic byte stream: block_i = SHA256(seed || "rng" || i)."""
@@ -42,11 +39,6 @@ class SeededRng:
         if len(raw) != 32:
             raise ValueError("seed must be 64 hex characters")
         return cls(raw)
-
-    @classmethod
-    def from_int(cls, value: int) -> "SeededRng":
-        """Convenience for tests: expand a small integer into a seed."""
-        return cls(value.to_bytes(32, "big"))
 
     def fork(self, label: bytes | str) -> "SeededRng":
         """Independent child stream; safe to hand to a parallel task."""

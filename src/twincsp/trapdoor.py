@@ -96,15 +96,6 @@ def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
     return lhs == rhs
 
 
-def truth_2ccsp(x1: BraidWord, x2: BraidWord, q: DecisionQuery) -> bool:
-    """Ground-truth twin predicate, evaluated with both secret conjugators:
-    Z1hat == x1 Yhat x1^{-1} and Z2hat == x2 Yhat x2^{-1}."""
-    return (
-        nf_conjugate(q.Yhat, x1) == q.Z1hat
-        and nf_conjugate(q.Yhat, x2) == q.Z2hat
-    )
-
-
 def honest_query(td_publics: tuple[CanonicalForm, CanonicalForm],
                  params: GroupParams, rng: SeededRng) -> tuple[DecisionQuery, BraidWord]:
     """A query satisfying the twin predicate for (X1, X2), built from a fresh
@@ -133,3 +124,23 @@ def random_element(params: GroupParams, rng: SeededRng, length: int | None = Non
         rng.rand_sign() * (1 + rng.rand_below(params.n - 1)) for _ in range(length)
     )
     return normal_form(BraidWord(params.n, letters))
+
+
+def trapdoor_stats(params: GroupParams, trials: int, rng: SeededRng) -> tuple[int, int, int]:
+    """Counts over `trials` fresh trapdoors, each tied to a fresh X1 = xgx^{-1}:
+    (honest queries accepted, half-dishonest queries rejected, random queries
+    accepted).  The half-dishonest query's Z2hat is random, redrawn until it
+    differs from the honest value; callers set their own bounds."""
+    complete = rejected = random_passes = 0
+    for _ in range(trials):
+        x = sample_subgroup(params, SubgroupSide.LEFT, rng)
+        td = trapdoor_setup(params, nf_conjugate(params.g_nf, x), rng)
+        q, _y = honest_query((td.X1, td.X2), params, rng)
+        complete += trapdoor_check(td, q)
+        junk = random_element(params, rng)
+        while junk == q.Z2hat:
+            junk = random_element(params, rng)
+        rejected += not trapdoor_check(td, DecisionQuery(q.Yhat, q.Z1hat, junk))
+        rnd = DecisionQuery(*(random_element(params, rng) for _ in range(3)))
+        random_passes += trapdoor_check(td, rnd)
+    return complete, rejected, random_passes

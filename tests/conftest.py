@@ -1,6 +1,15 @@
 import pytest
 
-from twincsp import BraidWord, CanonicalForm, SeededRng, default_params
+from twincsp import (
+    BraidWord,
+    CanonicalForm,
+    DecisionQuery,
+    SeededRng,
+    conjugator,
+    default_params,
+    nf_conjugate,
+    random_element,
+)
 
 
 @pytest.fixture
@@ -9,7 +18,37 @@ def params():
 
 
 def rng_from(tag: int) -> SeededRng:
-    return SeededRng.from_int(tag)
+    """Expand a small integer into a seed."""
+    return SeededRng(tag.to_bytes(32, "big"))
+
+
+def truth_2ccsp(x1: BraidWord, x2: BraidWord, q: DecisionQuery) -> bool:
+    """Ground-truth twin predicate, evaluated with both secret conjugators:
+    Z1hat == x1 Yhat x1^{-1} and Z2hat == x2 Yhat x2^{-1}."""
+    return (
+        nf_conjugate(q.Yhat, x1) == q.Z1hat
+        and nf_conjugate(q.Yhat, x2) == q.Z2hat
+    )
+
+
+def perfect_adversary(witness_y: BraidWord):
+    """Answers with the true conjugates, using the ephemeral witness the
+    test extracted from the instance."""
+    cy = conjugator(witness_y)
+
+    def run(X1, X2, Y, oracle):
+        return nf_conjugate(X1, cy), nf_conjugate(X2, cy)
+
+    return run
+
+
+def random_adversary(params, rng: SeededRng):
+    """Outputs two random conjugates; its answer should always be rejected."""
+
+    def run(X1, X2, Y, oracle):
+        return random_element(params, rng), random_element(params, rng)
+
+    return run
 
 
 def random_word(n: int, length: int, rng: SeededRng, indices=None) -> BraidWord:

@@ -7,11 +7,16 @@ complete.  Everything is seeded, so reruns are bit-identical.
 
 import time
 
-from conftest import assert_left_weighted, random_word, rewrite_equivalent, rng_from
+from conftest import (
+    assert_left_weighted,
+    perfect_adversary,
+    random_word,
+    rewrite_equivalent,
+    rng_from,
+)
 from twincsp import (
     BraidWord,
     Ciphertext,
-    DecisionQuery,
     Role,
     SubgroupSide,
     conjugate,
@@ -20,7 +25,6 @@ from twincsp import (
     cs_keygen,
     default_params,
     equals,
-    honest_query,
     invert,
     loopback_run,
     make_ccs_instance,
@@ -30,15 +34,13 @@ from twincsp import (
     nike_shared_key,
     normal_form,
     oracle_leak_demo,
-    perfect_adversary,
     permutation_of,
     probing_adversary,
     random_element,
     run_reduction,
     sample_subgroup,
     serialize_canonical,
-    trapdoor_check,
-    trapdoor_setup,
+    trapdoor_stats,
     twin_decrypt,
     twin_encrypt,
     twin_keygen,
@@ -192,34 +194,10 @@ def test_criterion_4_scheme_correctness():
 
 def test_criterion_5_trapdoor_test():
     start = time.monotonic()
-    g_nf = normal_form(PARAMS.g)
     trials = 1000
-
-    complete = 0
-    half_dishonest_rejected = 0
-    random_passes = 0
-    rng = rng_from(205)
-    for _ in range(trials):
-        x = sample_subgroup(PARAMS, SubgroupSide.LEFT, rng)
-        X1 = nf_conjugate(g_nf, x)
-        td = trapdoor_setup(PARAMS, X1, rng)
-
-        q, _y = honest_query((td.X1, td.X2), PARAMS, rng)
-        complete += trapdoor_check(td, q)
-
-        junk = random_element(PARAMS, rng)
-        while junk == q.Z2hat:
-            junk = random_element(PARAMS, rng)
-        half_dishonest_rejected += not trapdoor_check(
-            td, DecisionQuery(q.Yhat, q.Z1hat, junk)
-        )
-
-        rnd = DecisionQuery(
-            random_element(PARAMS, rng),
-            random_element(PARAMS, rng),
-            random_element(PARAMS, rng),
-        )
-        random_passes += trapdoor_check(td, rnd)
+    complete, half_dishonest_rejected, random_passes = trapdoor_stats(
+        PARAMS, trials, rng_from(205)
+    )
 
     elapsed = time.monotonic() - start
     ok = (
@@ -289,10 +267,10 @@ def test_criterion_7_oracle_leak():
         y = sample_subgroup(PARAMS, SubgroupSide.RIGHT, rng)
         Yhat = normal_form(conjugate(PARAMS.g, y))
         if rng.rand_below(2):
-            Zhat = nf_conjugate(kp.pk_X, y)
+            Zhat = nf_conjugate(kp.publics[0], y)
         else:
             Zhat = random_element(PARAMS, rng)
-        direct_predicate = nf_conjugate(Yhat, kp.sk_x) == Zhat
+        direct_predicate = nf_conjugate(Yhat, kp.secrets[0]) == Zhat
         if oracle_leak_demo(kp, Yhat, Zhat, rng) != direct_predicate:
             disagreements += 1
     report(

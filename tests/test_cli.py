@@ -8,7 +8,17 @@ import time
 
 import pytest
 
+from twincsp import (
+    BraidWord,
+    KeyPair,
+    PublicKey,
+    SeededRng,
+    SubgroupSide,
+    normal_form,
+    sample_subgroup,
+)
 from twincsp.cli import EXIT_CRYPTO, EXIT_IO, EXIT_OK, EXIT_USAGE, dispatch
+from twincsp.keyfiles import decode_keypair, encode_keypair, encode_public_key
 
 SEED = "42" * 32
 SEED2 = "43" * 32
@@ -152,6 +162,32 @@ class TestExitCodes:
         blob[6] = 0x01
         assert self.decrypt(workdir, bytes(blob)) == EXIT_IO
         assert "length extension" in capsys.readouterr().err
+
+    def test_key_material_not_matching_params_is_exit_2(self, workdir, capsys):
+        (workdir / "msg").write_bytes(b"x")
+        keygen(workdir)
+        kp = decode_keypair((workdir / "k.sec").read_bytes())
+        # X1 from B_4 under B_16 params
+        small = normal_form(BraidWord(4, (1, 2)))
+        (workdir / "bad.pub").write_bytes(
+            encode_public_key(PublicKey(kp.params, kp.side, (small, kp.publics[1]))))
+        assert dispatch(
+            ["encrypt", "--pk", str(workdir / "bad.pub"), "--in", str(workdir / "msg"),
+             "--out", str(workdir / "ct"), "--seed", SEED2]
+        ) == EXIT_IO
+        assert "first public element lives in B_4" in capsys.readouterr().err
+        # a secret drawn from the right subgroup
+        right = sample_subgroup(kp.params, SubgroupSide.RIGHT, SeededRng.from_hex(SEED))
+        (workdir / "bad.sec").write_bytes(
+            encode_keypair(KeyPair(kp.params, kp.side, (right, kp.secrets[1]), kp.publics)))
+        assert dispatch(["encrypt", "--pk", str(workdir / "k.pub"), "--in",
+                         str(workdir / "msg"), "--out", str(workdir / "ct"),
+                         "--seed", SEED2]) == EXIT_OK
+        assert dispatch(
+            ["decrypt", "--sk", str(workdir / "bad.sec"), "--in", str(workdir / "ct"),
+             "--out", str(workdir / "pt")]
+        ) == EXIT_IO
+        assert "outside the left subgroup" in capsys.readouterr().err
 
     def test_bad_seed_is_usage_error(self, workdir):
         assert dispatch(["keygen", "--out", str(workdir / "k"), "--seed", "zz"]) == EXIT_USAGE

@@ -14,14 +14,16 @@ from twincsp import (
     BraidWord,
     Ciphertext,
     SubgroupSide,
-    ccs_shared,
     conjugate,
     cs_decrypt,
     cs_encrypt,
     cs_keygen,
+    decrypt,
+    encrypt,
     hash_elements,
     multiply,
     nf_conjugate,
+    nike_keygen,
     normal_form,
     sample_subgroup,
     serialize_canonical,
@@ -35,7 +37,7 @@ class TestCcsShared:
     def test_identity_secret(self, params):
         y = sample_subgroup(params, SubgroupSide.RIGHT, rng_from(40))
         Y = normal_form(conjugate(params.g, y))
-        assert ccs_shared(BraidWord(params.n, ()), Y) == Y
+        assert nf_conjugate(Y, BraidWord(params.n, ())) == Y
 
     def test_symmetry(self, params):
         rng = rng_from(41)
@@ -44,7 +46,7 @@ class TestCcsShared:
             y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
             X = normal_form(conjugate(params.g, x))
             Y = normal_form(conjugate(params.g, y))
-            assert ccs_shared(x, Y) == ccs_shared(y, X)
+            assert nf_conjugate(Y, x) == nf_conjugate(X, y)
 
     def test_matches_direct_word_construction(self, params):
         rng = rng_from(42)
@@ -53,26 +55,26 @@ class TestCcsShared:
             y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
             Y = normal_form(conjugate(params.g, y))
             direct = normal_form(conjugate(params.g, multiply(x, y)))
-            assert ccs_shared(x, Y) == direct
+            assert nf_conjugate(Y, x) == direct
 
     def test_strand_mismatch(self, params):
         Y = normal_form(BraidWord(4, (1,)))
         with pytest.raises(ValueError):
-            ccs_shared(BraidWord(params.n, (1,)), Y)
+            nf_conjugate(Y, BraidWord(params.n, (1,)))
 
 
 class TestCsScheme:
     def test_keypair_invariant(self, params):
         kp = cs_keygen(params, rng_from(43))
-        assert kp.pk_X == normal_form(conjugate(params.g, kp.sk_x))
-        assert all(1 <= abs(v) <= params.l - 1 for v in kp.sk_x.letters)
+        assert kp.publics[0] == normal_form(conjugate(params.g, kp.secrets[0]))
+        assert all(1 <= abs(v) <= params.l - 1 for v in kp.secrets[0].letters)
 
     def test_keygen_reproducible(self, params):
         assert cs_keygen(params, rng_from(44)) == cs_keygen(params, rng_from(44))
 
     def test_public_key_moves_off_base(self, params):
         g_nf = normal_form(params.g)
-        hits = sum(cs_keygen(params, rng_from(1000 + i)).pk_X == g_nf for i in range(100))
+        hits = sum(cs_keygen(params, rng_from(1000 + i)).publics[0] == g_nf for i in range(100))
         assert hits == 0
 
     def test_round_trips(self, params):
@@ -91,9 +93,9 @@ class TestCsScheme:
             tkp = twin_keygen(params, rng)
             y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
             Y = normal_form(conjugate(params.g, y))
-            assert nf_conjugate(Y, kp.sk_x) == nf_conjugate(kp.pk_X, y)
-            assert nf_conjugate(Y, tkp.sk_x1) == nf_conjugate(tkp.pk_X1, y)
-            assert nf_conjugate(Y, tkp.sk_x2) == nf_conjugate(tkp.pk_X2, y)
+            assert nf_conjugate(Y, kp.secrets[0]) == nf_conjugate(kp.publics[0], y)
+            assert nf_conjugate(Y, tkp.secrets[0]) == nf_conjugate(tkp.publics[0], y)
+            assert nf_conjugate(Y, tkp.secrets[1]) == nf_conjugate(tkp.publics[1], y)
 
     def test_empty_message(self, params):
         rng = rng_from(47)
@@ -130,13 +132,13 @@ class TestCsScheme:
 class TestTwinScheme:
     def test_keypair_invariants(self, params):
         kp = twin_keygen(params, rng_from(51))
-        assert kp.pk_X1 == normal_form(conjugate(params.g, kp.sk_x1))
-        assert kp.pk_X2 == normal_form(conjugate(params.g, kp.sk_x2))
+        assert kp.publics[0] == normal_form(conjugate(params.g, kp.secrets[0]))
+        assert kp.publics[1] == normal_form(conjugate(params.g, kp.secrets[1]))
 
     def test_twin_secrets_differ(self, params):
         hits = sum(
-            twin_keygen(params, rng_from(3000 + i)).sk_x1
-            == twin_keygen(params, rng_from(3000 + i)).sk_x2
+            twin_keygen(params, rng_from(3000 + i)).secrets[0]
+            == twin_keygen(params, rng_from(3000 + i)).secrets[1]
             for i in range(100)
         )
         assert hits == 0
@@ -152,11 +154,11 @@ class TestTwinScheme:
             assert twin_decrypt(kp, twin_encrypt(kp.public, msg, rng)) == msg
 
     def test_swapped_secrets_fail(self, params):
-        from twincsp import TwinKeyPair
+        from twincsp import KeyPair
 
         rng = rng_from(54)
         kp = twin_keygen(params, rng)
-        swapped = TwinKeyPair(params, kp.sk_x2, kp.sk_x1, kp.pk_X2, kp.pk_X1)
+        swapped = KeyPair(params, kp.side, kp.secrets[::-1], kp.publics[::-1])
         ct = twin_encrypt(kp.public, b"order matters", rng)
         with pytest.raises(AuthenticationError):
             twin_decrypt(swapped, ct)
@@ -184,11 +186,36 @@ class TestTwinScheme:
             twin_decrypt(kp_a, forged)
 
 
+class TestOneKeyType:
+    def test_keys_of_the_wrong_size_or_side_are_refused(self, params):
+        rng = rng_from(58)
+        cs_kp, twin_kp = cs_keygen(params, rng), twin_keygen(params, rng)
+        right = nike_keygen(params, SubgroupSide.RIGHT, rng)
+        with pytest.raises(ValueError, match="does not fit"):
+            cs_encrypt(twin_kp.public, b"m", rng)
+        with pytest.raises(ValueError, match="does not fit"):
+            twin_encrypt(cs_kp.public, b"m", rng)
+        ct = twin_encrypt(twin_kp.public, b"m", rng)
+        with pytest.raises(ValueError, match="does not fit"):
+            cs_decrypt(twin_kp, ct)
+        with pytest.raises(ValueError, match="left-subgroup"):
+            twin_encrypt(right.public, b"m", rng)
+        with pytest.raises(ValueError, match="left-subgroup"):
+            twin_decrypt(right, ct)
+
+    def test_generic_path_takes_k_from_the_key(self, params):
+        rng = rng_from(59)
+        for kp in (cs_keygen(params, rng), twin_keygen(params, rng)):
+            ct = encrypt(kp.public, b"either scheme", rng)
+            assert ct.scheme == kp.k == len(kp.publics)
+            assert decrypt(kp, ct) == b"either scheme"
+
+
 class TestKeySeparation:
     def test_cs_and_twin_keys_differ_on_shared_material(self, params):
         rng = rng_from(57)
         y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
         Y = normal_form(conjugate(params.g, y))
         kp = twin_keygen(params, rng)
-        Z1 = nf_conjugate(Y, kp.sk_x1)
+        Z1 = nf_conjugate(Y, kp.secrets[0])
         assert hash_elements("cs", [Y, Z1]) != hash_elements("twin", [Y, Z1])

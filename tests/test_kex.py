@@ -180,6 +180,18 @@ class TestInteractive:
         t.join(10)
         assert any(isinstance(v, Exception) for v in outcomes.values())
 
+    def test_peer_closed_socket_is_protocol_error(self):
+        chan_a, chan_b = loopback_channels(timeout=2.0)
+        chan_a.send_bytes(b"left unread")
+        chan_b.close()  # with unread bytes queued, the close resets the stream
+        with pytest.raises(ProtocolError, match="receiving") as exc:
+            chan_a.recv_exact(4)
+        assert isinstance(exc.value.__cause__, ConnectionResetError)
+        with pytest.raises(ProtocolError, match="sending") as exc:
+            chan_a.send_bytes(b"into a closed pipe")
+        assert isinstance(exc.value.__cause__, BrokenPipeError)
+        chan_a.close()
+
     def test_truncated_stream(self, params):
         chan_i, chan_r = loopback_channels(timeout=2.0)
         chan_i.send_bytes(encode_frame(MSG_INIT, b"short")[:6])

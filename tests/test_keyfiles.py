@@ -1,10 +1,26 @@
 """Key and ciphertext file round trips and parse diagnostics."""
 
+import struct
+
 import pytest
 
 from conftest import rng_from
-from twincsp import cs_encrypt, cs_keygen, twin_encrypt, twin_keygen
+from twincsp import (
+    BraidWord,
+    KeyPair,
+    PublicKey,
+    SubgroupSide,
+    cs_encrypt,
+    cs_keygen,
+    nike_keygen,
+    normal_form,
+    sample_subgroup,
+    twin_encrypt,
+    twin_keygen,
+)
+from twincsp.codec import serialize_word
 from twincsp.keyfiles import (
+    KEY_MAGIC,
     KeyFileError,
     decode_ciphertext,
     decode_keypair,
@@ -110,3 +126,58 @@ class TestDiagnostics:
         with pytest.raises(KeyFileError) as exc:
             decode_ciphertext(bytes(data))
         assert exc.value.offset == 0
+
+
+def material_offset(params) -> int:
+    """Byte offset of the first key-material blob: magic, version, scheme,
+    role, four 2-byte params, then blob(g)."""
+    return len(KEY_MAGIC) + 3 + 8 + 4 + len(serialize_word(params.g))
+
+
+class TestKeyMaterialAgainstParams:
+    """Decoding checks every word and element against the header's params
+    without normal-form work, and names the offending byte."""
+
+    def test_public_element_in_wrong_braid_group(self, twin_material):
+        kp, _ = twin_material
+        small = normal_form(BraidWord(4, (1, 2, -3)))
+        data = encode_public_key(PublicKey(kp.params, kp.side, (small, kp.publics[1])))
+        with pytest.raises(KeyFileError, match="first public element lives in B_4") as exc:
+            decode_public_key(data)
+        # the element starts after its blob length; n follows "TCSP" version kind
+        assert exc.value.offset == material_offset(kp.params) + 4
+        assert struct.unpack_from(">H", data, exc.value.offset + 6) == (4,)
+
+    def test_secret_word_in_wrong_braid_group(self, cs_material):
+        kp, _ = cs_material
+        bad = KeyPair(kp.params, kp.side, (BraidWord(4, (1,)),), kp.publics)
+        with pytest.raises(KeyFileError, match="secret word lives in B_4") as exc:
+            decode_keypair(encode_keypair(bad))
+        assert exc.value.offset == material_offset(kp.params) + 4
+
+    def test_secret_outside_left_subgroup(self, params, twin_material):
+        kp, _ = twin_material
+        right = sample_subgroup(params, SubgroupSide.RIGHT, rng_from(122))
+        bad = KeyPair(params, kp.side, (kp.secrets[0], right), kp.publics)
+        data = encode_keypair(bad)
+        with pytest.raises(KeyFileError, match="second secret word letter .* outside the left"
+                           ) as exc:
+            decode_keypair(data)
+        # the second word's first letter: after the first word's blob, then
+        # blob length (4) and the word header (12)
+        offset = material_offset(params) + 4 + len(serialize_word(kp.secrets[0])) + 4 + 12
+        assert exc.value.offset == offset
+        (letter,) = struct.unpack_from(">h", data, offset)
+        assert letter == right.letters[0] and abs(letter) > params.l
+
+    def test_left_secrets_with_any_letters_of_the_subgroup_load(self, params):
+        w = BraidWord(params.n, tuple(range(1, params.l)) + tuple(-v for v in range(1, params.l)))
+        kp = KeyPair(params, SubgroupSide.LEFT, (w,), (normal_form(params.g),))
+        assert decode_keypair(encode_keypair(kp)) == kp
+
+    def test_right_subgroup_keys_are_not_written(self, params):
+        kp = nike_keygen(params, SubgroupSide.RIGHT, rng_from(123))
+        with pytest.raises(ValueError, match="left-subgroup"):
+            encode_keypair(kp)
+        with pytest.raises(ValueError, match="left-subgroup"):
+            encode_public_key(kp.public)

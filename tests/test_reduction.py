@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import rng_from
+from conftest import perfect_adversary, random_adversary, rng_from
 from twincsp import (
     SubgroupSide,
     conjugate,
@@ -12,9 +12,7 @@ from twincsp import (
     nf_conjugate,
     normal_form,
     oracle_leak_demo,
-    perfect_adversary,
     probing_adversary,
-    random_adversary,
     random_element,
     run_reduction,
     sample_subgroup,
@@ -118,7 +116,7 @@ class TestOracleLeak:
         kp = cs_keygen(params, rng)
         y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
         Yhat = normal_form(conjugate(params.g, y))
-        Zhat = nf_conjugate(kp.pk_X, y)
+        Zhat = nf_conjugate(kp.publics[0], y)
         assert oracle_leak_demo(kp, Yhat, Zhat, rng) is True
 
     def test_random_guesses_rejected(self, params):
@@ -126,7 +124,7 @@ class TestOracleLeak:
         kp = cs_keygen(params, rng)
         y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
         Yhat = normal_form(conjugate(params.g, y))
-        honest = nf_conjugate(kp.pk_X, y)
+        honest = nf_conjugate(kp.publics[0], y)
         for _ in range(50):
             Zhat = random_element(params, rng)
             assert Zhat != honest
@@ -139,8 +137,8 @@ class TestOracleLeak:
             y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
             Yhat = normal_form(conjugate(params.g, y))
             if rng.rand_below(2):
-                Zhat = nf_conjugate(kp.pk_X, y)
+                Zhat = nf_conjugate(kp.publics[0], y)
             else:
                 Zhat = random_element(params, rng)
-            direct = nf_conjugate(Yhat, kp.sk_x) == Zhat
+            direct = nf_conjugate(Yhat, kp.secrets[0]) == Zhat
             assert oracle_leak_demo(kp, Yhat, Zhat, rng) == direct

@@ -9,7 +9,7 @@ explicitly (that equality is the shared-value symmetry the schemes rely on).
 
 import pytest
 
-from conftest import rng_from
+from conftest import rng_from, truth_2ccsp
 from twincsp import (
     BraidWord,
     DecisionQuery,
@@ -25,7 +25,6 @@ from twincsp import (
     trapdoor_check,
     trapdoor_from_secrets,
     trapdoor_setup,
-    truth_2ccsp,
     twin_keygen,
 )
 
@@ -147,27 +146,27 @@ class TestTruthOracle:
         kp = twin_keygen(params, rng)
         y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
         Yhat = normal_form(conjugate(params.g, y))
-        q = DecisionQuery(Yhat, nf_conjugate(Yhat, kp.sk_x1), nf_conjugate(Yhat, kp.sk_x2))
-        assert truth_2ccsp(kp.sk_x1, kp.sk_x2, q)
+        q = DecisionQuery(Yhat, nf_conjugate(Yhat, kp.secrets[0]), nf_conjugate(Yhat, kp.secrets[1]))
+        assert truth_2ccsp(kp.secrets[0], kp.secrets[1], q)
 
     def test_perturbed_components_false(self, params):
         rng = rng_from(70)
         kp = twin_keygen(params, rng)
         y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
         Yhat = normal_form(conjugate(params.g, y))
-        z1 = nf_conjugate(Yhat, kp.sk_x1)
-        z2 = nf_conjugate(Yhat, kp.sk_x2)
+        z1 = nf_conjugate(Yhat, kp.secrets[0])
+        z2 = nf_conjugate(Yhat, kp.secrets[1])
         junk = random_element(params, rng)
         assert junk != z1 and junk != z2
-        assert not truth_2ccsp(kp.sk_x1, kp.sk_x2, DecisionQuery(Yhat, junk, z2))
-        assert not truth_2ccsp(kp.sk_x1, kp.sk_x2, DecisionQuery(Yhat, z1, junk))
+        assert not truth_2ccsp(kp.secrets[0], kp.secrets[1], DecisionQuery(Yhat, junk, z2))
+        assert not truth_2ccsp(kp.secrets[0], kp.secrets[1], DecisionQuery(Yhat, z1, junk))
 
     def test_equivalent_to_y_side_construction(self, params):
         # truth via secrets == truth by construction for y'-built queries
         rng = rng_from(71)
         kp = twin_keygen(params, rng)
-        q, _y = honest_query((kp.pk_X1, kp.pk_X2), params, rng)
-        assert truth_2ccsp(kp.sk_x1, kp.sk_x2, q)
+        q, _y = honest_query((kp.publics[0], kp.publics[1]), params, rng)
+        assert truth_2ccsp(kp.secrets[0], kp.secrets[1], q)
 
 
 class TestDifferentialAgreement:

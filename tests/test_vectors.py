@@ -1,5 +1,5 @@
 """Known-answer vectors: fixed-seed key files, ciphertext headers, derived
-keys, trapdoor publics and reduction answers.
+keys, NIKE keys, trapdoor publics and reduction answers.
 
 Normal forms are unique, so any rewrite of the engine or of how secrets
 are held must reproduce these bytes exactly; a deliberate format change
@@ -9,7 +9,7 @@ has its own version); the keystream body is.
 
 import hashlib
 
-from conftest import rng_from
+from conftest import perfect_adversary, rng_from
 from twincsp import (
     SubgroupSide,
     cs_encrypt,
@@ -17,7 +17,8 @@ from twincsp import (
     hash_elements,
     make_ccs_instance,
     nf_conjugate,
-    perfect_adversary,
+    nike_keygen,
+    nike_shared_key,
     run_reduction,
     sample_subgroup,
     serialize_canonical,
@@ -49,6 +50,26 @@ def test_twin_key_files(params):
     )
 
 
+def test_cs_key_files(params):
+    kp = cs_keygen(params, rng_from(9010))
+    assert digest(encode_public_key(kp.public)) == (
+        "16d16bae13665fcdf48bb06ae3f02732fe8ab7f05dd1a0cbb604b08418ad6546"
+    )
+    assert digest(encode_keypair(kp)) == (
+        "c3a0c61df3387ad8a1a451887122ba45ecd65448a0d323445515f573dcb05a33"
+    )
+
+
+def test_nike_shared_key(params):
+    alice = nike_keygen(params, SubgroupSide.LEFT, rng_from(9011))
+    bob = nike_keygen(params, SubgroupSide.RIGHT, rng_from(9012))
+    key = nike_shared_key(alice, bob.public)
+    assert key == nike_shared_key(bob, alice.public)
+    assert key.bytes.hex() == (
+        "3238a5590eda595c3cfca7495ad902723c816dc055587cfa7b4c7099312dec4a"
+    )
+
+
 def test_twin_encrypt(params):
     kp = twin_keygen(params, rng_from(9001))
     ct = twin_encrypt(kp.public, MESSAGE, rng_from(9002))
@@ -56,7 +77,7 @@ def test_twin_encrypt(params):
         "d334041fb4662812b73cf05dc13ece4fb3b0c56a6dd182712c0d2f37394bc049"
     )
     key = hash_elements(
-        "twin", [ct.Y, nf_conjugate(ct.Y, kp.sk_x1), nf_conjugate(ct.Y, kp.sk_x2)]
+        "twin", [ct.Y, nf_conjugate(ct.Y, kp.secrets[0]), nf_conjugate(ct.Y, kp.secrets[1])]
     )
     assert key.bytes.hex() == (
         "d7991426b4e7a24a4a7add6ebde84658ee8a61470f6ea534397e382a50ac8240"
@@ -71,7 +92,7 @@ def test_cs_encrypt(params):
     assert form_digest(ct.Y) == (
         "0fe8ad993da672980684b42bc7c81db973dc3065c9b610105e4f7907c5745cc0"
     )
-    key = hash_elements("cs", [ct.Y, nf_conjugate(ct.Y, kp.sk_x)])
+    key = hash_elements("cs", [ct.Y, nf_conjugate(ct.Y, kp.secrets[0])])
     assert key.bytes.hex() == (
         "1fefff474ec6a365be30fdfc9a0ce23bb863537a859e5bfe2fa055bd7a0633a5"
     )
@@ -80,7 +101,7 @@ def test_cs_encrypt(params):
 
 
 def test_trapdoor_X2(params):
-    X1 = twin_keygen(params, rng_from(9001)).pk_X1
+    X1 = twin_keygen(params, rng_from(9001)).publics[0]
     rng = rng_from(9005)
     r = sample_subgroup(params, SubgroupSide.LEFT, rng)
     s = sample_subgroup(params, SubgroupSide.LEFT, rng)
