@@ -143,7 +143,7 @@ def _cmd_decrypt(args) -> int:
     with open(args.sk, "rb") as f:
         kp = keyfiles.decode_keypair(f.read())
     with open(args.infile, "rb") as f:
-        ct = keyfiles.decode_ciphertext(f.read())
+        ct = keyfiles.decode_ciphertext(f.read(), kp.params.n)
     if ct.scheme != kp.k:
         raise KeyFileError("ciphertext scheme does not match key", 8)
     message = decrypt(kp, ct)
@@ -319,3 +319,7 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -182,9 +182,14 @@ def hash_elements(label: str, elems: list[CanonicalForm] | tuple[CanonicalForm, 
 
 
 def _keystream(key: SymKey, length: int) -> bytes:
+    """Block i is SHA256(key || "ks" || i as 8 bytes); the shared prefix is
+    hashed once and copied for every block."""
+    prefix = hashlib.sha256(key.bytes + b"ks")
     blocks = []
     for i in range((length + 31) // 32):
-        blocks.append(hashlib.sha256(key.bytes + b"ks" + i.to_bytes(8, "big")).digest())
+        h = prefix.copy()
+        h.update(i.to_bytes(8, "big"))
+        blocks.append(h.digest())
     return b"".join(blocks)[:length]
 
 

@@ -192,7 +192,9 @@ def encode_ciphertext(ct: Ciphertext) -> bytes:
     )
 
 
-def decode_ciphertext(data: bytes) -> Ciphertext:
+def decode_ciphertext(data: bytes, n: int | None = None) -> Ciphertext:
+    """Decode a ciphertext file; given n, also check that the header element
+    lives in B_n, as the decrypting key's params say."""
     r = _Reader(data)
     if r.take(len(CT_MAGIC), "magic") != CT_MAGIC:
         raise KeyFileError("bad magic", 0)
@@ -206,7 +208,7 @@ def decode_ciphertext(data: bytes) -> Ciphertext:
     (scheme,) = r.take(1, "scheme byte")
     if scheme not in SCHEME_NAMES:
         raise KeyFileError(f"unknown scheme 0x{scheme:02x}", r.offset - 1)
-    Y = r.canonical("header element")
+    Y = r.canonical("header element", n)
     ct_bytes = r.blob("ciphertext body")
     tag = r.blob("tag")
     if len(tag) != 32:

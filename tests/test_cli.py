@@ -3,8 +3,11 @@
 import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from twincsp import (
     SubgroupSide,
     normal_form,
     sample_subgroup,
+    serialize_canonical,
 )
 from twincsp.cli import EXIT_CRYPTO, EXIT_IO, EXIT_OK, EXIT_USAGE, dispatch
 from twincsp.keyfiles import decode_keypair, encode_keypair, encode_public_key
@@ -189,6 +193,15 @@ class TestExitCodes:
         ) == EXIT_IO
         assert "outside the left subgroup" in capsys.readouterr().err
 
+    def test_header_from_other_braid_group_is_exit_2(self, workdir, capsys):
+        blob = self.encrypted(workdir)
+        (ylen,) = struct.unpack(">I", blob[8:12])
+        small = serialize_canonical(normal_form(BraidWord(4, (1, 2))))
+        forged = blob[:8] + struct.pack(">I", len(small)) + small + blob[12 + ylen :]
+        assert self.decrypt(workdir, forged) == EXIT_IO
+        assert "header element lives in B_4, params say B_16 (at offset 12)" in (
+            capsys.readouterr().err)
+
     def test_bad_seed_is_usage_error(self, workdir):
         assert dispatch(["keygen", "--out", str(workdir / "k"), "--seed", "zz"]) == EXIT_USAGE
 
@@ -260,3 +273,21 @@ class TestDemos:
         out = capsys.readouterr().out
         assert "ground-truth match: yes" in out
         assert "agreement 20/20" in out
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["twincsp", "twincsp.cli"])
+    def test_python_dash_m_runs_the_cli(self, workdir, module):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env.pop("TCSP_SEED", None)
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", module, *argv], cwd=workdir,
+                                  env=env, capture_output=True, text=True, timeout=60)
+
+        done = run("keygen", "--seed", SEED, "--out", "k")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert (workdir / "k.pub").is_file() and (workdir / "k.sec").is_file()
+        assert run("keygen", "--no-such-flag").returncode == EXIT_USAGE

@@ -1,5 +1,7 @@
 """Known-answer vectors: fixed-seed key files, ciphertext headers, derived
-keys, NIKE keys, trapdoor publics and reduction answers.
+keys, NIKE keys, trapdoor publics and reduction answers, plus a B_32 key
+exchange transcript, a B_32 NIKE key and a B_48 conjugate (the sizes at
+which the engine finishes heavy factor pairs with a meet).
 
 Normal forms are unique, so any rewrite of the engine or of how secrets
 are held must reproduce these bytes exactly; a deliberate format change
@@ -12,13 +14,17 @@ import hashlib
 from conftest import perfect_adversary, rng_from
 from twincsp import (
     SubgroupSide,
+    conjugator,
     cs_encrypt,
+    default_params,
     cs_keygen,
     hash_elements,
+    loopback_run,
     make_ccs_instance,
     nf_conjugate,
     nike_keygen,
     nike_shared_key,
+    random_element,
     run_reduction,
     sample_subgroup,
     serialize_canonical,
@@ -115,4 +121,39 @@ def test_reduction_answer(params):
     result = run_reduction(inst, perfect_adversary(inst.witness_y), rng_from(9007))
     assert form_digest(result.value) == (
         "afd698c58aebd9af1e567d6e4dcf3883f6f0fb625f93eeacdbc5ed3fd64286b7"
+    )
+
+
+def test_kex_transcript_b32():
+    res_i, res_r = loopback_run(default_params(16, 16, 32), rng_from(9020), rng_from(9021))
+    assert digest(res_i.sent) == (
+        "703f74a48aab93dfebdbf25005d3c0150440e08e4c3b2e8c4f5bdbaf1e1f0e66"
+    )
+    assert digest(res_r.sent) == (
+        "27cfcd68ce673c0e2b5c84ba89f016e27385f1e1b524035d3463b246a9b8c15a"
+    )
+    assert res_i.key == res_r.key
+    assert res_i.key.bytes.hex() == (
+        "eb36796d52b1bfbe24048c014f2817462c29da796c1b09d10ab925c4500e80a8"
+    )
+
+
+def test_nike_shared_key_b32():
+    params = default_params(16, 16, 32)
+    alice = nike_keygen(params, SubgroupSide.LEFT, rng_from(9022))
+    bob = nike_keygen(params, SubgroupSide.RIGHT, rng_from(9023))
+    key = nike_shared_key(alice, bob.public)
+    assert key == nike_shared_key(bob, alice.public)
+    assert key.bytes.hex() == (
+        "8af0748278453354c09fd44c00f25ed267a695e8f35b06d3e8092c000e439978"
+    )
+
+
+def test_conjugate_b48():
+    params = default_params(24, 24, 32)
+    rng = rng_from(9024)
+    x = random_element(params, rng)
+    w = sample_subgroup(params, SubgroupSide.LEFT, rng)
+    assert form_digest(nf_conjugate(x, conjugator(w))) == (
+        "638d1f028e98e225303875fffa734abbc03aea2e04590fc4de548b9f3735dd93"
     )
