@@ -28,12 +28,20 @@ computing the rest of M at once from bitsets of inverted value pairs
 a sixth of the pairs of a B_32 key exchange but move 98% of its crossings;
 finishing them with the meet halves the pair time there.
 
-Repeating until every adjacent pair is left-weighted yields the normal
-form, with half twists collected at the front (a factor equal to D absorbs
-its way leftward through the fixes) and identity factors dropped.  A
-negative letter s_i^{-1} enters as D^{-1} times the permutation braid
-rev . t_i, and D powers migrate to the front through the flip automorphism
-tau(s_i) = s_{n-i}, which has order two.
+A normal form is built by Thurston's right-multiplication algorithm
+(Epstein et al., ch. 9): factors are appended one at a time to a sequence
+that is already left-weighted, and each new factor percolates leftward,
+left-weighting the pair it ends, until a pair does not move; the pairs to
+its left are untouched, so they stay left-weighted.  Only the appended
+factor can end as the identity (it is dropped), and only the front
+factors can end as D (a D factor absorbs its way leftward and is counted
+into the half-twist power).  ``nf_multiply(x, y)`` appends y's factors to
+x's, which are never re-checked.  ``normal_form`` appends one factor per
+letter: s_i^{-1} = D^{-1} (rev . t_i), and D powers move to the front
+through the flip automorphism tau(s_i) = s_{n-i}, of order two.
+``nf_invert`` left-weights nothing: the inverse of D^p A_1 .. A_k is
+D^{-p-k} followed by the complements of A_k .. A_1, flipped alternately,
+and that sequence is already a normal form.
 
 Conjugation by t needs the normal forms of both t and t^{-1}.  A
 Conjugator holds that pair, computed once, so that a secret or an
@@ -138,9 +146,6 @@ class CanonicalForm:
     def is_identity(self) -> bool:
         return self.delta_exp == 0 and not self.factors
 
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -223,22 +228,6 @@ def conjugate(a: BraidWord, t: BraidWord) -> BraidWord:
     """t * a * t^{-1}."""
     _check_same_strands(a, t)
     return multiply(multiply(t, a), invert(t))
-
-
-def permutation_of(a: BraidWord) -> PermutationBraid:
-    """Image of the word in the symmetric group (signs ignored)."""
-    p = pm.identity(a.n)
-    for v in a.letters:
-        p = pm.compose(p, pm.transposition(a.n, abs(v)))
-    return PermutationBraid(a.n, p)
-
-
-def delta(n: int) -> BraidWord:
-    """The half twist D_n = (s_1 .. s_{n-1})(s_1 .. s_{n-2}) .. (s_1)."""
-    if n < 2:
-        raise ValueError("need at least 2 strands")
-    letters = [j for k in range(n - 1, 0, -1) for j in range(1, k + 1)]
-    return BraidWord(n, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -341,89 +330,62 @@ def _meet(a: list[int], binv: list[int], n: int) -> list[int]:
     return order
 
 
-def _normalize_factors(factors: list[list[int]], n: int) -> tuple[int, list[Perm]]:
-    """Left-weight a factor sequence; returns (extracted half-twist power,
-    remaining factors with identities dropped and half twists stripped
-    from the front)."""
+def _form(n: int, dexp: int, prefix: list[list[int]], tail) -> CanonicalForm:
+    """D^dexp . prefix . tail in normal form.  prefix is left-weighted, with
+    no identity or D factor, and is extended in place; each tail factor (a
+    list) is appended and percolated leftward until a pair does not move."""
     ident = list(range(n))
-    facs = [f for f in factors if f != ident]
-    i = 0
-    while i < len(facs) - 1:
-        if _left_weight_pair(facs[i], facs[i + 1], n):
-            if facs[i + 1] == ident:
-                del facs[i + 1]
-            i = i - 1 if i > 0 else 0
-        else:
-            i += 1
-    rev = list(range(n - 1, -1, -1))
-    dp = 0
-    while facs and facs[0] == rev:
-        dp += 1
-        del facs[0]
-    return dp, [tuple(f) for f in facs]
-
-
-def _collect_deltas(entries: list) -> tuple[int, list[list[int]]]:
-    """Push interleaved half-twist powers to the front of a factor sequence.
-
-    entries is a left-to-right list of either an int (a half-twist power)
-    or a permutation (list/tuple).  Moving D^d leftward past a factor A
-    replaces A by tau^d(A); tau has order two, so only parity matters.
-    """
-    total = 0
-    out: list[list[int]] = []
-    for e in reversed(entries):
-        if isinstance(e, int):
-            total += e
-        else:
-            out.append(list(pm.flip(tuple(e))) if total % 2 else list(e))
-    out.reverse()
-    return total, out
-
-
-def _assemble(n: int, entries: list) -> CanonicalForm:
-    dtot, facs = _collect_deltas(entries)
-    dp, tuples = _normalize_factors(facs, n)
-    return CanonicalForm(n, dtot + dp, tuple(PermutationBraid._built(n, p) for p in tuples))
+    facs = prefix
+    for f in tail:
+        facs.append(f)
+        i = len(facs) - 1
+        while i and _left_weight_pair(facs[i - 1], facs[i], n):
+            i -= 1
+        if facs[-1] == ident:
+            facs.pop()
+    rev = ident[::-1]
+    d = 0
+    while d < len(facs) and facs[d] == rev:
+        d += 1
+    return CanonicalForm(n, dexp + d, tuple(PermutationBraid._built(n, tuple(f)) for f in facs[d:]))
 
 
 def normal_form(a: BraidWord) -> CanonicalForm:
-    """Unique left-greedy normal form of a word; group-equal words agree."""
+    """Unique left-greedy normal form of a word; group-equal words agree.
+    A letter's factor is flipped by tau (t_i -> t_{n-i}) iff an odd number
+    of negative letters, each bringing a D^{-1} to the front, follow it."""
     n = a.n
     rev = pm.half_twist(n)
-    entries: list = []
-    for v in a.letters:
-        t = pm.transposition(n, abs(v))
-        if v > 0:
-            entries.append(t)
-        else:
-            # s_i^{-1} = D^{-1} * (permutation braid rev . t_i)
-            entries.append(-1)
-            entries.append(pm.compose(rev, t))
-    return _assemble(n, entries)
+    tail: list[list[int]] = []
+    neg = 0
+    for v in reversed(a.letters):
+        t = pm.transposition(n, n - abs(v) if neg % 2 else abs(v))
+        tail.append(list(pm.compose(rev, t) if v < 0 else t))
+        neg += v < 0
+    tail.reverse()
+    return _form(n, -neg, [], tail)
 
 
 def nf_multiply(x: CanonicalForm, y: CanonicalForm) -> CanonicalForm:
-    """Product of two canonical forms, renormalized."""
+    """Product of two canonical forms: y's factors percolate into x's, which
+    move past D^q (flipped by tau iff q is odd) and are not re-checked."""
     _check_same_strands(x, y)
-    entries: list = [x.delta_exp]
-    entries.extend(f.perm for f in x.factors)
-    entries.append(y.delta_exp)
-    entries.extend(f.perm for f in y.factors)
-    return _assemble(x.n, entries)
+    odd = y.delta_exp % 2
+    prefix = [list(pm.flip(f.perm) if odd else f.perm) for f in x.factors]
+    return _form(x.n, x.delta_exp + y.delta_exp, prefix, [list(f.perm) for f in y.factors])
 
 
 def nf_invert(x: CanonicalForm) -> CanonicalForm:
-    """Inverse of a canonical form: A^{-1} = D^{-1} * (rev . A^{-1}-perm)
-    for each factor, reversed, then D powers collected."""
-    n = x.n
+    """(D^p A_1 .. A_k)^{-1} = D^{-p-k} C_k' .. C_1', where C_j = rev . A_j^{-1}
+    (so A_j^{-1} = D^{-1} C_j) and C_j' is C_j flipped by tau iff p + j - 1
+    is odd.  That sequence is already a normal form: no pair is touched."""
+    n, p, k = x.n, x.delta_exp, len(x.factors)
     rev = pm.half_twist(n)
-    entries: list = []
-    for f in reversed(x.factors):
-        entries.append(-1)
-        entries.append(pm.compose(rev, pm.inverse(f.perm)))
-    entries.append(-x.delta_exp)
-    return _assemble(n, entries)
+    out = []
+    for j in range(k, 0, -1):
+        c = pm.compose(rev, pm.inverse(x.factors[j - 1].perm))
+        out.append(PermutationBraid._built(n, pm.flip(c) if (p + j - 1) % 2 else c))
+    return CanonicalForm(n, -p - k, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -456,35 +418,3 @@ def equals(a: BraidWord, b: BraidWord) -> bool:
     """Group equality, decided by comparing normal forms."""
     _check_same_strands(a, b)
     return normal_form(a) == normal_form(b)
-
-
-def word_of(cf: CanonicalForm) -> BraidWord:
-    """Expand a canonical form back into a braid word."""
-    n = cf.n
-    letters: list[int] = []
-    dword = delta(n).letters
-    if cf.delta_exp >= 0:
-        letters.extend(dword * cf.delta_exp)
-    else:
-        letters.extend(tuple(-v for v in reversed(dword)) * (-cf.delta_exp))
-    for f in cf.factors:
-        letters.extend(_positive_word(f.perm))
-    return BraidWord(n, tuple(letters))
-
-
-def _positive_word(p: Perm) -> list[int]:
-    """A reduced positive word for a permutation braid, by stripping final
-    descents."""
-    cur = list(p)
-    n = len(cur)
-    out: list[int] = []
-    while True:
-        for i in range(1, n):
-            if cur[i - 1] > cur[i]:
-                out.append(i)
-                cur[i - 1], cur[i] = cur[i], cur[i - 1]
-                break
-        else:
-            break
-    out.reverse()
-    return out

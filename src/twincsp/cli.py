@@ -145,7 +145,8 @@ def _cmd_decrypt(args) -> int:
     with open(args.infile, "rb") as f:
         ct = keyfiles.decode_ciphertext(f.read(), kp.params.n)
     if ct.scheme != kp.k:
-        raise KeyFileError("ciphertext scheme does not match key", 8)
+        # the scheme byte follows the magic and the version byte
+        raise KeyFileError("ciphertext scheme does not match key", len(keyfiles.CT_MAGIC) + 1)
     message = decrypt(kp, ct)
     if args.out:
         with open(args.out, "wb") as f:
@@ -160,7 +161,7 @@ def _cmd_decrypt(args) -> int:
 def _describe_canonical(cf, indent="  ") -> str:
     lines = [f"{indent}strands:   {cf.n}",
              f"{indent}half-twist power: {cf.delta_exp}",
-             f"{indent}factors:   {cf.canonical_length()}"]
+             f"{indent}factors:   {len(cf.factors)}"]
     for i, f in enumerate(cf.factors):
         lines.append(f"{indent}  A{i + 1}: {f.perm}")
     return "\n".join(lines)

@@ -15,9 +15,11 @@ Zihat the corresponding conjugates of X1, X2), both sides reduce to
 y (s g s^{-1}) y^{-1} because y commutes with everything drawn from the
 left subgroup, so acceptance is exact, never probabilistic.  If Z1hat is
 honest and Z2hat is not, the equation pins Z2hat to the unique honest
-value, so rejection is also exact.  Only a dishonest Z1hat can slip
-through, by colliding with an equation randomized by the hidden r; the
-suite bounds that empirically.
+value, so rejection is also exact.  A dishonest Z1hat is not always
+rejected: for any u != 1 from RB_r, (Yhat, u Z1hat, Z2hat u^{-1}) is
+dishonest in both components yet always accepted, because u commutes with
+r and cancels (the suite pins this, 50 of 50).  The suite claims no other
+soundness bound than its count of random queries passing (at most 1%).
 
 Both r and s are drawn from LB_l: each must commute with the right-side
 ephemeral y for the acceptance equation to balance.  (Testable fact: with

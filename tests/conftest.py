@@ -4,12 +4,14 @@ from twincsp import (
     BraidWord,
     CanonicalForm,
     DecisionQuery,
+    PermutationBraid,
     SeededRng,
     conjugator,
     default_params,
     nf_conjugate,
     random_element,
 )
+from twincsp import permutations as pm
 
 
 @pytest.fixture
@@ -20,6 +22,54 @@ def params():
 def rng_from(tag: int) -> SeededRng:
     """Expand a small integer into a seed."""
     return SeededRng(tag.to_bytes(32, "big"))
+
+
+def permutation_of(a: BraidWord) -> PermutationBraid:
+    """Image of the word in the symmetric group (signs ignored)."""
+    p = pm.identity(a.n)
+    for v in a.letters:
+        p = pm.compose(p, pm.transposition(a.n, abs(v)))
+    return PermutationBraid(a.n, p)
+
+
+def delta(n: int) -> BraidWord:
+    """The half twist D_n = (s_1 .. s_{n-1})(s_1 .. s_{n-2}) .. (s_1)."""
+    if n < 2:
+        raise ValueError("need at least 2 strands")
+    letters = [j for k in range(n - 1, 0, -1) for j in range(1, k + 1)]
+    return BraidWord(n, tuple(letters))
+
+
+def word_of(cf: CanonicalForm) -> BraidWord:
+    """Expand a canonical form back into a braid word."""
+    n = cf.n
+    letters: list[int] = []
+    dword = delta(n).letters
+    if cf.delta_exp >= 0:
+        letters.extend(dword * cf.delta_exp)
+    else:
+        letters.extend(tuple(-v for v in reversed(dword)) * (-cf.delta_exp))
+    for f in cf.factors:
+        letters.extend(_positive_word(f.perm))
+    return BraidWord(n, tuple(letters))
+
+
+def _positive_word(p: tuple[int, ...]) -> list[int]:
+    """A reduced positive word for a permutation braid, by stripping final
+    descents."""
+    cur = list(p)
+    n = len(cur)
+    out: list[int] = []
+    while True:
+        for i in range(1, n):
+            if cur[i - 1] > cur[i]:
+                out.append(i)
+                cur[i - 1], cur[i] = cur[i], cur[i - 1]
+                break
+        else:
+            break
+    out.reverse()
+    return out
 
 
 def truth_2ccsp(x1: BraidWord, x2: BraidWord, q: DecisionQuery) -> bool:

@@ -10,6 +10,7 @@ import time
 from conftest import (
     assert_left_weighted,
     perfect_adversary,
+    permutation_of,
     random_word,
     rewrite_equivalent,
     rng_from,
@@ -34,7 +35,6 @@ from twincsp import (
     nike_shared_key,
     normal_form,
     oracle_leak_demo,
-    permutation_of,
     probing_adversary,
     random_element,
     run_reduction,

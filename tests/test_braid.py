@@ -4,21 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_left_weighted, random_word, rewrite_equivalent, rng_from
+from conftest import (
+    assert_left_weighted,
+    delta,
+    permutation_of,
+    random_word,
+    rewrite_equivalent,
+    rng_from,
+    word_of,
+)
 from twincsp import (
     BraidWord,
     CanonicalForm,
     StrandMismatchError,
     conjugate,
-    delta,
     equals,
     invert,
     multiply,
     nf_invert,
     nf_multiply,
     normal_form,
-    permutation_of,
-    word_of,
 )
 
 

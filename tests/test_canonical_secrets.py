@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rng_from
+from conftest import rng_from, word_of
 from twincsp import (
     BraidWord,
     Conjugator,
@@ -22,7 +22,6 @@ from twincsp import (
     twin_decrypt,
     twin_encrypt,
     twin_keygen,
-    word_of,
 )
 from twincsp import braid, permutations
 from twincsp.codec import deserialize_canonical, serialize_canonical

@@ -202,6 +202,14 @@ class TestExitCodes:
         assert "header element lives in B_4, params say B_16 (at offset 12)" in (
             capsys.readouterr().err)
 
+    def test_scheme_mismatch_names_the_scheme_byte(self, workdir, capsys):
+        blob = self.encrypted(workdir)  # a twin ciphertext
+        keygen(workdir, scheme="cs")
+        capsys.readouterr()
+        assert self.decrypt(workdir, blob) == EXIT_IO
+        # magic(6) | version(1) | scheme: the scheme byte is at offset 7
+        assert "ciphertext scheme does not match key (at offset 7)" in capsys.readouterr().err
+
     def test_bad_seed_is_usage_error(self, workdir):
         assert dispatch(["keygen", "--out", str(workdir / "k"), "--seed", "zz"]) == EXIT_USAGE
 

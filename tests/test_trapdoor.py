@@ -140,6 +140,28 @@ class TestCheck:
             trapdoor_check(td, DecisionQuery(small, small, small))
 
 
+class TestShiftAttack:
+    """A query dishonest in both Z components that the test accepts every
+    time: for u != 1 from RB_r, (Yhat, u Z1hat, Z2hat u^-1) passes, because
+    u commutes with r, so r (u Z1hat) r^-1 = u (r Z1hat r^-1) and u cancels.
+    Pinned with its exact count; a repaired test must flip it."""
+
+    def test_right_subgroup_shift_is_accepted(self, params):
+        accepted = 0
+        for seed in range(100, 150):
+            rng = rng_from(seed)
+            _, X1 = fresh_X1(params, rng)
+            td = trapdoor_setup(params, X1, rng)
+            q, _y = honest_query((td.X1, td.X2), params, rng)
+            u = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
+            assert not u.is_identity()
+            shifted = DecisionQuery(q.Yhat, nf_multiply(u, q.Z1hat),
+                                    nf_multiply(q.Z2hat, nf_invert(u)))
+            assert shifted.Z1hat != q.Z1hat and shifted.Z2hat != q.Z2hat
+            accepted += trapdoor_check(td, shifted)
+        assert accepted == 50
+
+
 class TestTruthOracle:
     def test_honest_tuple_true(self, params):
         rng = rng_from(69)
