@@ -18,25 +18,27 @@ finishing set F are the descent sets of the inverse permutation and the
 permutation respectively.  Left-weighting a pair moves the meet
 M = dA ^ B of B and the right complement dA = A^{-1} D from B to A:
 A <- A M, B <- M^{-1} B.  The engine moves M in one of two ways, which end
-at the same pair.  Whenever some i lies in S(B) but not F(A), one crossing
-moves: A gains a final s_i, B loses a leading s_i.  Most pairs move only a
-few crossings this way.  A heavy pair of B_n with n >= MEET_FROM = 20
-(typically a near-empty factor followed by a near-D one, the shape that
-conjugation by a subgroup secret produces) switches after n crossings to
-computing the rest of M at once from bitsets of inverted value pairs
-(Epstein et al., Word Processing in Groups, ch. 9).  Heavy pairs are about
-a sixth of the pairs of a B_32 key exchange but move 98% of its crossings;
-finishing them with the meet halves the pair time there.
+at the same pair.  One insertion pass moves it crossing by crossing (A
+gains a final s_i, B loses a leading s_i) and never re-checks a neighbour
+it has passed; most pairs move a few crossings.  A heavy pair of B_n with
+n >= MEET_FROM = 20 (typically a near-empty factor followed by a near-D
+one, the shape that conjugation by a subgroup secret produces) switches
+after n crossings to computing the rest of M at once from bitsets of
+inverted value pairs (Epstein et al., Word Processing in Groups, ch. 9).
+At B_32 the meet finishes over a third of a key exchange's pair calls and
+does 90% of their crossings.
 
 A normal form is built by Thurston's right-multiplication algorithm
 (Epstein et al., ch. 9): factors are appended one at a time to a sequence
 that is already left-weighted, and each new factor percolates leftward,
 left-weighting the pair it ends, until a pair does not move; the pairs to
 its left are untouched, so they stay left-weighted.  Only the appended
-factor can end as the identity (it is dropped), and only the front
-factors can end as D (a D factor absorbs its way leftward and is counted
-into the half-twist power).  ``nf_multiply(x, y)`` appends y's factors to
-x's, which are never re-checked.  ``normal_form`` appends one factor per
+factor can end as the identity (it is dropped).  A factor that is or
+becomes D leaves at once for the front: A_1 .. A_j D = D tau(A_1) ..
+tau(A_j), so the factors to its left are flipped, the half-twist power
+grows by one and the percolation stops, with no pair call (a pair (A, D)
+would only compute (D, tau A)).  ``nf_multiply(x, y)`` appends y's factors
+to x's, which are never re-checked.  ``normal_form`` appends one factor per
 letter: s_i^{-1} = D^{-1} (rev . t_i), and D powers move to the front
 through the flip automorphism tau(s_i) = s_{n-i}, of order two.
 ``nf_invert`` left-weights nothing: the inverse of D^p A_1 .. A_k is
@@ -234,14 +236,12 @@ def conjugate(a: BraidWord, t: BraidWord) -> BraidWord:
 # The normal-form engine
 # ---------------------------------------------------------------------------
 
-# A pair of B_n with n >= MEET_FROM that has moved n crossings one at a time
-# finishes with one meet.  Loop + meet time as a fraction of loop-only time
-# on the pairs of fixed-seed key exchanges (W = 32; Python 3.11, one core):
-# 0.68 at n = 20, 0.56 at 24, 0.48 at 32, 0.30 at 48.  B_16 keeps the loop
-# alone: there the meet saved 15-23% on encryption and exchange pairs but
-# nothing on reduction pairs, and its end-to-end effect is not measured.
-# Switching after n/2 crossings instead of n was 2% slower at n = 20 and
-# 1-5% faster at 32 and 48; after 2n, 4-7% slower.
+# A pair of B_n with n >= MEET_FROM that has moved n crossings finishes with
+# one meet.  Insertion + meet time as a fraction of insertion-only time on
+# the pairs of fixed-seed key exchanges (W = 32; Python 3.11, one core;
+# median of 11 interleaved replays): 1.22 at n = 16 (1.26 on twin
+# encryption pairs), 0.95 at 20, 0.85 at 24, 0.65 at 32.  At n = 32,
+# switching after n/2 or 2n crossings instead of n was 5% and 10% slower.
 MEET_FROM = 20
 
 
@@ -250,36 +250,39 @@ def _left_weight_pair(a: list[int], b: list[int], n: int) -> bool:
     until S(b) is a subset of F(a).  Returns True if anything moved.
 
     i is in S(b) iff value i-1 sits after value i in b, i.e. the inverse
-    table binv has a descent at i; i is in F(a) iff a[i-1] > a[i].  A
-    transfer swaps two adjacent positions of a and two adjacent entries of
-    binv, and only descent positions >= i-1 need rechecking after it; b is
-    rebuilt from binv once at the end.  Most pairs move a few crossings.
-    A heavy pair (n crossings moved, n >= MEET_FROM) moves all the rest at
+    table binv has a descent at i; i is in F(a) iff a[i-1] > a[i].  One
+    insertion pass does it: for i = 1 .. n-1 the entry (a[i], binv[i])
+    travels left past every neighbour j with binv[j] > binv[i] and
+    a[j] < a[i], each step one crossing, and both lists shift once by slice
+    assignment.  The entries left of i never hold such a neighbouring pair,
+    so none is checked twice; b is rebuilt from binv once at the end.  A
+    heavy pair (n crossings moved, n >= MEET_FROM) moves all the rest at
     once: M = da ^ b from ``_meet``, then a <- a.M and b <- M^-1.b.  Both
     ways end at the same left-weighted pair, so the result is the same.
     """
     binv = [0] * n
     for pos, v in enumerate(b):
         binv[v] = pos
-    budget = n if n >= MEET_FROM else -1  # counting down from -1 never meets
-    left = budget
-    i = 1
-    while i < n:
-        h = i - 1
-        if binv[h] > binv[i] and a[h] < a[i]:
-            a[h], a[i] = a[i], a[h]
-            binv[h], binv[i] = binv[i], binv[h]
-            left -= 1
-            if not left:
-                m = _meet(a, binv, n)
-                a[:] = [a[x] for x in m]
-                binv = [binv[x] for x in m]
-                break
-            if h:
-                i = h
-        else:
-            i += 1
-    if left == budget:
+    budget = n if n >= MEET_FROM else n * n  # n * n: more than any pair moves
+    moved = 0
+    for i in range(1, n):
+        x, y = a[i], binv[i]
+        j = i
+        while j and binv[j - 1] > y and a[j - 1] < x:
+            j -= 1
+        if j == i:
+            continue
+        a[j + 1:i + 1] = a[j:i]
+        a[j] = x
+        binv[j + 1:i + 1] = binv[j:i]
+        binv[j] = y
+        moved += i - j
+        if moved >= budget:
+            m = _meet(a, binv, n)
+            a[:] = [a[x] for x in m]
+            binv = [binv[x] for x in m]
+            break
+    if not moved:
         return False
     for v, pos in enumerate(binv):
         b[pos] = v
@@ -333,21 +336,23 @@ def _meet(a: list[int], binv: list[int], n: int) -> list[int]:
 def _form(n: int, dexp: int, prefix: list[list[int]], tail) -> CanonicalForm:
     """D^dexp . prefix . tail in normal form.  prefix is left-weighted, with
     no identity or D factor, and is extended in place; each tail factor (a
-    list) is appended and percolated leftward until a pair does not move."""
-    ident = list(range(n))
+    list) is appended and percolated leftward until a pair does not move.
+    A factor that is or becomes D leaves at once for the front, flipping
+    the factors to its left: A_1 .. A_j D = D tau(A_1) .. tau(A_j)."""
+    ident, rev, top = list(range(n)), list(range(n - 1, -1, -1)), n - 1
     facs = prefix
     for f in tail:
         facs.append(f)
         i = len(facs) - 1
-        while i and _left_weight_pair(facs[i - 1], facs[i], n):
+        while facs[i] != rev and i and _left_weight_pair(facs[i - 1], facs[i], n):
             i -= 1
-        if facs[-1] == ident:
+        if facs[i] == rev:
+            facs[:i] = [[top - v for v in reversed(g)] for g in facs[:i]]
+            del facs[i]
+            dexp += 1
+        if facs and facs[-1] == ident:
             facs.pop()
-    rev = ident[::-1]
-    d = 0
-    while d < len(facs) and facs[d] == rev:
-        d += 1
-    return CanonicalForm(n, dexp + d, tuple(PermutationBraid._built(n, tuple(f)) for f in facs[d:]))
+    return CanonicalForm(n, dexp, tuple(PermutationBraid._built(n, tuple(f)) for f in facs))
 
 
 def normal_form(a: BraidWord) -> CanonicalForm:

@@ -46,6 +46,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _count(least: int):
+    """An argparse type: an integer no smaller than least."""
+    def count(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid count value"
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return count
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="twincsp", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -89,12 +99,12 @@ def _build_parser() -> _Parser:
     add_seed(sp)
 
     sp = sub.add_parser("trapdoor-demo", help="trapdoor test statistics")
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--trials", type=_count(1), default=1000)
     add_params(sp)
     add_seed(sp)
 
     sp = sub.add_parser("reduce-demo", help="simulate the reduction once")
-    sp.add_argument("--queries", type=int, default=50)
+    sp.add_argument("--queries", type=_count(0), default=50)
     add_params(sp)
     add_seed(sp)
 

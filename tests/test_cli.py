@@ -213,6 +213,19 @@ class TestExitCodes:
     def test_bad_seed_is_usage_error(self, workdir):
         assert dispatch(["keygen", "--out", str(workdir / "k"), "--seed", "zz"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("trapdoor-demo", "--trials", "0"),
+        ("trapdoor-demo", "--trials", "-3"),
+        ("reduce-demo", "--queries", "-1"),
+    ])
+    def test_bad_count_is_usage_error(self, workdir, capsys, command, flag, value):
+        # Rejected by the parser: no run, no division by zero, no exit 0 or 3.
+        assert dispatch([command, flag, value, "--seed", SEED]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "usage: twincsp " + command in out.err
+        assert f"argument {flag}: must be at least" in out.err
+
 
 class TestInspect:
     def test_inspect_key_and_ciphertext(self, workdir, capsys):

@@ -2,12 +2,29 @@
 the engine used before, which left-weights every adjacent pair of the whole
 factor sequence until none moves.  Both share the pair kernel, which
 tests/test_pair_transfer.py checks on its own.  Also counts the pair calls
-that the one-pass form no longer makes."""
+that the one-pass form no longer makes, among them every call that would
+left-weight a factor against a half twist."""
 
 import pytest
 
-from conftest import random_word, rng_from
-from twincsp import BraidWord, CanonicalForm, PermutationBraid, braid, nf_invert, nf_multiply, normal_form
+from conftest import delta, random_word, rng_from, word_of
+from twincsp import (
+    BraidWord,
+    CanonicalForm,
+    PermutationBraid,
+    braid,
+    default_params,
+    loopback_run,
+    make_ccs_instance,
+    nf_invert,
+    nf_multiply,
+    normal_form,
+    probing_adversary,
+    run_reduction,
+    twin_decrypt,
+    twin_encrypt,
+    twin_keygen,
+)
 from twincsp import permutations as pm
 
 SIZES = (2, 3, 4, 16, 20, 32, 48)
@@ -137,3 +154,83 @@ def test_multiply_by_half_twist_power_makes_no_pair_call(n, dexp, pair_calls):
     product = nf_multiply(x, CanonicalForm(n, dexp, ()))
     assert pair_calls == []
     assert product == reference_multiply(x, CanonicalForm(n, dexp, ()))
+
+
+@pytest.fixture
+def half_twists(monkeypatch):
+    """Counts pair calls and, among them, those whose right factor is D on
+    entry (``right``) and those whose left factor is D on exit (``made``:
+    an inner factor became D mid-percolation)."""
+    seen = {"calls": 0, "right": 0, "made": 0}
+    pair = braid._left_weight_pair
+
+    def counted(a, b, n):
+        rev = list(range(n - 1, -1, -1))
+        seen["calls"] += 1
+        seen["right"] += b == rev
+        moved = pair(a, b, n)
+        seen["made"] += a == rev
+        return moved
+
+    monkeypatch.setattr(braid, "_left_weight_pair", counted)
+    return seen
+
+
+def _b16_twin_round_trip():
+    p = default_params()
+    kp = twin_keygen(p, rng_from(7301))
+    assert twin_decrypt(kp, twin_encrypt(kp.public, b"m" * 64, rng_from(7302))) == b"m" * 64
+
+
+def _b16_reduction():
+    p = default_params()
+    inst = make_ccs_instance(p, rng_from(7303))
+    adversary, _ = probing_adversary(p, inst.witness_y, rng_from(7304), n_queries=4)
+    assert run_reduction(inst, adversary, rng_from(7305)).succeeded
+
+
+def _b32_exchange():
+    res_i, res_r = loopback_run(default_params(16, 16, 32), rng_from(7306), rng_from(7307))
+    assert res_i.key == res_r.key
+
+
+@pytest.mark.parametrize("run", (_b16_twin_round_trip, _b16_reduction, _b32_exchange))
+def test_no_pair_call_meets_a_half_twist(run, half_twists):
+    """A factor that is or becomes D leaves for the front at once, so the
+    pair (A, D), which would only compute (D, tau A), is never formed."""
+    run()
+    assert half_twists["calls"] > 100
+    assert half_twists["made"] > 0, "no factor became D: the exit was not exercised"
+    assert half_twists["right"] == 0
+
+
+def d_cases(n: int, tag: int):
+    """Seeded (x, y) whose product makes factors D: a positive x times
+    x^-1 D^k (x's k factors all become D, inner ones mid-percolation),
+    alone and followed by a random word."""
+    rng = rng_from(tag)
+    for length in (n, 3 * n):
+        x = normal_form(BraidWord(n, tuple(abs(v) for v in random_word(n, length, rng).letters)))
+        k = len(x.factors) or 1
+        inv_word = tuple(-v for v in reversed(word_of(x).letters))
+        yield x, normal_form(BraidWord(n, inv_word + delta(n).letters * k))
+        z = random_word(n, n, rng)
+        yield x, normal_form(BraidWord(n, inv_word + delta(n).letters * k + z.letters))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 16, 32))
+def test_half_twist_exit_equals_reference(n, half_twists):
+    pairs = list(d_cases(n, 7400 + n))
+    words = [BraidWord(n, word_of(x).letters + word_of(y).letters) for x, y in pairs]
+    words.append(BraidWord(n, (1,) * 5 + tuple(range(1, n)) * 2))
+    half_twists["made"] = 0
+    products = [nf_multiply(x, y) for x, y in pairs]
+    forms = [normal_form(w) for w in words]
+    if n == 2:
+        # Every factor is D or the identity: each positive letter is a D
+        # tail factor, and no pair ever moves.
+        assert forms[-1] == CanonicalForm(2, 7, ())
+    else:
+        assert half_twists["made"] > 0, "no inner factor became D"
+    assert products == [reference_multiply(x, y) for x, y in pairs]
+    assert forms == [reference_normal_form(w) for w in words]

@@ -3,8 +3,9 @@
     python3 tools/pair_work.py --checkout . --workload kex-b32 --seed 1
 
 Runs one round of a ``perfbench`` workload against the package in
-``CHECKOUT/src`` and prints one JSON line: factor-pair calls, crossings
-moved one at a time, meets taken and crossings moved by meets, all per op.
+``CHECKOUT/src`` and prints one JSON line: factor-pair calls (and among
+them those whose right factor is the half twist D), crossings moved one at
+a time, meets taken and crossings moved by meets, all per op.
 Counts are exact and repeat between runs; nothing is timed.  A checkout
 whose engine has no meet reports zero meets.
 """
@@ -33,16 +34,18 @@ def main(argv=None) -> int:
     from twincsp.permutations import inversion_count as inversions
     from workloads import WORKLOADS
 
-    count = {"pair_calls": 0, "crossings_moved": 0, "meets": 0, "meet_crossings": 0}
+    count = {"pair_calls": 0, "d_right": 0, "crossings_moved": 0, "meets": 0, "meet_crossings": 0}
     lock = threading.Lock()  # the key exchange runs its responder in a thread
     pair, meet = braid._left_weight_pair, getattr(braid, "_meet", None)
 
     def counted_pair(a, b, n):
+        d_right = b == list(range(n - 1, -1, -1))
         before = inversions(a)
         moved = pair(a, b, n)
         after = inversions(a)
         with lock:
             count["pair_calls"] += 1
+            count["d_right"] += d_right
             count["crossings_moved"] += after - before
         return moved
 
@@ -65,6 +68,7 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "seed": args.seed,
         "pair_calls_per_op": count["pair_calls"] / ops,
+        "d_right_pair_calls_per_op": count["d_right"] / ops,
         "loop_crossings_per_op": (count["crossings_moved"] - count["meet_crossings"]) / ops,
         "meets_per_op": count["meets"] / ops,
         "meet_crossings_per_op": count["meet_crossings"] / ops,
