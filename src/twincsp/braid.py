@@ -182,7 +182,11 @@ class GroupParams:
 
 
 # Fixed default base element of B_16: mixes both halves and uses the coupling
-# generator s_8, so conjugation does not split across the subgroups.
+# generator s_8, so at l = r = 8 conjugation does not split across the
+# subgroups.  Other splits fold these letters into 1..n-1, and when none is
+# +-l, g lies in LB_l * RB_r and splits into commuting halves: 253 of the
+# 529 splits with l, r in 2..24, among them (16, 16) and (24, 24), where g
+# lies in LB_l alone (tests/test_default_params.py).
 DEFAULT_G_LETTERS = (1, 9, 8, 3, 12, -8, 5, 14, 8, -2, 11, -7, 4, 13, 8, 6)
 
 

@@ -18,7 +18,7 @@ import sys
 from . import keyfiles
 from .braid import default_params, nf_conjugate
 from .codec import AuthenticationError, CodecError
-from .elgamal import SCHEME_NAMES, cs_keygen, decrypt, encrypt, twin_keygen
+from .elgamal import SCHEME_NAMES, KeyPair, cs_keygen, decrypt, encrypt, twin_keygen
 from .kex import (
     KeyConfirmError,
     ProtocolError,
@@ -29,7 +29,6 @@ from .kex import (
     nike_keygen,
     nike_shared_key,
 )
-from .keyfiles import KeyFileError
 from .reduction import make_ccs_instance, probing_adversary, run_reduction
 from .sampling import SeededRng, SubgroupSide
 from .trapdoor import trapdoor_stats
@@ -153,10 +152,7 @@ def _cmd_decrypt(args) -> int:
     with open(args.sk, "rb") as f:
         kp = keyfiles.decode_keypair(f.read())
     with open(args.infile, "rb") as f:
-        ct = keyfiles.decode_ciphertext(f.read(), kp.params.n)
-    if ct.scheme != kp.k:
-        # the scheme byte follows the magic and the version byte
-        raise KeyFileError("ciphertext scheme does not match key", len(keyfiles.CT_MAGIC) + 1)
+        ct = keyfiles.decode_ciphertext(f.read(), kp)
     message = decrypt(kp, ct)
     if args.out:
         with open(args.out, "wb") as f:
@@ -181,14 +177,10 @@ def _cmd_inspect(args) -> int:
     with open(args.infile, "rb") as f:
         data = f.read()
     if data.startswith(keyfiles.KEY_MAGIC):
-        role = data[9] if len(data) > 9 else 0
-        if role == keyfiles.ROLE_PUBLIC:
-            pk, secrets = keyfiles.decode_public_key(data), ()
-        else:
-            kp = keyfiles.decode_keypair(data)
-            pk, secrets = kp.public, kp.secrets
+        key = keyfiles.decode_key(data)
+        pk, secrets = (key.public, key.secrets) if isinstance(key, KeyPair) else (key, ())
         params = pk.params
-        print(f"{keyfiles.ROLE_NAMES[role]} key ({SCHEME_NAMES[pk.k]}), B_{params.n}, "
+        print(f"{'secret' if secrets else 'public'} key ({SCHEME_NAMES[pk.k]}), B_{params.n}, "
               f"l={params.l}, r={params.r}, W={params.W}")
         if secrets:
             lengths = ", ".join(str(len(w)) for w in secrets)
@@ -203,7 +195,7 @@ def _cmd_inspect(args) -> int:
         print(_describe_canonical(ct.Y))
         print(f"tag: {ct.box.tag.hex()}")
     else:
-        raise KeyFileError("unrecognized file magic", 0)
+        raise CodecError("unrecognized file magic", 0)
     return EXIT_OK
 
 
@@ -317,7 +309,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (AuthenticationError, KeyConfirmError, ProtocolError) as exc:
         print(f"twincsp: crypto failure: {exc}", file=sys.stderr)
         return EXIT_CRYPTO
-    except (KeyFileError, CodecError) as exc:
+    except CodecError as exc:
         print(f"twincsp: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

@@ -24,6 +24,12 @@ Wire encoding of a canonical form (all integers big-endian):
 Raw words (kind 0x01) encode the letter count then signed 2-byte letters.
 Hash input: label length (1) | ASCII label | element count (1) |
 concatenated serializations.  The hash is SHA-256 throughout.
+
+Key files, ciphertext files and key-exchange frames share one field
+layout, blob = 4-byte big-endian length | payload, built by ``blob`` and
+read by ``Reader``, whose ``element`` runs the strict decoder above on an
+element that must fill its blob.  Every parse failure is a ``CodecError``
+naming the byte offset; the CLI maps it to exit 2, kex to ProtocolError.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ class AuthenticationError(Exception):
 
 
 class CodecError(ValueError):
-    """Malformed serialized element."""
+    """Malformed serialized element, field, key file or ciphertext file."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -163,6 +169,49 @@ def _read_common(data: bytes, offset: int, expect_kind: int) -> tuple[int, int]:
     if n < 2:
         raise CodecError(f"bad strand count {n}", offset + 2)
     return n, offset + 4
+
+
+def blob(payload: bytes) -> bytes:
+    """A length-prefixed field: 4-byte big-endian length, then the payload."""
+    return struct.pack(">I", len(payload)) + payload
+
+
+class Reader:
+    """Reads the fields of data in order; offsets in errors are into data."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.offset = 0
+
+    def take(self, k: int, what: str) -> bytes:
+        if self.offset + k > len(self.data):
+            raise CodecError(f"truncated {what}", self.offset)
+        out = self.data[self.offset : self.offset + k]
+        self.offset += k
+        return out
+
+    def blob(self, what: str) -> bytes:
+        (ln,) = struct.unpack(">I", self.take(4, f"{what} length"))
+        return self.take(ln, what)
+
+    def element(self, read, what: str, n: int | None = None):
+        """One element decoded by read (read_canonical or read_word) from
+        its own blob, which it must fill; given n, it must live in B_n."""
+        base = self.offset + 4
+        payload = self.blob(what)
+        try:
+            value, used = read(payload, 0)
+        except CodecError as exc:
+            raise CodecError(f"bad {what}: {exc}", base + exc.offset) from exc
+        if used != len(payload):
+            raise CodecError(f"trailing bytes in {what}", base + used)
+        if n is not None and value.n != n:
+            raise CodecError(f"{what} lives in B_{value.n}, params say B_{n}", base)
+        return value
+
+    def done(self) -> None:
+        if self.offset != len(self.data):
+            raise CodecError("trailing bytes", self.offset)
 
 
 def hash_elements(label: str, elems: list[CanonicalForm] | tuple[CanonicalForm, ...]) -> SymKey:

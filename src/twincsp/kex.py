@@ -16,9 +16,10 @@ disabled for derivation-only runs).
 
 Wire format: 4-byte big-endian frame length, 1-byte message type
 (0x01 INIT, 0x02 RESP, 0x03 CONFIRM), payload.  INIT/RESP payloads are
-two canonical-form serializations, each behind its own 4-byte length
-prefix; CONFIRM carries SHA256(key || "confirm" || role byte).  Any
-reliable ordered byte stream works as a transport.
+two codec blobs, each one canonical form in the exchange's B_n, read as
+key files are; a ``CodecError`` there becomes a ``ProtocolError``.
+CONFIRM carries SHA256(key || "confirm" || role byte).  Any reliable
+ordered byte stream works as a transport.
 """
 
 from __future__ import annotations
@@ -31,7 +32,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .braid import CanonicalForm, GroupParams, nf_conjugate
-from .codec import CodecError, SymKey, hash_elements, read_canonical, serialize_canonical
+from .codec import (
+    CodecError,
+    Reader,
+    SymKey,
+    blob,
+    hash_elements,
+    read_canonical,
+    serialize_canonical,
+)
 from .elgamal import KeyPair, PublicKey, keygen
 from .sampling import SeededRng, SubgroupSide
 
@@ -154,37 +163,6 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
     return struct.pack(">I", len(payload) + 1) + bytes([msg_type]) + payload
 
 
-def _encode_elements(elements: tuple[CanonicalForm, CanonicalForm]) -> bytes:
-    parts = []
-    for e in elements:
-        blob = serialize_canonical(e)
-        parts.append(struct.pack(">I", len(blob)) + blob)
-    return b"".join(parts)
-
-
-def _decode_elements(payload: bytes) -> tuple[CanonicalForm, CanonicalForm]:
-    elements = []
-    offset = 0
-    for _ in range(2):
-        if offset + 4 > len(payload):
-            raise ProtocolError("truncated element length prefix")
-        (ln,) = struct.unpack_from(">I", payload, offset)
-        offset += 4
-        if offset + ln > len(payload):
-            raise ProtocolError("truncated element blob")
-        try:
-            e, used = read_canonical(payload, offset)
-        except CodecError as exc:
-            raise ProtocolError(f"bad element encoding: {exc}") from exc
-        if used != offset + ln:
-            raise ProtocolError("element blob length mismatch")
-        elements.append(e)
-        offset += ln
-    if offset != len(payload):
-        raise ProtocolError("trailing bytes in element payload")
-    return elements[0], elements[1]
-
-
 def confirm_tag(key: SymKey, role: Role) -> bytes:
     return hashlib.sha256(key.bytes + b"confirm" + ROLE_BYTE[role.value]).digest()
 
@@ -225,6 +203,21 @@ class _Session:
             )
         return msg.payload
 
+    def send_publics(self, msg_type: int, key: KeyPair) -> None:
+        self.send_frame(msg_type, b"".join(blob(serialize_canonical(X)) for X in key.publics))
+
+    def recv_publics(self, expect_type: int, params: GroupParams,
+                     side: SubgroupSide) -> PublicKey:
+        """The peer's two public elements, each alone in its blob and in B_n."""
+        r = Reader(self.recv_frame(expect_type))
+        try:
+            elements = tuple(r.element(read_canonical, f"{o} peer element", params.n)
+                             for o in ("first", "second"))
+            r.done()
+        except CodecError as exc:
+            raise ProtocolError(f"bad element payload: {exc}") from exc
+        return PublicKey(params, side, elements)
+
 
 def kex_run(
     role: Role,
@@ -243,17 +236,12 @@ def kex_run(
     session = _Session(channel)
     if role is Role.INITIATOR:
         me = nike_keygen(params, SubgroupSide.LEFT, rng)
-        session.send_frame(MSG_INIT, _encode_elements(me.publics))
-        peer = PublicKey(params, SubgroupSide.RIGHT,
-                         _decode_elements(session.recv_frame(MSG_RESP)))
+        session.send_publics(MSG_INIT, me)
+        peer = session.recv_publics(MSG_RESP, params, SubgroupSide.RIGHT)
     else:
         me = nike_keygen(params, SubgroupSide.RIGHT, rng)
-        peer = PublicKey(params, SubgroupSide.LEFT,
-                         _decode_elements(session.recv_frame(MSG_INIT)))
-        session.send_frame(MSG_RESP, _encode_elements(me.publics))
-    for e in peer.elements:
-        if e.n != params.n:
-            raise ProtocolError(f"peer element lives in B_{e.n}, expected B_{params.n}")
+        peer = session.recv_publics(MSG_INIT, params, SubgroupSide.LEFT)
+        session.send_publics(MSG_RESP, me)
 
     key = nike_shared_key(me, peer, label="kex")
 

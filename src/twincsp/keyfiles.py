@@ -1,6 +1,7 @@
 """Self-describing key and ciphertext files.
 
-Layouts (all integers big-endian, blob = 4-byte length + payload):
+Layouts (all integers big-endian; blob is the codec's length-prefixed
+field, 4-byte length + payload, read by ``codec.Reader``):
 
     key file:   "TCSPKEY" | version 0x01 | scheme (0x01 cs / 0x02 twin) |
                 role (0x01 public / 0x02 secret) | n:2 l:2 r:2 W:2 |
@@ -18,18 +19,23 @@ number of secrets, and the key material is the k secret words w_1..w_k
 secrets come from the left subgroup.  Words use the codec's kind 0x01
 encoding, group elements the canonical kind 0x02 encoding.  Decoding
 checks each word and element against the header's params (strand count,
-and for secrets every letter in 1..l-1) without normal-form work; every
-failure names the offending byte offset.
+and for secrets every letter in 1..l-1) without normal-form work.  The
+role byte is read here only: ``decode_key`` returns whichever key the file
+holds.  Given the decrypting key, ``decode_ciphertext`` also checks the
+header element's strand count and the scheme byte against it.  Every
+failure is a ``codec.CodecError`` naming the offending byte offset.
 """
 
 from __future__ import annotations
 
 import struct
 
-from .braid import BraidWord, CanonicalForm, GroupParams
+from .braid import BraidWord, GroupParams
 from .codec import (
     CodecError,
+    Reader,
     SealedBox,
+    blob,
     read_canonical,
     read_word,
     serialize_canonical,
@@ -47,67 +53,16 @@ ROLE_SECRET = 0x02
 ROLE_NAMES = {ROLE_PUBLIC: "public", ROLE_SECRET: "secret"}
 
 
-class KeyFileError(ValueError):
-    """Malformed key or ciphertext file."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
-
-
-def _blob(payload: bytes) -> bytes:
-    return struct.pack(">I", len(payload)) + payload
-
-
-class _Reader:
-    def __init__(self, data: bytes, offset: int = 0):
-        self.data = data
-        self.offset = offset
-
-    def take(self, k: int, what: str) -> bytes:
-        if self.offset + k > len(self.data):
-            raise KeyFileError(f"truncated {what}", self.offset)
-        out = self.data[self.offset : self.offset + k]
-        self.offset += k
-        return out
-
-    def blob(self, what: str) -> bytes:
-        (ln,) = struct.unpack(">I", self.take(4, f"{what} length"))
-        return self.take(ln, what)
-
-    def word(self, what: str, n: int | None = None) -> BraidWord:
-        return self._element(read_word, what, n)
-
-    def canonical(self, what: str, n: int | None = None) -> CanonicalForm:
-        return self._element(read_canonical, what, n)
-
-    def secret(self, what: str, params: GroupParams) -> BraidWord:
-        """A secret word in B_n whose letters all lie in the left subgroup."""
-        w = self.word(what, params.n)
-        start = self.offset - 2 * len(w.letters)  # 2-byte letters end the blob
-        for i, v in enumerate(w.letters):
-            if abs(v) >= params.l:
-                raise KeyFileError(
-                    f"{what} letter {v} is outside the left subgroup 1..{params.l - 1}",
-                    start + 2 * i)
-        return w
-
-    def _element(self, reader, what: str, n: int | None):
-        base = self.offset + 4
-        payload = self.blob(what)
-        try:
-            value, used = reader(payload, 0)
-        except CodecError as exc:
-            raise KeyFileError(f"bad {what}: {exc}", base + exc.offset) from exc
-        if used != len(payload):
-            raise KeyFileError(f"trailing bytes in {what}", base + used)
-        if n is not None and value.n != n:
-            raise KeyFileError(f"{what} lives in B_{value.n}, params say B_{n}", base)
-        return value
-
-    def done(self) -> None:
-        if self.offset != len(self.data):
-            raise KeyFileError("trailing bytes", self.offset)
+def _read_secret(r: Reader, what: str, params: GroupParams) -> BraidWord:
+    """A secret word in B_n whose letters all lie in the left subgroup."""
+    w = r.element(read_word, what, params.n)
+    start = r.offset - 2 * len(w.letters)  # 2-byte letters end the blob
+    for i, v in enumerate(w.letters):
+        if abs(v) >= params.l:
+            raise CodecError(
+                f"{what} letter {v} is outside the left subgroup 1..{params.l - 1}",
+                start + 2 * i)
+    return w
 
 
 def _encode_key(role: int, key: PublicKey | KeyPair, secrets, publics) -> bytes:
@@ -118,50 +73,48 @@ def _encode_key(role: int, key: PublicKey | KeyPair, secrets, publics) -> bytes:
         KEY_MAGIC
         + bytes([KEY_FILE_VERSION, key.k, role])
         + struct.pack(">HHHH", params.n, params.l, params.r, params.W)
-        + _blob(serialize_word(params.g))
-        + b"".join(_blob(serialize_word(w)) for w in secrets)
-        + b"".join(_blob(serialize_canonical(X)) for X in publics)
+        + blob(serialize_word(params.g))
+        + b"".join(blob(serialize_word(w)) for w in secrets)
+        + b"".join(blob(serialize_canonical(X)) for X in publics)
     )
 
 
-def _read_key_header(r: _Reader) -> tuple[int, int, GroupParams]:
+def decode_key(data: bytes, role: int | None = None) -> PublicKey | KeyPair:
+    """A public or a secret key file, as its role byte says (given role, the
+    byte must say that): the k secret words of a secret file, then the k
+    public elements, each checked against the params."""
+    r = Reader(data)
     if r.take(len(KEY_MAGIC), "magic") != KEY_MAGIC:
-        raise KeyFileError("bad magic", 0)
+        raise CodecError("bad magic", 0)
     (version,) = r.take(1, "version")
     if version != KEY_FILE_VERSION:
-        raise KeyFileError(f"unsupported version 0x{version:02x}", r.offset - 1)
-    (scheme,) = r.take(1, "scheme byte")
-    if scheme not in SCHEME_NAMES:
-        raise KeyFileError(f"unknown scheme 0x{scheme:02x}", r.offset - 1)
-    (role,) = r.take(1, "role byte")
-    if role not in ROLE_NAMES:
-        raise KeyFileError(f"unknown role 0x{role:02x}", r.offset - 1)
+        raise CodecError(f"unsupported version 0x{version:02x}", r.offset - 1)
+    (k,) = r.take(1, "scheme byte")
+    if k not in SCHEME_NAMES:
+        raise CodecError(f"unknown scheme 0x{k:02x}", r.offset - 1)
+    (found,) = r.take(1, "role byte")
+    if found not in ROLE_NAMES:
+        raise CodecError(f"unknown role 0x{found:02x}", r.offset - 1)
     n, l, rr, W = struct.unpack(">HHHH", r.take(8, "params"))
-    g = r.word("base element")
+    g = r.element(read_word, "base element")
     try:
         params = GroupParams(l=l, r=rr, g=g, W=W)
     except ValueError as exc:
-        raise KeyFileError(f"bad params: {exc}", r.offset) from exc
+        raise CodecError(f"bad params: {exc}", r.offset) from exc
     if params.n != n:
-        raise KeyFileError(f"params say n={n} but l+r={params.n}", r.offset)
-    return scheme, role, params
-
-
-def _decode_key(data: bytes, role: int):
-    """(params, secrets, publics): k secret words for a secret key file,
-    then k public elements, each checked against the params."""
-    r = _Reader(data)
-    k, found, params = _read_key_header(r)
-    if found != role:
-        raise KeyFileError(f"expected a {ROLE_NAMES[role]} key file, "
-                           f"found a {ROLE_NAMES[found]} key", 9)
+        raise CodecError(f"params say n={n} but l+r={params.n}", r.offset)
+    if role not in (None, found):
+        raise CodecError(f"expected a {ROLE_NAMES[role]} key file, "
+                         f"found a {ROLE_NAMES[found]} key", 9)
     ordinals = ("",) if k == 1 else ("first ", "second ")
     secrets = ()
-    if role == ROLE_SECRET:
-        secrets = tuple(r.secret(f"{o}secret word", params) for o in ordinals)
-    publics = tuple(r.canonical(f"{o}public element", params.n) for o in ordinals)
+    if found == ROLE_SECRET:
+        secrets = tuple(_read_secret(r, f"{o}secret word", params) for o in ordinals)
+    publics = tuple(r.element(read_canonical, f"{o}public element", params.n) for o in ordinals)
     r.done()
-    return params, secrets, publics
+    if found == ROLE_PUBLIC:
+        return PublicKey(params, SubgroupSide.LEFT, publics)
+    return KeyPair(params, SubgroupSide.LEFT, secrets, publics)
 
 
 def encode_public_key(pk: PublicKey) -> bytes:
@@ -169,8 +122,7 @@ def encode_public_key(pk: PublicKey) -> bytes:
 
 
 def decode_public_key(data: bytes) -> PublicKey:
-    params, _, publics = _decode_key(data, ROLE_PUBLIC)
-    return PublicKey(params, SubgroupSide.LEFT, publics)
+    return decode_key(data, ROLE_PUBLIC)
 
 
 def encode_keypair(kp: KeyPair) -> bytes:
@@ -178,40 +130,42 @@ def encode_keypair(kp: KeyPair) -> bytes:
 
 
 def decode_keypair(data: bytes) -> KeyPair:
-    params, secrets, publics = _decode_key(data, ROLE_SECRET)
-    return KeyPair(params, SubgroupSide.LEFT, secrets, publics)
+    return decode_key(data, ROLE_SECRET)
 
 
 def encode_ciphertext(ct: Ciphertext) -> bytes:
     return (
         CT_MAGIC
         + bytes([CT_FILE_VERSION, ct.scheme])
-        + _blob(serialize_canonical(ct.Y))
-        + _blob(ct.box.ct)
-        + _blob(ct.box.tag)
+        + blob(serialize_canonical(ct.Y))
+        + blob(ct.box.ct)
+        + blob(ct.box.tag)
     )
 
 
-def decode_ciphertext(data: bytes, n: int | None = None) -> Ciphertext:
-    """Decode a ciphertext file; given n, also check that the header element
-    lives in B_n, as the decrypting key's params say."""
-    r = _Reader(data)
+def decode_ciphertext(data: bytes, key: KeyPair | None = None) -> Ciphertext:
+    """Decode a ciphertext file; given the decrypting key, also check that
+    the header element lives in the key's B_n and the scheme byte is its k."""
+    r = Reader(data)
     if r.take(len(CT_MAGIC), "magic") != CT_MAGIC:
-        raise KeyFileError("bad magic", 0)
+        raise CodecError("bad magic", 0)
     (version,) = r.take(1, "version")
     if version == 0x01:
-        raise KeyFileError(
+        raise CodecError(
             "unsupported ciphertext file version 0x01: its tag is forgeable by "
             "length extension; encrypt the message again", r.offset - 1)
     if version != CT_FILE_VERSION:
-        raise KeyFileError(f"unsupported version 0x{version:02x}", r.offset - 1)
+        raise CodecError(f"unsupported version 0x{version:02x}", r.offset - 1)
     (scheme,) = r.take(1, "scheme byte")
+    scheme_at = r.offset - 1
     if scheme not in SCHEME_NAMES:
-        raise KeyFileError(f"unknown scheme 0x{scheme:02x}", r.offset - 1)
-    Y = r.canonical("header element", n)
+        raise CodecError(f"unknown scheme 0x{scheme:02x}", scheme_at)
+    Y = r.element(read_canonical, "header element", None if key is None else key.params.n)
     ct_bytes = r.blob("ciphertext body")
     tag = r.blob("tag")
     if len(tag) != 32:
-        raise KeyFileError("tag must be 32 bytes", r.offset - len(tag))
+        raise CodecError("tag must be 32 bytes", r.offset - len(tag))
     r.done()
+    if key is not None and scheme != key.k:
+        raise CodecError("ciphertext scheme does not match key", scheme_at)
     return Ciphertext(scheme, Y, SealedBox(ct_bytes, tag))

@@ -6,9 +6,11 @@ the plain shared-conjugate problem: given a challenge (X, Y), it sets
 X1 = X, synthesizes X2 through a fresh trapdoor, answers every decision
 query of the adversary with the trapdoor check (never touching a secret),
 and finally accepts the adversary's output (Z1, Z2) only if it passes the
-same check against the challenge Y.  On acceptance the answer to the
-original challenge is Z1; on rejection the simulator reports failure
-rather than guessing.
+same check against the challenge Y, reporting Z1 as its answer; on
+rejection it reports failure rather than guessing.  Acceptance does not
+make Z1 the answer: the check passes (u Z1, Z2 u^-1) for any u from RB_r,
+so an adversary can make the reduction report success with a wrong value
+(tests/test_reduction.py::TestFalseSuccess: 20 of 20).
 
 The oracle-leak demo shows why the single-key scheme needs this machinery
 at all: a decryption oracle for it answers the decision predicate for
@@ -91,8 +93,10 @@ def run_reduction(
     """Simulate the reduction on one instance.
 
     Every adversary query is answered by the trapdoor check; the final
-    output is accepted only if it passes that same check against the
-    challenge, in which case Z1 solves the original instance.
+    output is accepted, and Z1 reported as the value, only if it passes
+    that same check against the challenge.  That does not make Z1 the
+    shared conjugate: the right-subgroup shift passes the check (see the
+    module docstring).
     """
     td = trapdoor_setup(inst.params, inst.X, rng)
     transcript: list[tuple[DecisionQuery, bool]] = []

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import rng_from
 from twincsp import (
+    BraidWord,
     KeyConfirmError,
     ProtocolError,
     Role,
@@ -17,7 +18,9 @@ from twincsp import (
     loopback_run,
     nike_keygen,
     nike_shared_key,
+    normal_form,
 )
+from twincsp.codec import CodecError, blob, serialize_canonical
 from twincsp.kex import (
     MSG_CONFIRM,
     MSG_INIT,
@@ -252,3 +255,56 @@ class TestInteractive:
             timeout=2.0,
         )
         assert any(isinstance(o, KeyConfirmError) for o in (out_i, out_r))
+
+
+class TestElementPayload:
+    """INIT/RESP payloads are two codec blobs, each filled by one element of
+    the exchange's B_n.  Any other payload is a ProtocolError caused by the
+    codec's CodecError, whose offset is into the payload."""
+
+    def init_payload(self, params) -> bytes:
+        res_i, _ = loopback_run(params, rng_from(111), rng_from(112), confirm=False)
+        (length,) = struct.unpack(">I", res_i.sent[:4])
+        return res_i.sent[5 : 4 + length]
+
+    def relength_first(self, payload: bytes, delta: int) -> tuple[bytes, int]:
+        (first,) = struct.unpack_from(">I", payload)
+        return struct.pack(">I", first + delta) + payload[4:], first
+
+    def responder_error(self, params, payload: bytes) -> CodecError:
+        chan_i, chan_r = loopback_channels(timeout=2.0)
+        chan_i.send_bytes(encode_frame(MSG_INIT, payload))
+        try:
+            with pytest.raises(ProtocolError, match="bad element payload") as exc:
+                kex_run(Role.RESPONDER, chan_r, params, rng_from(113))
+        finally:
+            chan_i.close()
+            chan_r.close()
+        assert isinstance(exc.value.__cause__, CodecError)
+        return exc.value.__cause__
+
+    def test_first_blob_shorter_than_its_element(self, params):
+        # the element's last factor would spill into the second blob
+        payload, first = self.relength_first(self.init_payload(params), -2)
+        err = self.responder_error(params, payload)
+        assert "bad first peer element: truncated factor table" in str(err)
+        assert err.offset == 4 + first - 2 * params.n
+
+    def test_first_blob_longer_than_its_element(self, params):
+        payload, first = self.relength_first(self.init_payload(params), 2)
+        err = self.responder_error(params, payload)
+        assert "trailing bytes in first peer element" in str(err)
+        assert err.offset == 4 + first
+
+    def test_peer_element_from_another_braid_group(self, params):
+        payload, first = self.relength_first(self.init_payload(params), 0)
+        small = blob(serialize_canonical(normal_form(BraidWord(4, (1, 2, -3)))))
+        err = self.responder_error(params, small + payload[4 + first :])
+        assert "first peer element lives in B_4, params say B_16" in str(err)
+        assert err.offset == 4
+
+    def test_trailing_bytes_after_second_blob(self, params):
+        payload = self.init_payload(params)
+        err = self.responder_error(params, payload + b"\x00")
+        assert "trailing bytes" in str(err)
+        assert err.offset == len(payload)

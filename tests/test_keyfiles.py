@@ -18,10 +18,10 @@ from twincsp import (
     twin_encrypt,
     twin_keygen,
 )
-from twincsp.codec import serialize_word
+from twincsp.codec import CodecError, serialize_word
 from twincsp.keyfiles import (
+    CT_MAGIC,
     KEY_MAGIC,
-    KeyFileError,
     decode_ciphertext,
     decode_keypair,
     decode_public_key,
@@ -71,7 +71,7 @@ class TestDiagnostics:
         kp, _ = twin_material
         data = bytearray(encode_keypair(kp))
         data[0] ^= 0xFF
-        with pytest.raises(KeyFileError) as exc:
+        with pytest.raises(CodecError) as exc:
             decode_keypair(bytes(data))
         assert exc.value.offset == 0
 
@@ -79,7 +79,7 @@ class TestDiagnostics:
         kp, _ = twin_material
         data = bytearray(encode_keypair(kp))
         data[7] = 0x02  # version byte follows the 7-byte magic
-        with pytest.raises(KeyFileError, match="unsupported version"):
+        with pytest.raises(CodecError, match="unsupported version"):
             decode_keypair(bytes(data))
 
     def test_ciphertext_version_1_refused(self, twin_material):
@@ -87,7 +87,7 @@ class TestDiagnostics:
         data = bytearray(encode_ciphertext(ct))
         assert data[6] == 0x02  # version byte follows the 6-byte magic
         data[6] = 0x01
-        with pytest.raises(KeyFileError, match="0x01.*length extension") as exc:
+        with pytest.raises(CodecError, match="0x01.*length extension") as exc:
             decode_ciphertext(bytes(data))
         assert exc.value.offset == 6
 
@@ -95,35 +95,35 @@ class TestDiagnostics:
         kp, _ = twin_material
         data = bytearray(encode_keypair(kp))
         data[8] = 0x7F
-        with pytest.raises(KeyFileError, match="scheme"):
+        with pytest.raises(CodecError, match="scheme"):
             decode_keypair(bytes(data))
 
     def test_role_mixups_rejected(self, twin_material):
         kp, _ = twin_material
-        with pytest.raises(KeyFileError, match="secret"):
+        with pytest.raises(CodecError, match="secret"):
             decode_keypair(encode_public_key(kp.public))
-        with pytest.raises(KeyFileError, match="public"):
+        with pytest.raises(CodecError, match="public"):
             decode_public_key(encode_keypair(kp))
 
     def test_truncation(self, twin_material):
         kp, ct = twin_material
         data = encode_keypair(kp)
-        with pytest.raises(KeyFileError, match="truncated"):
+        with pytest.raises(CodecError, match="truncated"):
             decode_keypair(data[: len(data) // 2])
         cdata = encode_ciphertext(ct)
-        with pytest.raises(KeyFileError, match="truncated"):
+        with pytest.raises(CodecError, match="truncated"):
             decode_ciphertext(cdata[:-5])
 
     def test_trailing_bytes(self, twin_material):
         kp, _ = twin_material
-        with pytest.raises(KeyFileError, match="trailing"):
+        with pytest.raises(CodecError, match="trailing"):
             decode_keypair(encode_keypair(kp) + b"\x00")
 
     def test_ciphertext_bad_magic(self, cs_material):
         _, ct = cs_material
         data = bytearray(encode_ciphertext(ct))
         data[0] = 0x00
-        with pytest.raises(KeyFileError) as exc:
+        with pytest.raises(CodecError) as exc:
             decode_ciphertext(bytes(data))
         assert exc.value.offset == 0
 
@@ -134,6 +134,39 @@ def material_offset(params) -> int:
     return len(KEY_MAGIC) + 3 + 8 + 4 + len(serialize_word(params.g))
 
 
+class TestMalformedBlob:
+    """An element blob shorter or longer than its element, as in the kex
+    payload tests: a CodecError at the byte where the element stops fitting
+    (short: its last factor; long: the first byte after it)."""
+
+    @staticmethod
+    def relength(data: bytes, at: int, delta: int) -> tuple[bytes, int]:
+        (ln,) = struct.unpack_from(">I", data, at)
+        out = bytearray(data)
+        struct.pack_into(">I", out, at, ln + delta)
+        return bytes(out), ln
+
+    def check(self, params, decode, data: bytes, at: int, what: str) -> None:
+        short, ln = self.relength(data, at, -2)
+        with pytest.raises(CodecError, match=f"bad {what}: truncated factor table") as exc:
+            decode(short)
+        assert exc.value.offset == at + 4 + ln - 2 * params.n
+        long, _ = self.relength(data, at, 2)
+        with pytest.raises(CodecError, match=f"trailing bytes in {what}") as exc:
+            decode(long)
+        assert exc.value.offset == at + 4 + ln
+
+    def test_ciphertext_header_element(self, params, twin_material):
+        _, ct = twin_material
+        at = len(CT_MAGIC) + 2  # magic, version, scheme
+        self.check(params, decode_ciphertext, encode_ciphertext(ct), at, "header element")
+
+    def test_public_key_element(self, params, twin_material):
+        kp, _ = twin_material
+        self.check(params, decode_public_key, encode_public_key(kp.public),
+                   material_offset(params), "first public element")
+
+
 class TestKeyMaterialAgainstParams:
     """Decoding checks every word and element against the header's params
     without normal-form work, and names the offending byte."""
@@ -142,7 +175,7 @@ class TestKeyMaterialAgainstParams:
         kp, _ = twin_material
         small = normal_form(BraidWord(4, (1, 2, -3)))
         data = encode_public_key(PublicKey(kp.params, kp.side, (small, kp.publics[1])))
-        with pytest.raises(KeyFileError, match="first public element lives in B_4") as exc:
+        with pytest.raises(CodecError, match="first public element lives in B_4") as exc:
             decode_public_key(data)
         # the element starts after its blob length; n follows "TCSP" version kind
         assert exc.value.offset == material_offset(kp.params) + 4
@@ -151,7 +184,7 @@ class TestKeyMaterialAgainstParams:
     def test_secret_word_in_wrong_braid_group(self, cs_material):
         kp, _ = cs_material
         bad = KeyPair(kp.params, kp.side, (BraidWord(4, (1,)),), kp.publics)
-        with pytest.raises(KeyFileError, match="secret word lives in B_4") as exc:
+        with pytest.raises(CodecError, match="secret word lives in B_4") as exc:
             decode_keypair(encode_keypair(bad))
         assert exc.value.offset == material_offset(kp.params) + 4
 
@@ -160,7 +193,7 @@ class TestKeyMaterialAgainstParams:
         right = sample_subgroup(params, SubgroupSide.RIGHT, rng_from(122))
         bad = KeyPair(params, kp.side, (kp.secrets[0], right), kp.publics)
         data = encode_keypair(bad)
-        with pytest.raises(KeyFileError, match="second secret word letter .* outside the left"
+        with pytest.raises(CodecError, match="second secret word letter .* outside the left"
                            ) as exc:
             decode_keypair(data)
         # the second word's first letter: after the first word's blob, then

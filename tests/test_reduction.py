@@ -10,6 +10,8 @@ from twincsp import (
     make_ccs_instance,
     multiply,
     nf_conjugate,
+    nf_invert,
+    nf_multiply,
     normal_form,
     oracle_leak_demo,
     probing_adversary,
@@ -108,6 +110,32 @@ class TestRunReduction:
         assert len(result.transcript) == 8
         for q, ans in result.transcript:
             assert trapdoor_check(result.trapdoor, q) == ans
+
+
+class TestFalseSuccess:
+    """run_reduction accepts any output that passes the trapdoor check
+    against the challenge, and the right-subgroup shift of
+    tests/test_trapdoor.py::TestShiftAttack passes it: an answer
+    (u Z1, Z2 u^-1) with u != 1 from RB_r is reported as a success whose
+    value u Z1 is not the shared conjugate.  Pinned; a fix must flip it."""
+
+    def test_shifted_answer_succeeds_with_a_wrong_value(self, params):
+        wrong = 0
+        for i in range(20):
+            rng = rng_from(900 + i)
+            inst = make_ccs_instance(params, rng)
+            u = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
+            assert not u.is_identity()
+            honest = perfect_adversary(inst.witness_y)
+
+            def shifted(X1, X2, Y, oracle, honest=honest, u=u):
+                Z1, Z2 = honest(X1, X2, Y, oracle)
+                return nf_multiply(u, Z1), nf_multiply(Z2, nf_invert(u))
+
+            result = run_reduction(inst, shifted, rng)
+            truth = nf_conjugate(inst.X, inst.witness_y)
+            wrong += result.succeeded and result.value != truth
+        assert wrong == 20
 
 
 class TestOracleLeak:

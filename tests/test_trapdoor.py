@@ -9,7 +9,7 @@ explicitly (that equality is the shared-value symmetry the schemes rely on).
 
 import pytest
 
-from conftest import rng_from, truth_2ccsp
+from conftest import permutation_of, rng_from, truth_2ccsp, word_of
 from twincsp import (
     BraidWord,
     DecisionQuery,
@@ -160,6 +160,63 @@ class TestShiftAttack:
             assert shifted.Z1hat != q.Z1hat and shifted.Z2hat != q.Z2hat
             accepted += trapdoor_check(td, shifted)
         assert accepted == 50
+
+
+def exponent_sum(cf) -> int:
+    return sum(1 if v > 0 else -1 for v in word_of(cf).letters)
+
+
+def cycle_type(cf) -> tuple[int, ...]:
+    """Sorted cycle lengths of the element's permutation image."""
+    perm, seen, lengths = permutation_of(word_of(cf)).perm, set(), []
+    for start in range(len(perm)):
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = perm[j], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+class TestSimulatedKey:
+    """The reduction's public key is told apart from a real one.  A real
+    X2 = x2 g x2^-1 is a conjugate of g, so it keeps g's exponent sum and
+    the cycle type of its permutation; the trapdoor's
+    X2 = (s g s^-1)(r X1 r^-1)^-1 has exponent sum 0.  Pinned; a fix must
+    flip it."""
+
+    def test_exponent_sum_and_cycle_type_tell_x2_apart(self, params):
+        g = normal_form(params.g)
+        invariants = (exponent_sum(g), cycle_type(g))
+        real = simulated = 0
+        for i in range(50):
+            rng = rng_from(1000 + i)
+            kp = twin_keygen(params, rng)
+            td = trapdoor_setup(params, kp.publics[0], rng)
+            real += (exponent_sum(kp.publics[1]), cycle_type(kp.publics[1])) == invariants
+            simulated += (exponent_sum(td.X2), cycle_type(td.X2)) == invariants
+        assert (real, simulated) == (50, 0)
+
+
+class TestPureSubgroupQuery:
+    """For v != 1 from RB_r, the query (v, v, 1) passes: v commutes with r
+    and s, so both sides of the check equal v.  The real values for
+    Yhat = v are (v, v, v), since v also commutes with both secrets, and
+    that query fails.  Pinned; a fix must flip it."""
+
+    def test_v_v_1_accepted_and_v_v_v_rejected(self, params):
+        one = normal_form(BraidWord(params.n, ()))
+        pure = real = 0
+        for i in range(50):
+            rng = rng_from(1100 + i)
+            _, X1 = fresh_X1(params, rng)
+            td = trapdoor_setup(params, X1, rng)
+            v = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
+            assert v != one
+            pure += trapdoor_check(td, DecisionQuery(v, v, one))
+            real += trapdoor_check(td, DecisionQuery(v, v, v))
+        assert (pure, real) == (50, 0)
 
 
 class TestTruthOracle:
