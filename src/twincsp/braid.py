@@ -52,9 +52,9 @@ once; ``nf_conjugate`` accepts either a Conjugator or a plain word, which
 it turns into one on the spot.  Likewise GroupParams computes the normal
 form of its base element g once, on first use.
 
-Factors the engine builds itself are permutations by construction and
-skip validation; factors from outside (``PermutationBraid(n, perm)``,
-and hence every decoded factor) are checked.
+Factors the engine builds are permutations by construction, and outside
+bytes are checked once, where they are read (``codec.read_canonical``),
+so a PermutationBraid is a plain record.
 
 All values are immutable; every operation is a pure function.
 """
@@ -98,38 +98,11 @@ class BraidWord:
 
 @dataclass(frozen=True)
 class PermutationBraid:
-    """A positive braid in which each strand pair crosses at most once."""
+    """A positive braid in which each strand pair crosses at most once, held
+    as its permutation tuple; a plain record that checks nothing itself."""
 
     n: int
     perm: Perm
-
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-        if len(self.perm) != self.n or not pm.is_permutation(self.perm):
-            raise ValueError(f"not a permutation of 0..{self.n - 1}: {self.perm}")
-
-    @classmethod
-    def _built(cls, n: int, perm: Perm) -> "PermutationBraid":
-        """A factor the engine built itself: a permutation tuple by
-        construction, so the validation above is skipped."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "n", n)
-        object.__setattr__(f, "perm", perm)
-        return f
-
-    def is_identity(self) -> bool:
-        return self.perm == pm.identity(self.n)
-
-    def is_half_twist(self) -> bool:
-        return self.perm == pm.half_twist(self.n)
-
-    def starting_set(self) -> frozenset[int]:
-        """Generator indices that can begin a positive word for this braid."""
-        return pm.descents(pm.inverse(self.perm))
-
-    def finishing_set(self) -> frozenset[int]:
-        """Generator indices that can end a positive word for this braid."""
-        return pm.descents(self.perm)
 
 
 @dataclass(frozen=True)
@@ -356,7 +329,7 @@ def _form(n: int, dexp: int, prefix: list[list[int]], tail) -> CanonicalForm:
             dexp += 1
         if facs and facs[-1] == ident:
             facs.pop()
-    return CanonicalForm(n, dexp, tuple(PermutationBraid._built(n, tuple(f)) for f in facs))
+    return CanonicalForm(n, dexp, tuple(PermutationBraid(n, tuple(f)) for f in facs))
 
 
 def normal_form(a: BraidWord) -> CanonicalForm:
@@ -393,7 +366,7 @@ def nf_invert(x: CanonicalForm) -> CanonicalForm:
     out = []
     for j in range(k, 0, -1):
         c = pm.compose(rev, pm.inverse(x.factors[j - 1].perm))
-        out.append(PermutationBraid._built(n, pm.flip(c) if (p + j - 1) % 2 else c))
+        out.append(PermutationBraid(n, pm.flip(c) if (p + j - 1) % 2 else c))
     return CanonicalForm(n, -p - k, tuple(out))
 
 

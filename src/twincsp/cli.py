@@ -90,9 +90,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("kex-demo", help="run a key exchange")
     sp.add_argument("--mode", choices=["interactive", "nike"], default="interactive")
-    sp.add_argument("--transport", choices=["pipe", "socket"], default="pipe")
-    sp.add_argument("--listen", metavar="HOST:PORT", help="socket mode: act as responder")
-    sp.add_argument("--connect", metavar="HOST:PORT", help="socket mode: act as initiator")
+    peer = sp.add_mutually_exclusive_group()
+    peer.add_argument("--listen", metavar="HOST:PORT", help="over a socket, as responder")
+    peer.add_argument("--connect", metavar="HOST:PORT", help="over a socket, as initiator")
     sp.add_argument("--no-confirm", action="store_true", help="derivation-only, skip confirmation")
     add_params(sp)
     add_seed(sp)
@@ -216,6 +216,8 @@ def _cmd_kex_demo(args) -> int:
     confirm = not args.no_confirm
 
     if args.mode == "nike":
+        if args.listen or args.connect:
+            raise ValueError("--mode nike runs in process; --listen and --connect are interactive")
         alice = nike_keygen(params, SubgroupSide.LEFT, rng.fork("alice"))
         bob = nike_keygen(params, SubgroupSide.RIGHT, rng.fork("bob"))
         k_a = nike_shared_key(alice, bob.public)
@@ -225,7 +227,7 @@ def _cmd_kex_demo(args) -> int:
               f"{'agree' if agree else 'DISAGREE'}")
         return EXIT_OK if agree else EXIT_CRYPTO
 
-    if args.transport == "socket" and (args.listen or args.connect):
+    if args.listen or args.connect:
         if args.listen:
             host, port = _parse_hostport(args.listen)
             srv = socket.create_server((host, port))

@@ -3,10 +3,11 @@ symmetric cipher pair.
 
 H must be well-defined on group elements, so only canonical forms are
 ever hashed: the encoding below is injective on canonical forms, and two
-group-equal words serialize identically after normal_form.  The decoder
-accepts exactly the encodings of canonical forms (no identity or half-twist
-factor, every adjacent pair left-weighted), so decoding then encoding is
-the identity and no second encoding of an element exists.  Domain labels
+group-equal words serialize identically after normal_form.  The decoder,
+the one check on outside factors, accepts exactly the encodings of
+canonical forms (permutations, no identity or half-twist factor, every
+adjacent pair left-weighted), so decoding then encoding is the identity
+and no second encoding of an element exists.  Domain labels
 ("cs", "twin", "nike", "kex", "confirm") keep the protocols' key spaces
 disjoint.
 
@@ -39,6 +40,7 @@ import hmac
 import struct
 from dataclasses import dataclass
 
+from . import permutations as pm
 from .braid import BraidWord, CanonicalForm, PermutationBraid
 
 MAGIC = b"TCSP"
@@ -118,17 +120,16 @@ def read_canonical(data: bytes, offset: int) -> tuple[CanonicalForm, int]:
         if offset + 2 * n > len(data):
             raise CodecError("truncated factor table", offset)
         perm = struct.unpack_from(f">{n}H", data, offset)
-        try:
-            f = PermutationBraid(n, perm)
-        except ValueError as exc:
-            raise CodecError(str(exc), offset) from exc
-        if f.is_identity():
+        if not pm.is_permutation(perm):
+            raise CodecError(f"not a permutation of 0..{n - 1}: {perm}", offset)
+        if perm == pm.identity(n):
             raise CodecError("identity factor in canonical form", offset)
-        if f.is_half_twist():
+        if perm == pm.half_twist(n):
             raise CodecError("half-twist factor in canonical form", offset)
-        if factors and not f.starting_set() <= factors[-1].finishing_set():
+        # left-weighted: S(B), the descents of B^-1, lies in F(A), A's descents
+        if factors and not pm.descents(pm.inverse(perm)) <= pm.descents(factors[-1].perm):
             raise CodecError("factor pair not left-weighted", offset)
-        factors.append(f)
+        factors.append(PermutationBraid(n, perm))
         offset += 2 * n
     return CanonicalForm(n, delta_exp, tuple(factors)), offset
 

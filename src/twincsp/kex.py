@@ -15,10 +15,11 @@ so that tampering has a testable failure mode (confirmation can be
 disabled for derivation-only runs).
 
 Wire format: 4-byte big-endian frame length, 1-byte message type
-(0x01 INIT, 0x02 RESP, 0x03 CONFIRM), payload.  INIT/RESP payloads are
-two codec blobs, each one canonical form in the exchange's B_n, read as
-key files are; a ``CodecError`` there becomes a ``ProtocolError``.
-CONFIRM carries SHA256(key || "confirm" || role byte).  Any reliable
+(0x01 INIT, 0x02 RESP, 0x03 CONFIRM), payload.  Frames are checked where
+they are read: the type must be the one expected next, INIT/RESP payloads
+are two codec blobs read as key files are (one canonical form each in the
+exchange's B_n; a ``CodecError`` becomes a ``ProtocolError``), and CONFIRM
+carries the 32 bytes SHA256(key || "confirm" || role byte).  Any reliable
 ordered byte stream works as a transport.
 """
 
@@ -136,27 +137,6 @@ def loopback_channels(timeout: float | None = 5.0) -> tuple[StreamChannel, Strea
     return StreamChannel(a, timeout), StreamChannel(b, timeout)
 
 
-@dataclass(frozen=True)
-class KexMessage:
-    """One protocol frame: INIT/RESP carry two serialized elements,
-    CONFIRM a 32-byte tag."""
-
-    msg_type: int
-    payload: bytes
-
-    def __post_init__(self):
-        if self.msg_type not in (MSG_INIT, MSG_RESP, MSG_CONFIRM):
-            raise ProtocolError(f"unknown message type {self.msg_type:#04x}")
-        if self.msg_type == MSG_CONFIRM:
-            if len(self.payload) != 32:
-                raise ProtocolError("confirmation payload must be 32 bytes")
-        elif len(self.payload) < 8:
-            raise ProtocolError("element payload too short for two length prefixes")
-
-    def encode(self) -> bytes:
-        return encode_frame(self.msg_type, self.payload)
-
-
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
     if len(payload) + 1 > MAX_FRAME:
         raise ProtocolError(f"frame too large: {len(payload) + 1} bytes")
@@ -184,7 +164,7 @@ class _Session:
         self.received = b""
 
     def send_frame(self, msg_type: int, payload: bytes) -> None:
-        frame = KexMessage(msg_type, payload).encode()
+        frame = encode_frame(msg_type, payload)
         self.sent += frame
         self.channel.send_bytes(frame)
 
@@ -196,12 +176,12 @@ class _Session:
             raise ProtocolError(f"bad frame length {length}")
         body = self.channel.recv_exact(length)
         self.received += body
-        msg = KexMessage(body[0], body[1:])
-        if msg.msg_type != expect_type:
-            raise ProtocolError(
-                f"expected message type {expect_type:#04x}, got {msg.msg_type:#04x}"
-            )
-        return msg.payload
+        msg_type, payload = body[0], body[1:]
+        if msg_type != expect_type:
+            raise ProtocolError(f"expected message type {expect_type:#04x}, got {msg_type:#04x}")
+        if msg_type == MSG_CONFIRM and len(payload) != 32:
+            raise ProtocolError("confirmation payload must be 32 bytes")
+        return payload
 
     def send_publics(self, msg_type: int, key: KeyPair) -> None:
         self.send_frame(msg_type, b"".join(blob(serialize_canonical(X)) for X in key.publics))

@@ -9,6 +9,10 @@ Descents drive everything: a permutation braid with permutation p can end
 with generator i iff i is a descent of p, and can begin with generator i
 iff i is a descent of p^{-1}.  Generator indices are 1-based (generator i
 swaps positions i-1 and i), matching the Artin indexing of braid words.
+
+Every helper stays here even with few or no callers in the package
+(``descents``, ``inversion_count``): perfbench/tracing.py counts calls by
+wrapping each one by name.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 LB_l is generated by s_1..s_{l-1} and RB_r by s_{l+1}..s_{n-1}; the
 coupling generator s_l belongs to neither, so every element of one
 subgroup commutes with every element of the other.  That commutation is
-the load-bearing fact of the whole construction and is re-checked by
-``commutes`` in tests.
+the load-bearing fact of the whole construction, and the tests check it
+on sampled pairs.
 
 Randomness comes from a counter-mode generator over SHA-256 so that every
 fixture is bit-reproducible from a 32-byte seed.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from enum import Enum
 
-from .braid import BraidWord, GroupParams, equals, free_reduce, multiply
+from .braid import BraidWord, GroupParams, free_reduce
 
 
 class SubgroupSide(Enum):
@@ -87,8 +87,3 @@ def sample_subgroup(params: GroupParams, side: SubgroupSide, rng: SeededRng) -> 
         raise ValueError(f"{side.value} subgroup has no generators")
     letters = tuple(rng.rand_sign() * rng.choice(idx) for _ in range(params.W))
     return BraidWord(params.n, free_reduce(letters))
-
-
-def commutes(a: BraidWord, b: BraidWord) -> bool:
-    """Whether ab = ba as group elements."""
-    return equals(multiply(a, b), multiply(b, a))

@@ -8,6 +8,8 @@ from twincsp import (
     SeededRng,
     conjugator,
     default_params,
+    equals,
+    multiply,
     nf_conjugate,
     random_element,
 )
@@ -30,6 +32,11 @@ def permutation_of(a: BraidWord) -> PermutationBraid:
     for v in a.letters:
         p = pm.compose(p, pm.transposition(a.n, abs(v)))
     return PermutationBraid(a.n, p)
+
+
+def commutes(a: BraidWord, b: BraidWord) -> bool:
+    """Whether ab = ba as group elements."""
+    return equals(multiply(a, b), multiply(b, a))
 
 
 def delta(n: int) -> BraidWord:
@@ -150,12 +157,14 @@ def rewrite_equivalent(word: BraidWord, rng: SeededRng, steps: int = 50) -> Brai
 
 
 def assert_left_weighted(cf: CanonicalForm) -> None:
-    """Structural validity of a canonical form, factor by factor."""
+    """Structural validity of a canonical form, factor by factor: no
+    identity or D factor, and S(B) (descents of B^-1) inside F(A)
+    (descents of A) for every adjacent pair (A, B)."""
     for f in cf.factors:
-        assert not f.is_identity(), "identity factor in normal form"
-        assert not f.is_half_twist(), "half-twist factor not extracted"
+        assert f.perm != pm.identity(cf.n), "identity factor in normal form"
+        assert f.perm != pm.half_twist(cf.n), "half-twist factor not extracted"
     for a, b in zip(cf.factors, cf.factors[1:]):
-        assert b.starting_set() <= a.finishing_set(), (
-            f"pair not left-weighted: S={sorted(b.starting_set())} "
-            f"F={sorted(a.finishing_set())}"
+        start, finish = pm.descents(pm.inverse(b.perm)), pm.descents(a.perm)
+        assert start <= finish, (
+            f"pair not left-weighted: S={sorted(start)} F={sorted(finish)}"
         )

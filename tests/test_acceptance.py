@@ -9,6 +9,7 @@ import time
 
 from conftest import (
     assert_left_weighted,
+    commutes,
     perfect_adversary,
     permutation_of,
     random_word,
@@ -119,8 +120,6 @@ def test_criterion_2_normal_form_confluence():
 
 
 def test_criterion_3_commuting_subgroups():
-    from twincsp import commutes
-
     rng = rng_from(203)
     trials = 1000
     failures = 0

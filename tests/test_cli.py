@@ -264,7 +264,7 @@ class TestDemos:
 
         def listen():
             codes["responder"] = dispatch(
-                ["kex-demo", "--transport", "socket", "--listen", addr, "--seed", SEED]
+                ["kex-demo", "--listen", addr, "--seed", SEED]
             )
 
         t = threading.Thread(target=listen, daemon=True)
@@ -272,7 +272,7 @@ class TestDemos:
         connected = EXIT_IO
         for _ in range(50):
             connected = dispatch(
-                ["kex-demo", "--transport", "socket", "--connect", addr, "--seed", SEED2]
+                ["kex-demo", "--connect", addr, "--seed", SEED2]
             )
             if connected == EXIT_OK:
                 break
@@ -282,6 +282,16 @@ class TestDemos:
         assert codes.get("responder") == EXIT_OK
         out = capsys.readouterr().out
         assert "initiator" in out and "responder" in out
+
+    def test_kex_demo_listen_and_connect_exclusive(self, workdir, capsys):
+        addr = "127.0.0.1:9"
+        assert dispatch(["kex-demo", "--listen", addr, "--connect", addr]) == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_kex_demo_nike_refuses_an_address(self, workdir, capsys):
+        argv = ["kex-demo", "--mode", "nike", "--listen", "127.0.0.1:9", "--seed", SEED]
+        assert dispatch(argv) == EXIT_USAGE
+        assert "--mode nike" in capsys.readouterr().err
 
     def test_trapdoor_demo(self, workdir, capsys):
         assert dispatch(["trapdoor-demo", "--trials", "25", "--seed", SEED]) == EXIT_OK

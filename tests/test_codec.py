@@ -113,6 +113,13 @@ class TestStrictDecode:
         assert data == serialize_canonical(Y)
         assert deserialize_canonical(data) == Y
 
+    @pytest.mark.parametrize("bad", [(1, 1, 2, 3), (0, 1, 2, 9)])
+    def test_non_permutation_factor_is_rejected(self, bad):
+        s1 = (1, 0, 2, 3)
+        with pytest.raises(CodecError, match="not a permutation") as exc:
+            deserialize_canonical(encode_factors(4, 0, [s1, bad]))
+        assert exc.value.offset == 16 + 8
+
     def test_identity_factor_prepended_is_rejected(self, Y):
         data = encode_factors(16, Y.delta_exp, [tuple(range(16))] + self.perms(Y))
         with pytest.raises(CodecError, match="identity factor") as exc:

@@ -25,7 +25,6 @@ from twincsp.kex import (
     MSG_CONFIRM,
     MSG_INIT,
     MSG_RESP,
-    KexMessage,
     encode_frame,
     loopback_channels,
 )
@@ -74,23 +73,42 @@ class TestNike:
         )
 
 
-class TestKexMessage:
-    def test_confirm_payload_must_be_tag_sized(self):
-        KexMessage(MSG_CONFIRM, b"\x00" * 32)
-        with pytest.raises(ProtocolError):
-            KexMessage(MSG_CONFIRM, b"\x00" * 31)
+class TestFrames:
+    """Frames as a responder reads them off the wire."""
 
-    def test_element_payload_floor(self):
-        with pytest.raises(ProtocolError):
-            KexMessage(MSG_INIT, b"\x00" * 7)
+    def responder_reads(self, params, *frames):
+        chan_i, chan_r = loopback_channels(timeout=2.0)
+        for frame in frames:
+            chan_i.send_bytes(frame)
+        try:
+            return kex_run(Role.RESPONDER, chan_r, params, rng_from(114))
+        finally:
+            chan_i.close()
+            chan_r.close()
 
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ProtocolError):
-            KexMessage(0x7F, b"\x00" * 32)
+    def valid_init(self, params) -> bytes:
+        me = nike_keygen(params, SubgroupSide.LEFT, rng_from(115))
+        payload = b"".join(blob(serialize_canonical(X)) for X in me.publics)
+        return encode_frame(MSG_INIT, payload)
+
+    def test_unknown_type_rejected(self, params):
+        with pytest.raises(ProtocolError, match="0x7f"):
+            self.responder_reads(params, encode_frame(0x7F, b"\x00" * 32))
+
+    def test_short_init_payload_rejected(self, params):
+        with pytest.raises(ProtocolError) as exc:
+            self.responder_reads(params, encode_frame(MSG_INIT, b"\x00" * 7))
+        assert isinstance(exc.value.__cause__, CodecError)
+
+    def test_confirm_payload_must_be_tag_sized(self, params):
+        for size in (31, 33):
+            with pytest.raises(ProtocolError, match="32 bytes"):
+                self.responder_reads(params, self.valid_init(params),
+                                     encode_frame(MSG_CONFIRM, b"\x00" * size))
 
     def test_encode_matches_frame_layout(self):
-        msg = KexMessage(MSG_CONFIRM, bytes(range(32)))
-        assert msg.encode() == encode_frame(MSG_CONFIRM, bytes(range(32)))
+        frame = encode_frame(MSG_CONFIRM, bytes(range(32)))
+        assert frame == b"\x00\x00\x00\x21\x03" + bytes(range(32))
 
 
 class TestInteractive:

@@ -2,13 +2,12 @@
 
 import pytest
 
-from conftest import rng_from
+from conftest import commutes, rng_from
 from twincsp import (
     BraidWord,
     GroupParams,
     SeededRng,
     SubgroupSide,
-    commutes,
     default_params,
     sample_subgroup,
 )

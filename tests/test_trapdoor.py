@@ -11,10 +11,15 @@ import pytest
 
 from conftest import permutation_of, rng_from, truth_2ccsp, word_of
 from twincsp import (
+    AuthenticationError,
     BraidWord,
+    Ciphertext,
     DecisionQuery,
+    PublicKey,
     SubgroupSide,
     conjugate,
+    conjugator,
+    hash_elements,
     honest_query,
     nf_conjugate,
     nf_invert,
@@ -22,11 +27,15 @@ from twincsp import (
     normal_form,
     random_element,
     sample_subgroup,
+    sym_decrypt,
+    sym_encrypt,
     trapdoor_check,
     trapdoor_from_secrets,
     trapdoor_setup,
+    twin_decrypt,
     twin_keygen,
 )
+from twincsp.elgamal import SCHEME_TWIN
 
 
 def fresh_X1(params, rng):
@@ -160,6 +169,54 @@ class TestShiftAttack:
             assert shifted.Z1hat != q.Z1hat and shifted.Z2hat != q.Z2hat
             accepted += trapdoor_check(td, shifted)
         assert accepted == 50
+
+
+class TestSimulatedDecryption:
+    """One query tells a CKS-style simulated decryption oracle from real
+    decryption.  The adversary encrypts from its own ephemeral y under
+    H(Y, u Z1, Z2 u^-1) for some u != 1 from RB_r and has made that one
+    hash query.  Real decryption hashes (Y, Z1, Z2) and rejects; the
+    simulation opens with the first hash query on Y that passes the
+    trapdoor, and the shifted query does.  Pinned; a fix must flip it."""
+
+    MESSAGE = b"known plaintext"
+
+    def shifted_ciphertext(self, pk, rng):
+        """The adversary's ciphertext and its hash queries."""
+        y = conjugator(sample_subgroup(pk.params, SubgroupSide.RIGHT, rng))
+        u = normal_form(sample_subgroup(pk.params, SubgroupSide.RIGHT, rng))
+        assert not u.is_identity()
+        Y = nf_conjugate(pk.params.g_nf, y)
+        Z1, Z2 = (nf_conjugate(X, y) for X in pk.elements)
+        q = DecisionQuery(Y, nf_multiply(u, Z1), nf_multiply(Z2, nf_invert(u)))
+        assert q.Z1hat != Z1 and q.Z2hat != Z2
+        key = hash_elements("twin", [q.Yhat, q.Z1hat, q.Z2hat])
+        return Ciphertext(SCHEME_TWIN, Y, sym_encrypt(key, self.MESSAGE)), [q]
+
+    def simulated_decrypt(self, td, queries, ct) -> bytes:
+        for q in queries:
+            if q.Yhat == ct.Y and trapdoor_check(td, q):
+                return sym_decrypt(hash_elements("twin", [q.Yhat, q.Z1hat, q.Z2hat]), ct.box)
+        raise AuthenticationError("no hash query passes the trapdoor")
+
+    def opens(self, decrypt) -> bool:
+        try:
+            return decrypt() == self.MESSAGE
+        except AuthenticationError:
+            return False
+
+    def test_shifted_query_opens_only_in_the_simulation(self, params):
+        real = simulated = 0
+        for i in range(20):
+            kp = twin_keygen(params, rng_from(700 + i))
+            ct, _ = self.shifted_ciphertext(kp.public, rng_from(800 + i))
+            real += self.opens(lambda: twin_decrypt(kp, ct))
+            _, X1 = fresh_X1(params, rng_from(900 + i))
+            td = trapdoor_setup(params, X1, rng_from(1000 + i))
+            sim_pk = PublicKey(params, SubgroupSide.LEFT, (td.X1, td.X2))
+            ct, queries = self.shifted_ciphertext(sim_pk, rng_from(800 + i))
+            simulated += self.opens(lambda: self.simulated_decrypt(td, queries, ct))
+        assert (real, simulated) == (0, 20)
 
 
 def exponent_sum(cf) -> int:
