@@ -19,14 +19,14 @@ permutation respectively.  Left-weighting a pair moves the meet
 M = dA ^ B of B and the right complement dA = A^{-1} D from B to A:
 A <- A M, B <- M^{-1} B.  The engine moves M in one of two ways, which end
 at the same pair.  One insertion pass moves it crossing by crossing (A
-gains a final s_i, B loses a leading s_i) and never re-checks a neighbour
-it has passed; most pairs move a few crossings.  A heavy pair of B_n with
-n >= MEET_FROM = 20 (typically a near-empty factor followed by a near-D
-one, the shape that conjugation by a subgroup secret produces) switches
-after n crossings to computing the rest of M at once from bitsets of
-inverted value pairs (Epstein et al., Word Processing in Groups, ch. 9).
-At B_32 the meet finishes over a third of a key exchange's pair calls and
-does 90% of their crossings.
+gains a final s_i, B loses a leading s_i), pops and re-inserts each entry
+that moves, and never re-checks a neighbour it has passed; most pairs move
+a few crossings.  A heavy pair of B_n with n >= MEET_FROM = 27 (typically
+a near-empty factor followed by a near-D one, the shape that conjugation
+by a subgroup secret produces) switches after n crossings to computing the
+rest of M at once from bitsets of inverted value pairs (Epstein et al.,
+Word Processing in Groups, ch. 9).  At B_32 the meet finishes over a
+third of a key exchange's pair calls and does 90% of their crossings.
 
 A normal form is built by Thurston's right-multiplication algorithm
 (Epstein et al., ch. 9): factors are appended one at a time to a sequence
@@ -117,9 +117,6 @@ class CanonicalForm:
     n: int
     delta_exp: int
     factors: tuple[PermutationBraid, ...] = ()
-
-    def is_identity(self) -> bool:
-        return self.delta_exp == 0 and not self.factors
 
 
 @dataclass(frozen=True)
@@ -213,13 +210,13 @@ def conjugate(a: BraidWord, t: BraidWord) -> BraidWord:
 # The normal-form engine
 # ---------------------------------------------------------------------------
 
-# A pair of B_n with n >= MEET_FROM that has moved n crossings finishes with
-# one meet.  Insertion + meet time as a fraction of insertion-only time on
-# the pairs of fixed-seed key exchanges (W = 32; Python 3.11, one core;
-# median of 11 interleaved replays): 1.22 at n = 16 (1.26 on twin
-# encryption pairs), 0.95 at 20, 0.85 at 24, 0.65 at 32.  At n = 32,
-# switching after n/2 or 2n crossings instead of n was 5% and 10% slower.
-MEET_FROM = 20
+# A pair of B_n with n >= MEET_FROM that has moved n crossings ends with one
+# meet.  Insertion + meet over insertion-only time on fixed-seed key exchange
+# pairs (W = 32; Python 3.11, one core; ``tools/pair_work.py --replay``): 1.54
+# at n = 16 (1.42 on twin encryption pairs), 1.14 at 20, 1.02 at 24, 0.99 at
+# 25, 1.03 at 26, 0.91 at 27, 0.89 at 28, 0.82 at 32.  At n = 32, a meet
+# after n/2 or 2n crossings instead of n was 4% and 5% slower.
+MEET_FROM = 27
 
 
 def _left_weight_pair(a: list[int], b: list[int], n: int) -> bool:
@@ -230,12 +227,13 @@ def _left_weight_pair(a: list[int], b: list[int], n: int) -> bool:
     table binv has a descent at i; i is in F(a) iff a[i-1] > a[i].  One
     insertion pass does it: for i = 1 .. n-1 the entry (a[i], binv[i])
     travels left past every neighbour j with binv[j] > binv[i] and
-    a[j] < a[i], each step one crossing, and both lists shift once by slice
-    assignment.  The entries left of i never hold such a neighbouring pair,
-    so none is checked twice; b is rebuilt from binv once at the end.  A
-    heavy pair (n crossings moved, n >= MEET_FROM) moves all the rest at
-    once: M = da ^ b from ``_meet``, then a <- a.M and b <- M^-1.b.  Both
-    ways end at the same left-weighted pair, so the result is the same.
+    a[j] < a[i], each step one crossing, and is popped from both lists and
+    re-inserted, which builds no temporary list.  The entries left of i
+    never hold such a neighbouring pair, so none is checked twice; b is
+    rebuilt from binv once at the end.  A heavy pair (n crossings moved,
+    n >= MEET_FROM) moves all the rest at once: M = da ^ b from ``_meet``,
+    then a <- a.M and b <- M^-1.b.  Both ways end at the same left-weighted
+    pair, so the result is the same.
     """
     binv = [0] * n
     for pos, v in enumerate(b):
@@ -243,16 +241,17 @@ def _left_weight_pair(a: list[int], b: list[int], n: int) -> bool:
     budget = n if n >= MEET_FROM else n * n  # n * n: more than any pair moves
     moved = 0
     for i in range(1, n):
-        x, y = a[i], binv[i]
-        j = i
+        y = binv[i]
+        if binv[i - 1] < y:
+            continue
+        x = a[i]
+        if a[i - 1] > x:
+            continue
+        j = i - 1
         while j and binv[j - 1] > y and a[j - 1] < x:
             j -= 1
-        if j == i:
-            continue
-        a[j + 1:i + 1] = a[j:i]
-        a[j] = x
-        binv[j + 1:i + 1] = binv[j:i]
-        binv[j] = y
+        a.insert(j, a.pop(i))
+        binv.insert(j, binv.pop(i))
         moved += i - j
         if moved >= budget:
             m = _meet(a, binv, n)

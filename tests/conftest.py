@@ -34,6 +34,11 @@ def permutation_of(a: BraidWord) -> PermutationBraid:
     return PermutationBraid(a.n, p)
 
 
+def is_identity(cf: CanonicalForm) -> bool:
+    """Whether a canonical form is the identity: no half twists, no factors."""
+    return cf.delta_exp == 0 and not cf.factors
+
+
 def commutes(a: BraidWord, b: BraidWord) -> bool:
     """Whether ab = ba as group elements."""
     return equals(multiply(a, b), multiply(b, a))

@@ -10,8 +10,8 @@ permitted) terminates, and a word is the identity iff it reduces to the
 empty word: a handle-free word is empty, s-positive or s-negative.
 
 The property checked is equals(a, b) <=> handle_reduce(a . b^-1) = empty,
-on words whose normal forms take heavy pairs, half-twist exits and (from
-B_20) meets.
+on words whose normal forms take heavy pairs, half-twist exits and (for
+n >= MEET_FROM) meets.
 """
 
 import pytest
@@ -74,7 +74,7 @@ def test_oracle_on_known_facts():
 def cases(n: int, tag: int):
     """Seeded conjugates x g x^-1 of a word g by secrets x sampled from
     both subgroups: their normal forms take heavy pairs, factors that
-    become D and (from B_20) meets."""
+    become D and (for n >= MEET_FROM) meets."""
     params = default_params(n // 2, n - n // 2, W=n)
     rng = rng_from(tag)
     g = random_word(n, n, rng)
@@ -102,7 +102,7 @@ def check_cases(n: int, tag: int) -> None:
             assert not equals(w, other) and agree(w, other)
 
 
-@pytest.mark.parametrize("n", (4, 16, 20, 32))
+@pytest.mark.parametrize("n", (4, 16, 20, 32, 48))
 def test_equality_agrees_with_handle_reduction(n, monkeypatch):
     seen = {"half_twists": 0, "meets": 0}
     pair, meet = braid._left_weight_pair, braid._meet

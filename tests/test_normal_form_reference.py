@@ -7,7 +7,7 @@ left-weight a factor against a half twist."""
 
 import pytest
 
-from conftest import delta, random_word, rng_from, word_of
+from conftest import delta, is_identity, random_word, rng_from, word_of
 from twincsp import (
     BraidWord,
     CanonicalForm,
@@ -95,7 +95,8 @@ def reference_invert(x: CanonicalForm) -> CanonicalForm:
 
 def cases(n: int, tag: int):
     """Seeded words: uniform ones, and a conjugate t g t^-1 with t from the
-    left half, the shape that makes heavy pairs (and, from B_20, meets)."""
+    left half, the shape that makes heavy pairs (and, for n >= MEET_FROM,
+    meets)."""
     rng = rng_from(tag)
     for length in (0, 1, 2, n, 3 * n):
         yield random_word(n, length, rng)
@@ -142,7 +143,7 @@ def test_invert_makes_no_pair_call(n, pair_calls):
     pair_calls.clear()
     inv = nf_invert(x)
     assert pair_calls == []
-    assert nf_multiply(x, inv).is_identity()
+    assert is_identity(nf_multiply(x, inv))
 
 
 @pytest.mark.parametrize("dexp", (0, 1, -3))

@@ -1,13 +1,23 @@
 """The factor-pair kernel against a reference that moves one crossing at a
-time, on both sides of the crossover at which heavy pairs finish with a
-meet, and where in the schemes that meet engages."""
+time, on synthetic pairs on both sides of the crossover at which heavy
+pairs finish with a meet and on pairs recorded from the schemes, and where
+in the schemes that meet engages."""
 
 import random
 
 import pytest
 
-from conftest import rng_from
-from twincsp import braid, default_params, loopback_run, twin_decrypt, twin_encrypt, twin_keygen
+from conftest import perfect_adversary, rng_from
+from twincsp import (
+    braid,
+    default_params,
+    loopback_run,
+    make_ccs_instance,
+    run_reduction,
+    twin_decrypt,
+    twin_encrypt,
+    twin_keygen,
+)
 
 
 def reference_transfer(a, b):
@@ -80,3 +90,77 @@ def test_meet_engages_at_b32_and_never_at_b16(meet_calls):
     res_i, res_r = loopback_run(default_params(16, 16, 32), rng_from(5155), rng_from(5156))
     assert res_i.key == res_r.key
     assert meet_calls and set(meet_calls) == {32}
+
+
+def insertion_paths(a, b):
+    """The paths that the kernel's insertion pass takes on (a, b) when no
+    meet cuts it short: "blocked by a" for an entry whose left neighbour
+    lets it pass in b but not in a, "to front" for an entry that travels
+    all the way to position 0."""
+    n = len(a)
+    a, binv = list(a), [0] * n
+    for pos, v in enumerate(b):
+        binv[v] = pos
+    paths = set()
+    for i in range(1, n):
+        x, y = a[i], binv[i]
+        if binv[i - 1] > y and a[i - 1] > x:
+            paths.add("blocked by a")
+        j = i
+        while j and binv[j - 1] > y and a[j - 1] < x:
+            j -= 1
+        if j == 0:
+            paths.add("to front")
+        del a[i], binv[i]
+        a.insert(j, x)
+        binv.insert(j, y)
+    return paths
+
+
+def scheme_pairs(monkeypatch):
+    """The kernel's inputs in a seeded B_16 twin_encrypt, its twin_decrypt,
+    one run_reduction and one B_32 loopback_run, each source cut to a
+    seeded sample of 250 pairs."""
+    recorded = []
+    real = braid._left_weight_pair
+
+    def record(a, b, n):
+        recorded.append((list(a), list(b), n))
+        return real(a, b, n)
+
+    monkeypatch.setattr(braid, "_left_weight_pair", record)
+    rnd = random.Random(5166)
+    out = []
+
+    def take_sample():
+        out.extend(rnd.sample(recorded, min(250, len(recorded))))
+        recorded.clear()
+
+    p16 = default_params()
+    kp = twin_keygen(p16, rng_from(5160))
+    inst = make_ccs_instance(p16, rng_from(5161))
+    recorded.clear()
+    ct = twin_encrypt(kp.public, b"m", rng_from(5162))
+    take_sample()
+    assert twin_decrypt(kp, ct) == b"m"
+    take_sample()
+    assert run_reduction(inst, perfect_adversary(inst.witness_y), rng_from(5163)).succeeded
+    take_sample()
+    loopback_run(default_params(16, 16, 32), rng_from(5164), rng_from(5165))
+    take_sample()
+    monkeypatch.setattr(braid, "_left_weight_pair", real)
+    return out
+
+
+def test_kernel_matches_reference_on_scheme_pairs(monkeypatch, meet_calls):
+    recorded = scheme_pairs(monkeypatch)
+    meet_calls.clear()
+    paths = set()
+    for a, b, n in recorded:
+        if n < braid.MEET_FROM:
+            paths |= insertion_paths(a, b)
+        a2, b2 = list(a), list(b)
+        got = braid._left_weight_pair(a2, b2, n)
+        assert (got, a2, b2) == reference_transfer(a, b), (n, a, b)
+    assert paths == {"blocked by a", "to front"}
+    assert 32 in meet_calls

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import perfect_adversary, random_adversary, rng_from
+from conftest import is_identity, perfect_adversary, random_adversary, rng_from
 from twincsp import (
     SubgroupSide,
     conjugate,
@@ -125,7 +125,7 @@ class TestFalseSuccess:
             rng = rng_from(900 + i)
             inst = make_ccs_instance(params, rng)
             u = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
-            assert not u.is_identity()
+            assert not is_identity(u)
             honest = perfect_adversary(inst.witness_y)
 
             def shifted(X1, X2, Y, oracle, honest=honest, u=u):
