@@ -46,11 +46,10 @@ D^{-p-k} followed by the complements of A_k .. A_1, flipped alternately,
 and that sequence is already a normal form.
 
 Conjugation by t needs the normal forms of both t and t^{-1}.  A
-Conjugator holds that pair, computed once, so that a secret or an
-ephemeral conjugating several elements is normalized and inverted only
-once; ``nf_conjugate`` accepts either a Conjugator or a plain word, which
-it turns into one on the spot.  Likewise GroupParams computes the normal
-form of its base element g once, on first use.
+BraidWord keeps both, computed on first use (``form`` and
+``inverse_form``), so a secret, an ephemeral or the base element g that
+conjugates or is conjugated several times is normalized and inverted only
+once; ``nf_conjugate`` takes the word itself.
 
 Factors the engine builds are permutations by construction, and outside
 bytes are checked once, where they are read (``codec.read_canonical``),
@@ -94,6 +93,18 @@ class BraidWord:
 
     def __len__(self) -> int:
         return len(self.letters)
+
+    # Cached on first use.  In Python 3.11 one lock guards each property for
+    # every instance, so normal_form must never read form or inverse_form.
+    @cached_property
+    def form(self) -> "CanonicalForm":
+        """The word's normal form."""
+        return normal_form(self)
+
+    @cached_property
+    def inverse_form(self) -> "CanonicalForm":
+        """The normal form of the word's inverse."""
+        return nf_invert(self.form)
 
 
 @dataclass(frozen=True)
@@ -144,11 +155,6 @@ class GroupParams:
     @property
     def n(self) -> int:
         return self.l + self.r
-
-    @cached_property
-    def g_nf(self) -> "CanonicalForm":
-        """Normal form of the base element, computed on first use."""
-        return normal_form(self.g)
 
 
 # Fixed default base element of B_16: mixes both halves and uses the coupling
@@ -369,30 +375,10 @@ def nf_invert(x: CanonicalForm) -> CanonicalForm:
     return CanonicalForm(n, -p - k, tuple(out))
 
 
-@dataclass(frozen=True)
-class Conjugator:
-    """A conjugating element t held canonically: the normal forms of t and
-    of t^{-1}.  Build one with ``conjugator(t)`` and reuse it."""
-
-    form: CanonicalForm
-    inverse: CanonicalForm
-
-
-def conjugator(t: "BraidWord | Conjugator") -> Conjugator:
-    """The canonical conjugator of a word; a Conjugator is returned as is."""
-    if isinstance(t, Conjugator):
-        return t
-    tf = normal_form(t)
-    return Conjugator(tf, nf_invert(tf))
-
-
-def nf_conjugate(x: CanonicalForm, t: "Conjugator | BraidWord") -> CanonicalForm:
-    """normal_form(t * x * t^{-1}) computed without leaving canonical forms.
-
-    Pass a Conjugator when t conjugates more than one element; a word is
-    normalized and inverted on every call."""
-    c = conjugator(t)
-    return nf_multiply(nf_multiply(c.form, x), c.inverse)
+def nf_conjugate(x: CanonicalForm, t: BraidWord) -> CanonicalForm:
+    """normal_form(t * x * t^{-1}) computed without leaving canonical forms,
+    from the forms of t and t^{-1} that the word keeps."""
+    return nf_multiply(nf_multiply(t.form, x), t.inverse_form)
 
 
 def equals(a: BraidWord, b: BraidWord) -> bool:

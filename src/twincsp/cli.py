@@ -120,6 +120,11 @@ def _get_rng(args) -> SeededRng:
 
 
 def _get_params(args):
+    # Key files hold n, l, r and W in unsigned 2-byte fields, and word
+    # letters (up to n - 1) in signed 2-byte fields.
+    if args.l + args.r > 32768 or args.length > 65535:
+        raise ValueError("parameters must fit the key file fields: "
+                         "n = l + r <= 32768 and W <= 65535")
     return default_params(l=args.l, r=args.r, W=args.length)
 
 
@@ -229,19 +234,15 @@ def _cmd_kex_demo(args) -> int:
 
     if args.listen or args.connect:
         if args.listen:
-            host, port = _parse_hostport(args.listen)
-            srv = socket.create_server((host, port))
-            conn, _addr = srv.accept()
-            result = kex_run(Role.RESPONDER, StreamChannel(conn, timeout=30.0),
-                             params, rng, confirm=confirm)
-            conn.close()
-            srv.close()
+            with socket.create_server(_parse_hostport(args.listen)) as srv:
+                conn, _addr = srv.accept()
+            role = Role.RESPONDER
         else:
-            host, port = _parse_hostport(args.connect)
-            conn = socket.create_connection((host, port), timeout=30.0)
-            result = kex_run(Role.INITIATOR, StreamChannel(conn, timeout=30.0),
-                             params, rng, confirm=confirm)
-            conn.close()
+            conn = socket.create_connection(_parse_hostport(args.connect), timeout=30.0)
+            role = Role.INITIATOR
+        with conn:
+            result = kex_run(role, StreamChannel(conn, timeout=30.0), params, rng,
+                             confirm=confirm)
         print(f"{result.role.value}: key {_fingerprint(result.key)} "
               f"({len(result.sent)} bytes sent, {len(result.received)} received)")
         return EXIT_OK

@@ -11,25 +11,18 @@ left subgroup, which commutes with the right one elementwise) under label
 "cs" for k = 1 or "twin" for k = 2, so that every secret enters the key.
 The ciphertext's scheme byte is k.
 
-Each conjugator is normalized once: an encryption conjugates g and every
-public element by one canonical ephemeral, and a key pair holds its
-secrets as canonical conjugators, stored by keygen or, for a pair read
-from a key file, derived on first use, so decoding a key file does no
-normal-form work.  Messages are arbitrary byte strings.
+Each conjugator is normalized once: a word keeps the normal forms of
+itself and its inverse (``BraidWord.form``), so an encryption normalizes
+its ephemeral once and a key pair its secrets on first use.  A key pair
+read from a key file holds plain words, so decoding does no normal-form
+work.  Messages are arbitrary byte strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .braid import (
-    BraidWord,
-    CanonicalForm,
-    Conjugator,
-    GroupParams,
-    conjugator,
-    nf_conjugate,
-)
+from .braid import BraidWord, CanonicalForm, GroupParams, nf_conjugate
 from .codec import SealedBox, hash_elements, sym_decrypt, sym_encrypt
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
@@ -54,14 +47,12 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """k secret words from one subgroup and their public conjugates;
-    ``conjugators`` holds the secrets in canonical form (see the module)."""
+    """k secret words from one subgroup and their public conjugates."""
 
     params: GroupParams
     side: SubgroupSide
     secrets: tuple[BraidWord, ...]
     publics: tuple[CanonicalForm, ...]
-    canonical: tuple[Conjugator, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -70,12 +61,6 @@ class KeyPair:
     @property
     def public(self) -> PublicKey:
         return PublicKey(self.params, self.side, self.publics)
-
-    @property
-    def conjugators(self) -> tuple[Conjugator, ...]:
-        if self.canonical is None:
-            object.__setattr__(self, "canonical", tuple(conjugator(w) for w in self.secrets))
-        return self.canonical
 
 
 @dataclass(frozen=True)
@@ -90,9 +75,8 @@ class Ciphertext:
 def keygen(params: GroupParams, side: SubgroupSide, k: int, rng: SeededRng) -> KeyPair:
     """k independent secrets from the side's subgroup; X_i = w_i g w_i^{-1}."""
     secrets = tuple(sample_subgroup(params, side, rng) for _ in range(k))
-    conjugators = tuple(conjugator(w) for w in secrets)
-    publics = tuple(nf_conjugate(params.g_nf, c) for c in conjugators)
-    return KeyPair(params, side, secrets, publics, conjugators)
+    publics = tuple(nf_conjugate(params.g.form, w) for w in secrets)
+    return KeyPair(params, side, secrets, publics)
 
 
 def _label(key: PublicKey | KeyPair, k: int | None = None) -> str:
@@ -108,8 +92,8 @@ def encrypt(pk: PublicKey, message: bytes, rng: SeededRng, k: int | None = None)
     """Ephemeral y from RB_r; Y = ygy^{-1}, Z_i = y X_i y^{-1},
     key = H(label, Y, Z_1, .., Z_k).  k, if given, is the size the key must have."""
     label = _label(pk, k)
-    y = conjugator(sample_subgroup(pk.params, SubgroupSide.RIGHT, rng))
-    Y = nf_conjugate(pk.params.g_nf, y)
+    y = sample_subgroup(pk.params, SubgroupSide.RIGHT, rng)
+    Y = nf_conjugate(pk.params.g.form, y)
     key = hash_elements(label, [Y, *(nf_conjugate(X, y) for X in pk.elements)])
     return Ciphertext(pk.k, Y, sym_encrypt(key, message))
 
@@ -118,7 +102,7 @@ def decrypt(kp: KeyPair, ct: Ciphertext, k: int | None = None) -> bytes:
     """Recompute Z_i = w_i Y w_i^{-1} and open the box; raises
     AuthenticationError on forged or mis-keyed ciphertexts."""
     label = _label(kp, k)
-    key = hash_elements(label, [ct.Y, *(nf_conjugate(ct.Y, c) for c in kp.conjugators)])
+    key = hash_elements(label, [ct.Y, *(nf_conjugate(ct.Y, w) for w in kp.secrets)])
     return sym_decrypt(key, ct.box)
 
 

@@ -81,10 +81,10 @@ def _four_shared(me: KeyPair, peer: PublicKey) -> list[CanonicalForm]:
         for j in range(right_k):
             if me.side is SubgroupSide.LEFT:
                 # I hold x_i; ccs(X_i, Y_j) = x_i Y_j x_i^{-1}
-                out.append(nf_conjugate(peer.elements[j], me.conjugators[i]))
+                out.append(nf_conjugate(peer.elements[j], me.secrets[i]))
             else:
                 # I hold y_j; ccs(X_i, Y_j) = y_j X_i y_j^{-1}
-                out.append(nf_conjugate(peer.elements[i], me.conjugators[j]))
+                out.append(nf_conjugate(peer.elements[i], me.secrets[j]))
     return out
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .braid import BraidWord, CanonicalForm, GroupParams, conjugator, nf_conjugate
+from .braid import BraidWord, CanonicalForm, GroupParams, nf_conjugate
 from .codec import AuthenticationError, hash_elements, sym_encrypt
 from .elgamal import SCHEME_CS, Ciphertext, KeyPair, cs_decrypt
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
@@ -55,7 +55,9 @@ class QueryBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class CcsInstance:
-    """A challenge (g, X, Y) plus its witnesses, which only tests may read."""
+    """A challenge (g, X, Y) plus its witnesses, which no adversary sees; the
+    tests, the CLI's reduce-demo and the benchmark read them to check an
+    answer."""
 
     params: GroupParams
     X: CanonicalForm
@@ -68,7 +70,7 @@ def make_ccs_instance(params: GroupParams, rng: SeededRng) -> CcsInstance:
     """X = xgx^{-1} with x from LB_l; Y = ygy^{-1} with y from RB_r."""
     x = sample_subgroup(params, SubgroupSide.LEFT, rng)
     y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
-    return CcsInstance(params, nf_conjugate(params.g_nf, x), nf_conjugate(params.g_nf, y), x, y)
+    return CcsInstance(params, nf_conjugate(params.g.form, x), nf_conjugate(params.g.form, y), x, y)
 
 
 @dataclass
@@ -132,7 +134,6 @@ def probing_adversary(
     component replaced by a random conjugate verified to differ.
     """
     labels: list[bool] = []
-    cy = conjugator(witness_y)
 
     def run(X1, X2, Y, oracle):
         for _ in range(n_queries):
@@ -149,7 +150,7 @@ def probing_adversary(
                 q = DecisionQuery(q.Yhat, z1, z2)
                 labels.append(False)
             oracle(q)
-        return nf_conjugate(X1, cy), nf_conjugate(X2, cy)
+        return nf_conjugate(X1, witness_y), nf_conjugate(X2, witness_y)
 
     return run, labels
 

@@ -24,18 +24,19 @@ soundness bound than its count of random queries passing (at most 1%).
 Both r and s are drawn from LB_l: each must commute with the right-side
 ephemeral y for the acceptance equation to balance.  (Testable fact: with
 s from RB_r, honest queries fail, because s and y need not commute.)
+
+The trapdoor holds r and s as words; each is normalized and inverted on
+first use (``BraidWord.form``) and reused by every later check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .braid import (
     BraidWord,
     CanonicalForm,
-    Conjugator,
     GroupParams,
-    conjugator,
     nf_conjugate,
     nf_invert,
     nf_multiply,
@@ -46,16 +47,13 @@ from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
 @dataclass(frozen=True)
 class Trapdoor:
-    """Hidden (r, s) plus the tied public pair (X1, X2); r_conj and s_conj
-    hold r and s in canonical form for the checks."""
+    """Hidden (r, s) plus the tied public pair (X1, X2)."""
 
     params: GroupParams
     r: BraidWord
     s: BraidWord
     X1: CanonicalForm
     X2: CanonicalForm
-    r_conj: Conjugator = field(compare=False, repr=False)
-    s_conj: Conjugator = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -75,11 +73,10 @@ def trapdoor_from_secrets(
     """Build the trapdoor for explicit (r, s); X2 = (sgs^{-1})(rX1r^{-1})^{-1}."""
     if X1.n != params.n:
         raise ValueError(f"X1 lives in B_{X1.n}, params say B_{params.n}")
-    r_conj, s_conj = conjugator(r), conjugator(s)
-    sgs = nf_conjugate(params.g_nf, s_conj)
-    rX1r = nf_conjugate(X1, r_conj)
+    sgs = nf_conjugate(params.g.form, s)
+    rX1r = nf_conjugate(X1, r)
     X2 = nf_multiply(sgs, nf_invert(rX1r))
-    return Trapdoor(params, r, s, X1, X2, r_conj, s_conj)
+    return Trapdoor(params, r, s, X1, X2)
 
 
 def trapdoor_setup(params: GroupParams, X1: CanonicalForm, rng: SeededRng) -> Trapdoor:
@@ -93,8 +90,8 @@ def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
     """Accept iff Z2hat * r Z1hat r^{-1} == s Yhat s^{-1} (normal forms)."""
     if q.Yhat.n != td.params.n:
         raise ValueError(f"query lives in B_{q.Yhat.n}, trapdoor in B_{td.params.n}")
-    lhs = nf_multiply(q.Z2hat, nf_conjugate(q.Z1hat, td.r_conj))
-    rhs = nf_conjugate(q.Yhat, td.s_conj)
+    lhs = nf_multiply(q.Z2hat, nf_conjugate(q.Z1hat, td.r))
+    rhs = nf_conjugate(q.Yhat, td.s)
     return lhs == rhs
 
 
@@ -109,11 +106,10 @@ def honest_query(td_publics: tuple[CanonicalForm, CanonicalForm],
     """
     X1, X2 = td_publics
     y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
-    cy = conjugator(y)
     q = DecisionQuery(
-        Yhat=nf_conjugate(params.g_nf, cy),
-        Z1hat=nf_conjugate(X1, cy),
-        Z2hat=nf_conjugate(X2, cy),
+        Yhat=nf_conjugate(params.g.form, y),
+        Z1hat=nf_conjugate(X1, y),
+        Z2hat=nf_conjugate(X2, y),
     )
     return q, y
 
@@ -136,7 +132,7 @@ def trapdoor_stats(params: GroupParams, trials: int, rng: SeededRng) -> tuple[in
     complete = rejected = random_passes = 0
     for _ in range(trials):
         x = sample_subgroup(params, SubgroupSide.LEFT, rng)
-        td = trapdoor_setup(params, nf_conjugate(params.g_nf, x), rng)
+        td = trapdoor_setup(params, nf_conjugate(params.g.form, x), rng)
         q, _y = honest_query((td.X1, td.X2), params, rng)
         complete += trapdoor_check(td, q)
         junk = random_element(params, rng)

@@ -6,7 +6,6 @@ from twincsp import (
     DecisionQuery,
     PermutationBraid,
     SeededRng,
-    conjugator,
     default_params,
     equals,
     multiply,
@@ -96,10 +95,9 @@ def truth_2ccsp(x1: BraidWord, x2: BraidWord, q: DecisionQuery) -> bool:
 def perfect_adversary(witness_y: BraidWord):
     """Answers with the true conjugates, using the ephemeral witness the
     test extracted from the instance."""
-    cy = conjugator(witness_y)
 
     def run(X1, X2, Y, oracle):
-        return nf_conjugate(X1, cy), nf_conjugate(X2, cy)
+        return nf_conjugate(X1, witness_y), nf_conjugate(X2, witness_y)
 
     return run
 

@@ -1,7 +1,8 @@
-"""Canonical conjugators: one normalization per secret, ephemeral and base
-element, reused by every conjugation, with results equal to the
+"""Words keep their normal forms: one normalization per secret, ephemeral
+and base element, reused by every conjugation, with results equal to the
 word-at-a-time path."""
 
+import sys
 import threading
 from collections import Counter
 
@@ -9,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_identity, rng_from, word_of
+from conftest import is_identity, random_word, rng_from, word_of
 from twincsp import (
     BraidWord,
-    Conjugator,
     conjugate,
-    conjugator,
+    invert,
     loopback_run,
     nf_conjugate,
     nf_multiply,
@@ -42,19 +42,18 @@ pairs = st.sampled_from([4, 16, 32]).flatmap(lambda n: st.tuples(words(n), words
 def test_conjugator_path_matches_word_path(pair):
     xw, t = pair
     x = normal_form(xw)
-    by_conjugator = nf_conjugate(x, conjugator(t))
-    assert by_conjugator == nf_conjugate(x, t)
-    assert by_conjugator == normal_form(conjugate(word_of(x), t))
+    expected = normal_form(conjugate(word_of(x), t))
+    assert nf_conjugate(x, t) == expected
+    assert nf_conjugate(x, t) == expected  # from the forms t now keeps
 
 
 def test_conjugator_holds_an_inverse_pair():
     rng = rng_from(500)
     t = BraidWord(8, tuple(rng.rand_sign() * (1 + rng.rand_below(7)) for _ in range(30)))
-    c = conjugator(t)
-    assert isinstance(c, Conjugator)
-    assert c.form == normal_form(t)
-    assert is_identity(nf_multiply(c.form, c.inverse))
-    assert conjugator(c) is c
+    assert t.form == normal_form(t)
+    assert t.inverse_form == normal_form(invert(t))
+    assert is_identity(nf_multiply(t.form, t.inverse_form))
+    assert t.form is t.form and t.inverse_form is t.inverse_form
 
 
 class CallCounter:
@@ -91,7 +90,7 @@ def test_twin_scheme_normalizes_each_conjugator_once(params, normal_forms):
     before = normal_forms.total
     assert twin_decrypt(kp, ct) == b"count me"
     assert twin_decrypt(kp, ct) == b"count me"
-    assert normal_forms.total == before  # keygen left canonical secrets
+    assert normal_forms.total == before  # keygen normalized the secret words
 
 
 def test_key_files_derive_conjugators_on_first_use(params, normal_forms):
@@ -101,7 +100,7 @@ def test_key_files_derive_conjugators_on_first_use(params, normal_forms):
     before = normal_forms.total
     loaded, pk = decode_keypair(secret_file), decode_public_key(public_file)
     assert normal_forms.total == before  # decoding does no normal-form work
-    assert loaded == kp and loaded.canonical is None
+    assert loaded == kp
 
     ct = twin_encrypt(pk, b"from files", rng_from(504))
     assert normal_forms.total - before == 2  # the file's g, then the ephemeral
@@ -109,13 +108,13 @@ def test_key_files_derive_conjugators_on_first_use(params, normal_forms):
     before = normal_forms.total
     assert twin_decrypt(loaded, ct) == b"from files"
     assert normal_forms.total - before == 2  # x1 and x2, derived once
-    assert loaded.conjugators == kp.conjugators
+    assert [w.form for w in loaded.secrets] == [w.form for w in kp.secrets]
     assert twin_decrypt(loaded, ct) == b"from files"
     assert normal_forms.total - before == 2
 
 
 def test_loopback_run_normalizes_two_secrets_per_party(params, normal_forms):
-    params.g_nf  # the base element's form is shared by both parties
+    params.g.form  # the base element's form is shared by both parties
     normal_forms.by_thread.clear()
     res_i, res_r = loopback_run(params, rng_from(505), rng_from(506))
     assert res_i.key == res_r.key
@@ -124,10 +123,51 @@ def test_loopback_run_normalizes_two_secrets_per_party(params, normal_forms):
 
 
 def test_base_element_normalized_once_per_params(params, normal_forms):
-    first = params.g_nf
-    assert params.g_nf is first
+    first = params.g.form
+    assert params.g.form is first
     assert normal_forms.total == 1
     assert first == normal_form(params.g)
+
+
+def test_a_word_is_normalized_once(monkeypatch, normal_forms):
+    inverses = CallCounter(braid.nf_invert)
+    monkeypatch.setattr(braid, "nf_invert", inverses)
+    rng = rng_from(508)
+    X1, X2 = (normal_form(random_word(16, 20, rng)) for _ in range(2))
+    w = random_word(16, 20, rng)
+    before = normal_forms.total
+    nf_conjugate(X1, w)
+    nf_conjugate(X2, w)
+    assert (normal_forms.total - before, inverses.total) == (1, 1)
+
+
+def test_threads_share_words_without_deadlock():
+    """Threads conjugating by shared words get the word-path results and
+    finish: in Python 3.11 each cached property holds one lock for every
+    word, and inverse_form takes form's lock while holding its own."""
+    rng = rng_from(509)
+    ws = [random_word(16, 20, rng) for _ in range(5)]
+    x = normal_form(random_word(16, 20, rng))
+    expected = [normal_form(conjugate(word_of(x), w)) for w in ws]
+    results = []
+
+    def work(k):
+        for i in range(len(ws)):
+            j = (i + k) % len(ws)
+            results.append((j, nf_conjugate(x, ws[j])))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 30 and all(r == expected[j] for j, r in results)
 
 
 def test_engine_factors_skip_revalidation(monkeypatch):

@@ -1,5 +1,7 @@
 """Operator-facing CLI: round trips, determinism, exit codes."""
 
+import argparse
+import gc
 import os
 import socket
 import struct
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,8 @@ from twincsp import (
     sample_subgroup,
     serialize_canonical,
 )
-from twincsp.cli import EXIT_CRYPTO, EXIT_IO, EXIT_OK, EXIT_USAGE, dispatch
+from twincsp.cli import EXIT_CRYPTO, EXIT_IO, EXIT_OK, EXIT_USAGE, _get_params, dispatch
+from twincsp.kex import MSG_INIT, MSG_RESP, encode_frame
 from twincsp.keyfiles import decode_keypair, encode_keypair, encode_public_key
 
 SEED = "42" * 32
@@ -39,6 +43,25 @@ def keygen(workdir, stem="k", scheme="twin", seed=SEED, extra=()):
     return dispatch(
         ["keygen", "--scheme", scheme, "--seed", seed, "--out", str(workdir / stem), *extra]
     )
+
+
+def free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def dispatch_against(peer, argv) -> tuple[int, list]:
+    """Run the CLI while peer() plays the other endpoint in a thread; returns
+    the exit code and the ResourceWarnings raised until a garbage collection."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        t = threading.Thread(target=peer, daemon=True)
+        t.start()
+        code = dispatch(argv)
+        t.join(10)
+        gc.collect()
+    return code, [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestRoundTrip:
@@ -108,6 +131,23 @@ class TestExitCodes:
     def test_usage_error_is_exit_1(self):
         assert dispatch(["keygen", "--scheme", "nonsense", "--out", "x"]) == EXIT_USAGE
         assert dispatch(["no-such-command"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("extra", [
+        ["--l", "32800", "--r", "32800", "--length", "1"],
+        ["--l", "16384", "--r", "16385", "--length", "1"],
+        ["--length", "65536"],
+    ], ids=["n-65600", "n-32769", "W-65536"])
+    def test_params_beyond_the_file_fields_are_exit_1(self, workdir, capsys, extra):
+        assert keygen(workdir, extra=extra) == EXIT_USAGE
+        assert "n = l + r <= 32768 and W <= 65535" in capsys.readouterr().err
+        assert not (workdir / "k.pub").exists()
+
+    def test_largest_params_fit_the_key_file(self):
+        params = _get_params(argparse.Namespace(l=16384, r=16384, length=65535))
+        n = params.n
+        kp = KeyPair(params, SubgroupSide.LEFT, (BraidWord(n, (1 - params.l,)),),
+                     (normal_form(BraidWord(n, (n - 1,))),))
+        assert decode_keypair(encode_keypair(kp)) == kp
 
     def test_missing_file_is_exit_2(self, workdir):
         assert dispatch(
@@ -256,10 +296,7 @@ class TestDemos:
         assert "agree" in capsys.readouterr().out
 
     def test_kex_demo_socket_two_endpoints(self, workdir, capsys):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        addr = f"127.0.0.1:{port}"
+        addr = f"127.0.0.1:{free_port()}"
         codes = {}
 
         def listen():
@@ -282,6 +319,44 @@ class TestDemos:
         assert codes.get("responder") == EXIT_OK
         out = capsys.readouterr().out
         assert "initiator" in out and "responder" in out
+
+    def test_kex_demo_listen_closes_its_sockets_on_a_bad_frame(self, workdir, capsys):
+        port = free_port()
+
+        def peer():
+            for _ in range(100):
+                try:
+                    conn = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+                    break
+                except OSError:
+                    time.sleep(0.05)
+            else:
+                return
+            with conn:
+                conn.sendall(encode_frame(MSG_RESP, b"\x00" * 8))
+                while conn.recv(4096):
+                    pass
+
+        argv = ["kex-demo", "--listen", f"127.0.0.1:{port}", "--seed", SEED]
+        code, leaked = dispatch_against(peer, argv)
+        assert code == EXIT_CRYPTO
+        assert "expected message type 0x01, got 0x02" in capsys.readouterr().err
+        assert leaked == []
+
+    def test_kex_demo_connect_closes_its_socket_on_a_bad_frame(self, workdir, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as srv:
+            def peer():
+                conn, _addr = srv.accept()
+                with conn:
+                    conn.sendall(encode_frame(MSG_INIT, b"\x00" * 8))
+                    while conn.recv(4096):
+                        pass
+
+            addr = f"127.0.0.1:{srv.getsockname()[1]}"
+            code, leaked = dispatch_against(peer, ["kex-demo", "--connect", addr, "--seed", SEED])
+        assert code == EXIT_CRYPTO
+        assert "expected message type 0x02, got 0x01" in capsys.readouterr().err
+        assert leaked == []
 
     def test_kex_demo_listen_and_connect_exclusive(self, workdir, capsys):
         addr = "127.0.0.1:9"

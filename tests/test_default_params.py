@@ -78,7 +78,7 @@ class TestSplitDegeneracy:
             res_i, res_r = loopback_run(params, rng_from(500 + i), rng_from(600 + i))
             assert res_i.key == res_r.key
             X1, X2 = frame_elements(res_i.sent)
-            right_publics_are_g += frame_elements(res_r.sent) == (params.g_nf, params.g_nf)
+            right_publics_are_g += frame_elements(res_r.sent) == (params.g.form, params.g.form)
             eavesdropped += hash_elements("kex", [X1, X1, X2, X2]) == res_i.key
         assert (right_publics_are_g, eavesdropped) == (20, 20)
 

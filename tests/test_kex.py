@@ -219,6 +219,7 @@ class TestInteractive:
         chan_i.close()
         with pytest.raises(ProtocolError):
             kex_run(Role.RESPONDER, chan_r, params, rng_from(102))
+        chan_r.close()
 
     def test_wrong_message_type(self, params):
         chan_i, chan_r = loopback_channels(timeout=2.0)

@@ -18,7 +18,6 @@ from twincsp import (
     PublicKey,
     SubgroupSide,
     conjugate,
-    conjugator,
     hash_elements,
     honest_query,
     nf_conjugate,
@@ -183,10 +182,10 @@ class TestSimulatedDecryption:
 
     def shifted_ciphertext(self, pk, rng):
         """The adversary's ciphertext and its hash queries."""
-        y = conjugator(sample_subgroup(pk.params, SubgroupSide.RIGHT, rng))
+        y = sample_subgroup(pk.params, SubgroupSide.RIGHT, rng)
         u = normal_form(sample_subgroup(pk.params, SubgroupSide.RIGHT, rng))
         assert not is_identity(u)
-        Y = nf_conjugate(pk.params.g_nf, y)
+        Y = nf_conjugate(pk.params.g.form, y)
         Z1, Z2 = (nf_conjugate(X, y) for X in pk.elements)
         q = DecisionQuery(Y, nf_multiply(u, Z1), nf_multiply(Z2, nf_invert(u)))
         assert q.Z1hat != Z1 and q.Z2hat != Z2
