@@ -136,7 +136,7 @@ class GroupParams:
 
     The left subgroup uses generator indices 1..l-1, the right subgroup
     l+1..n-1; index l is used by neither side, which is what makes the two
-    subgroups commute elementwise.
+    subgroups commute elementwise.  Every valid GroupParams fits a key file.
     """
 
     l: int
@@ -149,6 +149,10 @@ class GroupParams:
             raise ValueError("both subgroups must be nontrivial: need l >= 2 and r >= 2")
         if self.W < 1:
             raise ValueError("sample length W must be >= 1")
+        # Key files hold n, l, r, W as unsigned and letters (< n) as signed 2-byte fields.
+        if self.n > 32768 or self.W > 65535:
+            raise ValueError("parameters must fit the key file fields: "
+                             "n = l + r <= 32768 and W <= 65535")
         if self.g.n != self.n:
             raise StrandMismatchError(f"base element lives in B_{self.g.n}, params say B_{self.n}")
 
@@ -208,7 +212,6 @@ def invert(a: BraidWord) -> BraidWord:
 
 def conjugate(a: BraidWord, t: BraidWord) -> BraidWord:
     """t * a * t^{-1}."""
-    _check_same_strands(a, t)
     return multiply(multiply(t, a), invert(t))
 
 

@@ -120,11 +120,6 @@ def _get_rng(args) -> SeededRng:
 
 
 def _get_params(args):
-    # Key files hold n, l, r and W in unsigned 2-byte fields, and word
-    # letters (up to n - 1) in signed 2-byte fields.
-    if args.l + args.r > 32768 or args.length > 65535:
-        raise ValueError("parameters must fit the key file fields: "
-                         "n = l + r <= 32768 and W <= 65535")
     return default_params(l=args.l, r=args.r, W=args.length)
 
 
@@ -312,10 +307,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (AuthenticationError, KeyConfirmError, ProtocolError) as exc:
         print(f"twincsp: crypto failure: {exc}", file=sys.stderr)
         return EXIT_CRYPTO
-    except CodecError as exc:
-        print(f"twincsp: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (CodecError, OSError) as exc:  # before ValueError: a CodecError is one
         print(f"twincsp: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

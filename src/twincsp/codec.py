@@ -217,8 +217,6 @@ class Reader:
 
 def hash_elements(label: str, elems: list[CanonicalForm] | tuple[CanonicalForm, ...]) -> SymKey:
     """256-bit key from a domain label and an ordered tuple of group elements."""
-    if not elems:
-        raise ValueError("need at least one element to hash")
     encoded = label.encode("ascii")
     if not 1 <= len(encoded) <= 255 or not 1 <= len(elems) <= 255:
         raise ValueError("label and element count must fit in one byte each")

@@ -72,20 +72,13 @@ def nike_keygen(params: GroupParams, side: SubgroupSide, rng: SeededRng) -> KeyP
 
 
 def _four_shared(me: KeyPair, peer: PublicKey) -> list[CanonicalForm]:
-    """The shared conjugates in the fixed order ccs(X_i, Y_j), i outer."""
+    """The shared conjugates in the fixed order ccs(X_i, Y_j), i outer:
+    x_i Y_j x_i^{-1} if I hold the x_i, else y_j X_i y_j^{-1}."""
     if peer.side is me.side:
         raise ValueError("parties must use opposite subgroups")
-    left_k, right_k = (me.k, peer.k) if me.side is SubgroupSide.LEFT else (peer.k, me.k)
-    out = []
-    for i in range(left_k):
-        for j in range(right_k):
-            if me.side is SubgroupSide.LEFT:
-                # I hold x_i; ccs(X_i, Y_j) = x_i Y_j x_i^{-1}
-                out.append(nf_conjugate(peer.elements[j], me.secrets[i]))
-            else:
-                # I hold y_j; ccs(X_i, Y_j) = y_j X_i y_j^{-1}
-                out.append(nf_conjugate(peer.elements[i], me.secrets[j]))
-    return out
+    if me.side is SubgroupSide.LEFT:
+        return [nf_conjugate(Y, x) for x in me.secrets for Y in peer.elements]
+    return [nf_conjugate(X, y) for X in peer.elements for y in me.secrets]
 
 
 def nike_shared_key(me: KeyPair, peer: PublicKey, label: str = "nike") -> SymKey:
@@ -118,7 +111,7 @@ class StreamChannel:
         while got < k:
             try:
                 chunk = self._sock.recv(k - got)
-            except (TimeoutError, socket.timeout) as exc:
+            except TimeoutError as exc:
                 raise ProtocolError("timed out waiting for peer bytes") from exc
             except OSError as exc:
                 raise ProtocolError(f"transport failed while receiving: {exc}") from exc
@@ -246,18 +239,17 @@ def kex_run(
 # ---------------------------------------------------------------------------
 
 class FlippingChannel:
-    """Wraps a channel and XORs one byte of the outgoing stream."""
+    """Wraps a channel and flips the low bit of one byte of the outgoing stream."""
 
-    def __init__(self, inner, flip_offset: int, xor: int = 0x01):
+    def __init__(self, inner, flip_offset: int):
         self.inner = inner
         self.flip_offset = flip_offset
-        self.xor = xor
         self._sent = 0
 
     def send_bytes(self, data: bytes) -> None:
         lo = self.flip_offset - self._sent
         if 0 <= lo < len(data):
-            data = data[:lo] + bytes([data[lo] ^ self.xor]) + data[lo + 1 :]
+            data = data[:lo] + bytes([data[lo] ^ 0x01]) + data[lo + 1 :]
         self._sent += len(data)
         self.inner.send_bytes(data)
 

@@ -17,9 +17,10 @@ Key files hold one key type for both schemes: the scheme byte is k, the
 number of secrets, and the key material is the k secret words w_1..w_k
 (secret files only) followed by the k public elements X_1..X_k.  The
 secrets come from the left subgroup.  Words use the codec's kind 0x01
-encoding, group elements the canonical kind 0x02 encoding.  Decoding
-checks each word and element against the header's params (strand count,
-and for secrets every letter in 1..l-1) without normal-form work.  The
+encoding, group elements the canonical kind 0x02 encoding.  ``GroupParams``
+checks the header's params ("bad params"; every valid set fits the fields),
+then each word and element is checked against them (strand count, and
+for secrets every letter in 1..l-1) without normal-form work.  The
 role byte is read here only: ``decode_key`` returns whichever key the file
 holds.  Given the decrypting key, ``decode_ciphertext`` also checks the
 header element's strand count and the scheme byte against it.  Every
@@ -41,7 +42,7 @@ from .codec import (
     serialize_canonical,
     serialize_word,
 )
-from .elgamal import SCHEME_NAMES, Ciphertext, KeyPair, PublicKey
+from .elgamal import SCHEME_NAMES, Ciphertext, KeyPair, PublicKey, _label
 from .sampling import SubgroupSide
 
 KEY_MAGIC = b"TCSPKEY"
@@ -66,8 +67,7 @@ def _read_secret(r: Reader, what: str, params: GroupParams) -> BraidWord:
 
 
 def _encode_key(role: int, key: PublicKey | KeyPair, secrets, publics) -> bytes:
-    if key.side is not SubgroupSide.LEFT or key.k not in SCHEME_NAMES:
-        raise ValueError("key files hold one or two left-subgroup secrets")
+    _label(key)  # one or two left-subgroup secrets
     params = key.params
     return (
         KEY_MAGIC

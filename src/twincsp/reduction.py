@@ -111,12 +111,11 @@ def run_reduction(
         return answer
 
     output = adversary(td.X1, td.X2, inst.Y, oracle)
-    if output is None:
-        return ReductionResult(None, transcript, td)
-    Z1, Z2 = output
-    if not trapdoor_check(td, DecisionQuery(inst.Y, Z1, Z2)):
-        return ReductionResult(None, transcript, td)
-    return ReductionResult(Z1, transcript, td)
+    if output is not None:
+        Z1, Z2 = output
+        if trapdoor_check(td, DecisionQuery(inst.Y, Z1, Z2)):
+            return ReductionResult(Z1, transcript, td)
+    return ReductionResult(None, transcript, td)
 
 
 def probing_adversary(

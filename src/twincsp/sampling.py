@@ -83,7 +83,5 @@ def generator_range(params: GroupParams, side: SubgroupSide) -> range:
 def sample_subgroup(params: GroupParams, side: SubgroupSide, rng: SeededRng) -> BraidWord:
     """W uniform signed letters over the side's generator range, freely reduced."""
     idx = generator_range(params, side)
-    if len(idx) == 0:
-        raise ValueError(f"{side.value} subgroup has no generators")
     letters = tuple(rng.rand_sign() * rng.choice(idx) for _ in range(params.W))
     return BraidWord(params.n, free_reduce(letters))

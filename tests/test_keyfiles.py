@@ -1,5 +1,6 @@
 """Key and ciphertext file round trips and parse diagnostics."""
 
+import re
 import struct
 
 import pytest
@@ -7,18 +8,21 @@ import pytest
 from conftest import rng_from
 from twincsp import (
     BraidWord,
+    GroupParams,
     KeyPair,
     PublicKey,
     SubgroupSide,
     cs_encrypt,
     cs_keygen,
+    default_params,
     nike_keygen,
     normal_form,
     sample_subgroup,
     twin_encrypt,
     twin_keygen,
 )
-from twincsp.codec import CodecError, serialize_word
+from twincsp.cli import EXIT_IO, dispatch
+from twincsp.codec import CodecError, blob, serialize_canonical, serialize_word
 from twincsp.keyfiles import (
     CT_MAGIC,
     KEY_MAGIC,
@@ -214,3 +218,39 @@ class TestKeyMaterialAgainstParams:
             encode_keypair(kp)
         with pytest.raises(ValueError, match="left-subgroup"):
             encode_public_key(kp.public)
+
+
+class TestParamLimits:
+    """GroupParams refuses params that do not fit the key file's 2-byte
+    fields, so a library caller gets a ValueError, not a struct.error, and
+    a key file declaring such params is refused when read."""
+
+    LIMIT = re.escape("n = l + r <= 32768 and W <= 65535")
+
+    @pytest.mark.parametrize("args", [(16384, 16385), (8, 8, 65536)], ids=["n-32769", "W-65536"])
+    def test_default_params_beyond_the_fields(self, args):
+        with pytest.raises(ValueError, match=self.LIMIT):
+            default_params(*args)
+
+    def test_group_params_beyond_the_fields(self):
+        with pytest.raises(ValueError, match=self.LIMIT):
+            GroupParams(l=32800, r=32800, g=BraidWord(65600, (1,)), W=1)
+
+    @staticmethod
+    def oversized_public_key() -> bytes:
+        """A public cs key file whose header declares l = r = 16400."""
+        n = 32800
+        return (KEY_MAGIC + bytes([0x01, 0x01, 0x01])
+                + struct.pack(">HHHH", n, 16400, 16400, 16)
+                + blob(serialize_word(BraidWord(n, (1,))))
+                + blob(serialize_canonical(normal_form(BraidWord(n, ())))))
+
+    def test_key_file_beyond_the_fields_is_refused(self):
+        with pytest.raises(CodecError, match="bad params"):
+            decode_public_key(self.oversized_public_key())
+
+    def test_inspect_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.pub"
+        path.write_bytes(self.oversized_public_key())
+        assert dispatch(["inspect", "--in", str(path)]) == EXIT_IO
+        assert "bad params" in capsys.readouterr().err

@@ -20,11 +20,13 @@ from twincsp import (
     conjugate,
     hash_elements,
     honest_query,
+    make_ccs_instance,
     nf_conjugate,
     nf_invert,
     nf_multiply,
     normal_form,
     random_element,
+    run_reduction,
     sample_subgroup,
     sym_decrypt,
     sym_encrypt,
@@ -337,3 +339,37 @@ class TestDifferentialAgreement:
                 dishonest_agree += answer is False
         assert honest_agree == honest_total
         assert dishonest_agree >= 0.99 * dishonest_total
+
+
+class TestStrandAgreement:
+    """Each query component, and each secret, must live in the trapdoor's
+    B_n; one in B_4 is refused before any answer."""
+
+    SMALL = normal_form(BraidWord(4, (1,)))
+
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["Yhat", "Z1hat", "Z2hat"])
+    def test_one_component_in_another_group(self, params, slot):
+        rng = rng_from(69)
+        td = trapdoor_setup(params, fresh_X1(params, rng)[1], rng)
+        q, _y = honest_query((td.X1, td.X2), params, rng)
+        parts = [q.Yhat, q.Z1hat, q.Z2hat]
+        parts[slot] = self.SMALL
+        with pytest.raises(ValueError):
+            trapdoor_check(td, DecisionQuery(*parts))
+
+    def test_reduction_refuses_an_answer_in_another_group(self, params):
+        rng = rng_from(70)
+        inst = make_ccs_instance(params, rng)
+
+        def adversary(X1, X2, Y, oracle):
+            return nf_conjugate(X1, inst.witness_y), self.SMALL
+
+        with pytest.raises(ValueError):
+            run_reduction(inst, adversary, rng)
+
+    def test_secret_in_another_group(self, params):
+        rng = rng_from(71)
+        _, X1 = fresh_X1(params, rng)
+        s = sample_subgroup(params, SubgroupSide.LEFT, rng)
+        with pytest.raises(ValueError):
+            trapdoor_from_secrets(params, X1, BraidWord(4, (1,)), s)
