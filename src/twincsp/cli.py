@@ -119,13 +119,9 @@ def _get_rng(args) -> SeededRng:
     return SeededRng.from_hex(seed_hex)
 
 
-def _get_params(args):
-    return default_params(l=args.l, r=args.r, W=args.length)
-
-
 def _cmd_keygen(args) -> int:
     rng = _get_rng(args)
-    params = _get_params(args)
+    params = default_params(args.l, args.r, args.length)
     kp = (cs_keygen if args.scheme == "cs" else twin_keygen)(params, rng)
     with open(args.out + ".pub", "wb") as f:
         f.write(keyfiles.encode_public_key(kp.public))
@@ -206,13 +202,16 @@ def _fingerprint(key) -> str:
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    return host or "127.0.0.1", int(port)
+    host, _, digits = text.rpartition(":")
+    port = int(digits)
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must be in 0..65535, got {port}")
+    return host or "127.0.0.1", port
 
 
 def _cmd_kex_demo(args) -> int:
     rng = _get_rng(args)
-    params = _get_params(args)
+    params = default_params(args.l, args.r, args.length)
     confirm = not args.no_confirm
 
     if args.mode == "nike":
@@ -238,7 +237,7 @@ def _cmd_kex_demo(args) -> int:
         with conn:
             result = kex_run(role, StreamChannel(conn, timeout=30.0), params, rng,
                              confirm=confirm)
-        print(f"{result.role.value}: key {_fingerprint(result.key)} "
+        print(f"{role.value}: key {_fingerprint(result.key)} "
               f"({len(result.sent)} bytes sent, {len(result.received)} received)")
         return EXIT_OK
 
@@ -255,7 +254,7 @@ def _cmd_kex_demo(args) -> int:
 
 def _cmd_trapdoor_demo(args) -> int:
     rng = _get_rng(args)
-    params = _get_params(args)
+    params = default_params(args.l, args.r, args.length)
     trials = args.trials
     complete, rejected, random_pass = trapdoor_stats(params, trials, rng)
     print(f"trapdoor-demo over {trials} trials: "
@@ -268,11 +267,11 @@ def _cmd_trapdoor_demo(args) -> int:
 
 def _cmd_reduce_demo(args) -> int:
     rng = _get_rng(args)
-    params = _get_params(args)
+    params = default_params(args.l, args.r, args.length)
     inst = make_ccs_instance(params, rng.fork("instance"))
     adversary, labels = probing_adversary(params, inst.witness_y, rng.fork("adversary"),
                                           n_queries=args.queries)
-    result = run_reduction(inst, adversary, rng.fork("reduction"))
+    result = run_reduction(inst, adversary, rng.fork("reduction"), query_budget=args.queries)
 
     agree = sum(1 for (qq, ans), truth in zip(result.transcript, labels) if ans == truth)
     total = len(result.transcript)

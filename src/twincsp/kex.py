@@ -10,7 +10,7 @@ the right-subgroup party; each of the four values is computable by either
 party because opposite subgroups commute.  The peer's key is a
 ``PublicKey`` of its side.  The non-interactive variant
 assumes the publics arrived out of band; the interactive variant ships
-them over a framed byte stream and finishes with a key-confirmation round
+them as frames over a socket and finishes with a key-confirmation round
 so that tampering has a testable failure mode (confirmation can be
 disabled for derivation-only runs).
 
@@ -19,8 +19,9 @@ Wire format: 4-byte big-endian frame length, 1-byte message type
 they are read: the type must be the one expected next, INIT/RESP payloads
 are two codec blobs read as key files are (one canonical form each in the
 exchange's B_n; a ``CodecError`` becomes a ``ProtocolError``), and CONFIRM
-carries the 32 bytes SHA256(key || "confirm" || role byte).  Any reliable
-ordered byte stream works as a transport.
+carries the 32 bytes SHA256(key || "confirm" || role byte).  The transport
+is a ``StreamChannel`` over a connected socket, which frames, checks and
+records the bytes of one party.
 """
 
 from __future__ import annotations
@@ -91,13 +92,17 @@ def nike_shared_key(me: KeyPair, peer: PublicKey, label: str = "nike") -> SymKey
 # ---------------------------------------------------------------------------
 
 class StreamChannel:
-    """Reliable ordered byte stream over a connected socket.  Transport
-    failures (timeouts, resets, broken pipes) surface as ProtocolError."""
+    """One party's connection over a connected socket: sends, receives and
+    checks frames, and records the raw frames in ``sent``/``received``.
+    Transport failures (timeouts, resets, broken pipes) surface as
+    ProtocolError."""
 
     def __init__(self, sock: socket.socket, timeout: float | None = None):
         self._sock = sock
         if timeout is not None:
             sock.settimeout(timeout)
+        self.sent = b""
+        self.received = b""
 
     def send_bytes(self, data: bytes) -> None:
         try:
@@ -124,50 +129,18 @@ class StreamChannel:
     def close(self) -> None:
         self._sock.close()
 
-
-def loopback_channels(timeout: float | None = 5.0) -> tuple[StreamChannel, StreamChannel]:
-    a, b = socket.socketpair()
-    return StreamChannel(a, timeout), StreamChannel(b, timeout)
-
-
-def encode_frame(msg_type: int, payload: bytes) -> bytes:
-    if len(payload) + 1 > MAX_FRAME:
-        raise ProtocolError(f"frame too large: {len(payload) + 1} bytes")
-    return struct.pack(">I", len(payload) + 1) + bytes([msg_type]) + payload
-
-
-def confirm_tag(key: SymKey, role: Role) -> bytes:
-    return hashlib.sha256(key.bytes + b"confirm" + ROLE_BYTE[role.value]).digest()
-
-
-@dataclass
-class KexResult:
-    role: Role
-    key: SymKey
-    sent: bytes
-    received: bytes
-
-
-class _Session:
-    """One side of a protocol run; records the raw bytes it sends/receives."""
-
-    def __init__(self, channel):
-        self.channel = channel
-        self.sent = b""
-        self.received = b""
-
     def send_frame(self, msg_type: int, payload: bytes) -> None:
         frame = encode_frame(msg_type, payload)
+        self.send_bytes(frame)
         self.sent += frame
-        self.channel.send_bytes(frame)
 
     def recv_frame(self, expect_type: int) -> bytes:
-        head = self.channel.recv_exact(4)
+        head = self.recv_exact(4)
         self.received += head
         (length,) = struct.unpack(">I", head)
         if not 1 <= length <= MAX_FRAME:
             raise ProtocolError(f"bad frame length {length}")
-        body = self.channel.recv_exact(length)
+        body = self.recv_exact(length)
         self.received += body
         msg_type, payload = body[0], body[1:]
         if msg_type != expect_type:
@@ -192,29 +165,50 @@ class _Session:
         return PublicKey(params, side, elements)
 
 
+def loopback_channels(timeout: float | None = 5.0) -> tuple[StreamChannel, StreamChannel]:
+    a, b = socket.socketpair()
+    return StreamChannel(a, timeout), StreamChannel(b, timeout)
+
+
+def encode_frame(msg_type: int, payload: bytes) -> bytes:
+    if len(payload) + 1 > MAX_FRAME:
+        raise ProtocolError(f"frame too large: {len(payload) + 1} bytes")
+    return struct.pack(">I", len(payload) + 1) + bytes([msg_type]) + payload
+
+
+def confirm_tag(key: SymKey, role: Role) -> bytes:
+    return hashlib.sha256(key.bytes + b"confirm" + ROLE_BYTE[role.value]).digest()
+
+
+@dataclass
+class KexResult:
+    key: SymKey
+    sent: bytes
+    received: bytes
+
+
 def kex_run(
     role: Role,
-    channel,
+    channel: StreamChannel,
     params: GroupParams,
     rng: SeededRng,
     confirm: bool = True,
 ) -> KexResult:
-    """Run one side of the interactive exchange over a byte stream.
+    """Run one side of the interactive exchange over a StreamChannel.
 
     The initiator plays the left subgroup and sends INIT(X1, X2); the
     responder plays the right subgroup and replies RESP(Y1, Y2).  Both
     derive the four-conjugate key under label "kex" and, unless confirm
     is disabled, exchange and verify confirmation tags.
     """
-    session = _Session(channel)
     if role is Role.INITIATOR:
         me = nike_keygen(params, SubgroupSide.LEFT, rng)
-        session.send_publics(MSG_INIT, me)
-        peer = session.recv_publics(MSG_RESP, params, SubgroupSide.RIGHT)
+        channel.send_publics(MSG_INIT, me)
+        peer = channel.recv_publics(MSG_RESP, params, SubgroupSide.RIGHT)
     else:
         me = nike_keygen(params, SubgroupSide.RIGHT, rng)
-        peer = session.recv_publics(MSG_INIT, params, SubgroupSide.LEFT)
-        session.send_publics(MSG_RESP, me)
+        peer = channel.recv_publics(MSG_INIT, params, SubgroupSide.LEFT)
+        channel.send_publics(MSG_RESP, me)
 
     key = nike_shared_key(me, peer, label="kex")
 
@@ -223,41 +217,34 @@ def kex_run(
         other_role = Role.RESPONDER if role is Role.INITIATOR else Role.INITIATOR
         expected = confirm_tag(key, other_role)
         if role is Role.INITIATOR:
-            session.send_frame(MSG_CONFIRM, mine)
-            theirs = session.recv_frame(MSG_CONFIRM)
+            channel.send_frame(MSG_CONFIRM, mine)
+            theirs = channel.recv_frame(MSG_CONFIRM)
         else:
-            theirs = session.recv_frame(MSG_CONFIRM)
-            session.send_frame(MSG_CONFIRM, mine)
+            theirs = channel.recv_frame(MSG_CONFIRM)
+            channel.send_frame(MSG_CONFIRM, mine)
         if not hmac.compare_digest(theirs, expected):
             raise KeyConfirmError("peer confirmation tag mismatch")
 
-    return KexResult(role, key, session.sent, session.received)
+    return KexResult(key, channel.sent, channel.received)
 
 
 # ---------------------------------------------------------------------------
 # Loopback driver (tests, demos, tamper fuzzing)
 # ---------------------------------------------------------------------------
 
-class FlippingChannel:
-    """Wraps a channel and flips the low bit of one byte of the outgoing stream."""
+class FlippingChannel(StreamChannel):
+    """Flips the low bit of the outgoing byte at flip_offset, an offset into
+    the frames this channel sends; ``sent`` keeps the intended bytes."""
 
-    def __init__(self, inner, flip_offset: int):
-        self.inner = inner
+    def __init__(self, sock: socket.socket, flip_offset: int, timeout: float | None = None):
+        super().__init__(sock, timeout)
         self.flip_offset = flip_offset
-        self._sent = 0
 
     def send_bytes(self, data: bytes) -> None:
-        lo = self.flip_offset - self._sent
+        lo = self.flip_offset - len(self.sent)
         if 0 <= lo < len(data):
             data = data[:lo] + bytes([data[lo] ^ 0x01]) + data[lo + 1 :]
-        self._sent += len(data)
-        self.inner.send_bytes(data)
-
-    def recv_exact(self, k: int) -> bytes:
-        return self.inner.recv_exact(k)
-
-    def close(self) -> None:
-        self.inner.close()
+        super().send_bytes(data)
 
 
 def loopback_run(
@@ -276,17 +263,15 @@ def loopback_run(
     """
     import threading
 
-    chan_i, chan_r = loopback_channels(timeout)
-    if tamper is not None:
-        role, offset = tamper
-        if role is Role.INITIATOR:
-            chan_i = FlippingChannel(chan_i, offset)
-        else:
-            chan_r = FlippingChannel(chan_r, offset)
+    chan_i, chan_r = (
+        FlippingChannel(sock, tamper[1], timeout) if tamper and tamper[0] is role
+        else StreamChannel(sock, timeout)
+        for role, sock in zip((Role.INITIATOR, Role.RESPONDER), socket.socketpair())
+    )
 
     outcomes: dict[Role, object] = {}
 
-    def side(role: Role, channel, rng: SeededRng) -> None:
+    def side(role: Role, channel: StreamChannel, rng: SeededRng) -> None:
         try:
             outcomes[role] = kex_run(role, channel, params, rng, confirm=confirm)
         except Exception as exc:

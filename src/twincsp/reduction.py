@@ -35,7 +35,7 @@ from .trapdoor import (
     DecisionQuery,
     Trapdoor,
     honest_query,
-    random_element,
+    random_element_differing,
     trapdoor_check,
     trapdoor_setup,
 )
@@ -143,24 +143,15 @@ def probing_adversary(
             else:
                 z1, z2 = q.Z1hat, q.Z2hat
                 if mode in (1, 3):
-                    z1 = _fresh_conjugate_differing(params, rng, q.Z1hat)
+                    z1 = random_element_differing(params, rng, q.Z1hat)
                 if mode in (2, 3):
-                    z2 = _fresh_conjugate_differing(params, rng, q.Z2hat)
+                    z2 = random_element_differing(params, rng, q.Z2hat)
                 q = DecisionQuery(q.Yhat, z1, z2)
                 labels.append(False)
             oracle(q)
         return nf_conjugate(X1, witness_y), nf_conjugate(X2, witness_y)
 
     return run, labels
-
-
-def _fresh_conjugate_differing(
-    params: GroupParams, rng: SeededRng, avoid: CanonicalForm
-) -> CanonicalForm:
-    while True:
-        cand = random_element(params, rng)
-        if cand != avoid:
-            return cand
 
 
 def oracle_leak_demo(

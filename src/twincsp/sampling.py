@@ -35,16 +35,11 @@ class SeededRng:
 
     @classmethod
     def from_hex(cls, hex_seed: str) -> "SeededRng":
-        raw = bytes.fromhex(hex_seed)
-        if len(raw) != 32:
-            raise ValueError("seed must be 64 hex characters")
-        return cls(raw)
+        return cls(bytes.fromhex(hex_seed))
 
-    def fork(self, label: bytes | str) -> "SeededRng":
+    def fork(self, label: str) -> "SeededRng":
         """Independent child stream; safe to hand to a parallel task."""
-        if isinstance(label, str):
-            label = label.encode()
-        return SeededRng(hashlib.sha256(self.seed + b"fork" + label).digest())
+        return SeededRng(hashlib.sha256(self.seed + b"fork" + label.encode()).digest())
 
     def rand_bytes(self, k: int) -> bytes:
         while len(self._buf) < k:

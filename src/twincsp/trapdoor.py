@@ -49,7 +49,6 @@ from .sampling import SeededRng, SubgroupSide, sample_subgroup
 class Trapdoor:
     """Hidden (r, s) plus the tied public pair (X1, X2)."""
 
-    params: GroupParams
     r: BraidWord
     s: BraidWord
     X1: CanonicalForm
@@ -72,7 +71,7 @@ def trapdoor_from_secrets(
     sgs = nf_conjugate(params.g.form, s)
     rX1r = nf_conjugate(X1, r)
     X2 = nf_multiply(sgs, nf_invert(rX1r))
-    return Trapdoor(params, r, s, X1, X2)
+    return Trapdoor(r, s, X1, X2)
 
 
 def trapdoor_setup(params: GroupParams, X1: CanonicalForm, rng: SeededRng) -> Trapdoor:
@@ -117,6 +116,14 @@ def random_element(params: GroupParams, rng: SeededRng) -> CanonicalForm:
     return normal_form(BraidWord(params.n, letters))
 
 
+def random_element_differing(params: GroupParams, rng: SeededRng,
+                             avoid: CanonicalForm) -> CanonicalForm:
+    """A random_element, redrawn until it differs from avoid."""
+    while (element := random_element(params, rng)) == avoid:
+        pass
+    return element
+
+
 def trapdoor_stats(params: GroupParams, trials: int, rng: SeededRng) -> tuple[int, int, int]:
     """Counts over `trials` fresh trapdoors, each tied to a fresh X1 = xgx^{-1}:
     (honest queries accepted, half-dishonest queries rejected, random queries
@@ -128,9 +135,7 @@ def trapdoor_stats(params: GroupParams, trials: int, rng: SeededRng) -> tuple[in
         td = trapdoor_setup(params, nf_conjugate(params.g.form, x), rng)
         q, _y = honest_query((td.X1, td.X2), params, rng)
         complete += trapdoor_check(td, q)
-        junk = random_element(params, rng)
-        while junk == q.Z2hat:
-            junk = random_element(params, rng)
+        junk = random_element_differing(params, rng, q.Z2hat)
         rejected += not trapdoor_check(td, DecisionQuery(q.Yhat, q.Z1hat, junk))
         rnd = DecisionQuery(*(random_element(params, rng) for _ in range(3)))
         random_passes += trapdoor_check(td, rnd)

@@ -1,6 +1,5 @@
 """Operator-facing CLI: round trips, determinism, exit codes."""
 
-import argparse
 import gc
 import os
 import socket
@@ -20,11 +19,12 @@ from twincsp import (
     PublicKey,
     SeededRng,
     SubgroupSide,
+    default_params,
     normal_form,
     sample_subgroup,
     serialize_canonical,
 )
-from twincsp.cli import EXIT_CRYPTO, EXIT_IO, EXIT_OK, EXIT_USAGE, _get_params, dispatch
+from twincsp.cli import EXIT_CRYPTO, EXIT_IO, EXIT_OK, EXIT_USAGE, dispatch
 from twincsp.kex import MSG_INIT, MSG_RESP, encode_frame
 from twincsp.keyfiles import decode_keypair, encode_keypair, encode_public_key
 
@@ -143,7 +143,7 @@ class TestExitCodes:
         assert not (workdir / "k.pub").exists()
 
     def test_largest_params_fit_the_key_file(self):
-        params = _get_params(argparse.Namespace(l=16384, r=16384, length=65535))
+        params = default_params(16384, 16384, 65535)
         n = params.n
         kp = KeyPair(params, SubgroupSide.LEFT, (BraidWord(n, (1 - params.l,)),),
                      (normal_form(BraidWord(n, (n - 1,))),))
@@ -291,6 +291,10 @@ class TestDemos:
         assert dispatch(["kex-demo", "--seed", SEED]) == EXIT_OK
         assert "agree" in capsys.readouterr().out
 
+    def test_kex_demo_loopback_without_confirmation(self, workdir, capsys):
+        assert dispatch(["kex-demo", "--no-confirm", "--seed", SEED]) == EXIT_OK
+        assert "agree" in capsys.readouterr().out
+
     def test_kex_demo_nike(self, workdir, capsys):
         assert dispatch(["kex-demo", "--mode", "nike", "--seed", SEED]) == EXIT_OK
         assert "agree" in capsys.readouterr().out
@@ -363,6 +367,13 @@ class TestDemos:
         assert dispatch(["kex-demo", "--listen", addr, "--connect", addr]) == EXIT_USAGE
         assert "not allowed with argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--listen", "--connect"])
+    @pytest.mark.parametrize("port", ["70000", "-5"])
+    def test_kex_demo_port_out_of_range_is_exit_1(self, workdir, capsys, flag, port):
+        argv = ["kex-demo", flag, f"127.0.0.1:{port}", "--seed", SEED]
+        assert dispatch(argv) == EXIT_USAGE
+        assert f"port must be in 0..65535, got {port}" in capsys.readouterr().err
+
     def test_kex_demo_nike_refuses_an_address(self, workdir, capsys):
         argv = ["kex-demo", "--mode", "nike", "--listen", "127.0.0.1:9", "--seed", SEED]
         assert dispatch(argv) == EXIT_USAGE
@@ -379,6 +390,12 @@ class TestDemos:
         out = capsys.readouterr().out
         assert "ground-truth match: yes" in out
         assert "agreement 20/20" in out
+
+    def test_reduce_demo_beyond_the_default_query_budget(self, workdir, capsys):
+        argv = ["reduce-demo", "--queries", "1025", "--l", "3", "--r", "3", "--length", "2",
+                "--seed", "11" * 32]
+        assert dispatch(argv) == EXIT_OK
+        assert "reduce-demo: 1025 oracle queries" in capsys.readouterr().out
 
 
 class TestModuleEntryPoints:

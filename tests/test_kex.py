@@ -263,6 +263,20 @@ class TestInteractive:
             )
             assert aborted(out_i) or aborted(out_r), f"no abort at offset {pos}"
 
+    def test_tamper_keeps_the_intended_bytes_in_sent(self, params):
+        # the last byte of the responder's CONFIRM tag arrives flipped
+        _base_i, base_r = loopback_run(params, rng_from(105), rng_from(106))
+        out_i, out_r = loopback_run(
+            params,
+            rng_from(105),
+            rng_from(106),
+            tamper=(Role.RESPONDER, len(base_r.sent) - 1),
+            timeout=2.0,
+        )
+        assert not aborted(out_r)
+        assert out_r.sent == base_r.sent
+        assert isinstance(out_i, KeyConfirmError)
+
     def test_confirm_tag_mismatch_is_key_confirm_error(self, params):
         res_i, _ = loopback_run(params, rng_from(109), rng_from(110))
         confirm_tag_offset = len(res_i.sent) - 16  # inside the CONFIRM tag

@@ -23,3 +23,15 @@ def test_pair_work_counts_pke_short():
         assert key in counts
     assert counts["pair_calls_per_op"] > 0
     assert counts["meets_per_op"] == 0  # B_16 is below braid.MEET_FROM
+
+
+def test_pair_work_counts_kex_b32_meets():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "pair_work.py"), "--workload", "kex-b32",
+         "--seed", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["pair_calls_per_op"] > 0
+    assert counts["meets_per_op"] > 0  # B_32 is at or above braid.MEET_FROM
