@@ -11,11 +11,12 @@ and no second encoding of an element exists.  Domain labels
 ("cs", "twin", "nike", "kex", "confirm") keep the protocols' key spaces
 disjoint.
 
-The cipher is a deterministic hash-counter keystream with an HMAC-SHA-256
-tag over "mac" || ciphertext; HMAC, unlike a bare hash of key || data,
-cannot be extended to a longer ciphertext without the key.  Keys here are
-one-time outputs of H, which is what makes that adequate; this is
-deliberately not a general-purpose AEAD.
+The cipher XORs the message with SHAKE-256(key || "ks") (the FIPS 202
+extendable-output function, one call per message) and appends an
+HMAC-SHA-256 tag over "mac" || ciphertext; HMAC, unlike a bare hash of
+key || data, cannot be extended to a longer ciphertext without the key.
+Keys here are one-time outputs of H, which is what makes that adequate;
+this is deliberately not a general-purpose AEAD.
 
 Wire encoding of a canonical form (all integers big-endian):
 
@@ -24,7 +25,7 @@ Wire encoding of a canonical form (all integers big-endian):
 
 Raw words (kind 0x01) encode the letter count then signed 2-byte letters.
 Hash input: label length (1) | ASCII label | element count (1) |
-concatenated serializations.  The hash is SHA-256 throughout.
+concatenated serializations.  H is SHA-256.
 
 Key files, ciphertext files and key-exchange frames share one field
 layout, blob = 4-byte big-endian length | payload, built by ``blob`` and
@@ -88,10 +89,12 @@ class SealedBox:
 
 def serialize_canonical(cf: CanonicalForm) -> bytes:
     """Injective byte encoding of a canonical form."""
-    parts = [
-        MAGIC,
-        struct.pack(">BBHiI", VERSION, KIND_CANONICAL, cf.n, cf.delta_exp, len(cf.factors)),
-    ]
+    try:
+        head = struct.pack(">BBHiI", VERSION, KIND_CANONICAL, cf.n, cf.delta_exp, len(cf.factors))
+    except struct.error as exc:
+        raise ValueError(f"B_{cf.n} form does not fit the encoding: n must be at most 65535 "
+                         f"and delta_exp fit in 4 signed bytes ({exc})") from exc
+    parts = [MAGIC, head]
     for f in cf.factors:
         parts.append(struct.pack(f">{cf.n}H", *f.perm))
     return b"".join(parts)
@@ -136,8 +139,12 @@ def read_canonical(data: bytes, offset: int) -> tuple[CanonicalForm, int]:
 
 def serialize_word(w: BraidWord) -> bytes:
     """Raw-word encoding (kind 0x01): letter count then signed 2-byte letters."""
-    head = MAGIC + struct.pack(">BBHI", VERSION, KIND_WORD, w.n, len(w.letters))
-    return head + struct.pack(f">{len(w.letters)}h", *w.letters)
+    try:
+        head = MAGIC + struct.pack(">BBHI", VERSION, KIND_WORD, w.n, len(w.letters))
+        return head + struct.pack(f">{len(w.letters)}h", *w.letters)
+    except struct.error as exc:
+        raise ValueError(f"B_{w.n} word does not fit the encoding: letters must lie "
+                         f"within +-32767, so n at most 32768 ({exc})") from exc
 
 
 def read_word(data: bytes, offset: int) -> tuple[BraidWord, int]:
@@ -230,15 +237,7 @@ def hash_elements(label: str, elems: list[CanonicalForm] | tuple[CanonicalForm, 
 
 
 def _keystream(key: SymKey, length: int) -> bytes:
-    """Block i is SHA256(key || "ks" || i as 8 bytes); the shared prefix is
-    hashed once and copied for every block."""
-    prefix = hashlib.sha256(key.bytes + b"ks")
-    blocks = []
-    for i in range((length + 31) // 32):
-        h = prefix.copy()
-        h.update(i.to_bytes(8, "big"))
-        blocks.append(h.digest())
-    return b"".join(blocks)[:length]
+    return hashlib.shake_256(key.bytes + b"ks").digest(length)
 
 
 def _tag(key: SymKey, ct: bytes) -> bytes:
@@ -254,7 +253,7 @@ def _xor_keystream(key: SymKey, data: bytes) -> bytes:
 
 
 def sym_encrypt(key: SymKey, message: bytes) -> SealedBox:
-    """XOR with the hash-counter keystream, then MAC the ciphertext."""
+    """XOR with the SHAKE-256 keystream, then MAC the ciphertext."""
     ct = _xor_keystream(key, message)
     return SealedBox(ct=ct, tag=_tag(key, ct))
 

@@ -165,11 +165,6 @@ class StreamChannel:
         return PublicKey(params, side, elements)
 
 
-def loopback_channels(timeout: float | None = 5.0) -> tuple[StreamChannel, StreamChannel]:
-    a, b = socket.socketpair()
-    return StreamChannel(a, timeout), StreamChannel(b, timeout)
-
-
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
     if len(payload) + 1 > MAX_FRAME:
         raise ProtocolError(f"frame too large: {len(payload) + 1} bytes")

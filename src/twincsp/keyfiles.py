@@ -6,12 +6,12 @@ field, 4-byte length + payload, read by ``codec.Reader``):
     key file:   "TCSPKEY" | version 0x01 | scheme (0x01 cs / 0x02 twin) |
                 role (0x01 public / 0x02 secret) | n:2 l:2 r:2 W:2 |
                 blob(raw word g) | key material blobs
-    ct file:    "TCSPCT"  | version 0x02 | scheme |
+    ct file:    "TCSPCT"  | version 0x03 | scheme |
                 blob(canonical Y) | blob(ciphertext) | blob(tag)
 
-Ciphertext files of version 0x01 carried a tag SHA256(key || "mac" || ct),
-which length extension forges; version 0x02 carries the HMAC tag of the
-codec, and 0x01 files are refused.
+Version 0x03 carries the codec's SHAKE-256 keystream and HMAC tag; older
+versions are refused (``REFUSED_CT_VERSIONS``), since a 0x02 body would pass
+the tag, which covers only the ciphertext, and open to garbage.
 
 Key files hold one key type for both schemes: the scheme byte is k, the
 number of secrets, and the key material is the k secret words w_1..w_k
@@ -48,7 +48,11 @@ from .sampling import SubgroupSide
 KEY_MAGIC = b"TCSPKEY"
 CT_MAGIC = b"TCSPCT"
 KEY_FILE_VERSION = 0x01
-CT_FILE_VERSION = 0x02
+CT_FILE_VERSION = 0x03
+REFUSED_CT_VERSIONS = {
+    0x01: "its tag is forgeable by length extension",
+    0x02: "its body uses the SHA-256 counter keystream",
+}
 ROLE_PUBLIC = 0x01
 ROLE_SECRET = 0x02
 ROLE_NAMES = {ROLE_PUBLIC: "public", ROLE_SECRET: "secret"}
@@ -150,10 +154,10 @@ def decode_ciphertext(data: bytes, key: KeyPair | None = None) -> Ciphertext:
     if r.take(len(CT_MAGIC), "magic") != CT_MAGIC:
         raise CodecError("bad magic", 0)
     (version,) = r.take(1, "version")
-    if version == 0x01:
+    if version in REFUSED_CT_VERSIONS:
         raise CodecError(
-            "unsupported ciphertext file version 0x01: its tag is forgeable by "
-            "length extension; encrypt the message again", r.offset - 1)
+            f"unsupported ciphertext file version 0x{version:02x}: "
+            f"{REFUSED_CT_VERSIONS[version]}; encrypt the message again", r.offset - 1)
     if version != CT_FILE_VERSION:
         raise CodecError(f"unsupported version 0x{version:02x}", r.offset - 1)
     (scheme,) = r.take(1, "scheme byte")

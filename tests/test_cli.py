@@ -207,6 +207,13 @@ class TestExitCodes:
         assert self.decrypt(workdir, bytes(blob)) == EXIT_IO
         assert "length extension" in capsys.readouterr().err
 
+    def test_version_2_ciphertext_is_exit_2(self, workdir, capsys):
+        blob = bytearray(self.encrypted(workdir))
+        assert blob[6] == 0x03
+        blob[6] = 0x02
+        assert self.decrypt(workdir, bytes(blob)) == EXIT_IO
+        assert "SHA-256 counter keystream" in capsys.readouterr().err
+
     def test_key_material_not_matching_params_is_exit_2(self, workdir, capsys):
         (workdir / "msg").write_bytes(b"x")
         keygen(workdir)

@@ -11,6 +11,7 @@ from conftest import random_word, rewrite_equivalent, rng_from
 from twincsp import (
     AuthenticationError,
     BraidWord,
+    CanonicalForm,
     SealedBox,
     SymKey,
     hash_elements,
@@ -22,6 +23,7 @@ from twincsp import (
 from twincsp.codec import (
     KEY_BYTES,
     CodecError,
+    _keystream,
     deserialize_canonical,
     read_word,
     serialize_word,
@@ -79,6 +81,16 @@ class TestSerialization:
         data = serialize_canonical(normal_form(BraidWord(4, (1, 2))))
         with pytest.raises(CodecError, match="truncated"):
             deserialize_canonical(data[:-3])
+
+    def test_word_beyond_the_letter_field_is_value_error(self):
+        with pytest.raises(ValueError, match=r"\+-32767, so n at most 32768"):
+            serialize_word(BraidWord(40000, (39999,)))
+
+    def test_form_beyond_the_strand_field_is_value_error(self):
+        with pytest.raises(ValueError, match="n must be at most 65535"):
+            serialize_canonical(CanonicalForm(70000, 0, ()))
+        with pytest.raises(ValueError, match="n must be at most 65535"):
+            hash_elements("cs", [CanonicalForm(70000, 0, ())])
 
     def test_non_permutation_rejected(self):
         data = bytearray(serialize_canonical(normal_form(BraidWord(4, (1,)))))
@@ -243,6 +255,31 @@ class TestSymmetricPair:
         box = sym_encrypt(key, b"0123456789")
         with pytest.raises(AuthenticationError):
             sym_decrypt(key, SealedBox(box.ct[:-1], box.tag))
+
+
+class TestKeystream:
+    """The keystream is SHAKE-256(key || "ks"), one XOF call per message."""
+
+    def test_known_answer(self):
+        key = SymKey(bytes(range(32)))
+        assert _keystream(key, 32).hex() == (
+            "c423c58b8762bdec08b7b4f136af5d72bc7a5696ea350516fef20558d9fbc54c"
+        )
+
+    # SHAKE-256 absorbs and squeezes 136 bytes per permutation.
+    @pytest.mark.parametrize("size", [135, 136, 137, 272, 2**20 + 1])
+    def test_round_trip_at_rate_boundaries(self, size):
+        key = key_from(10)
+        msg = rng_from(size).rand_bytes(size)
+        box = sym_encrypt(key, msg)
+        assert len(box.ct) == size
+        assert sym_decrypt(key, box) == msg
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 1000), st.integers(1, 1000), st.integers(0, 2**31))
+    def test_shorter_stream_is_a_prefix(self, n, extra, tag):
+        key = SymKey(rng_from(tag).rand_bytes(32))
+        assert _keystream(key, n + extra)[:n] == _keystream(key, n)
 
 
 # SHA-256 compression in pure Python, enough to continue a digest from its

@@ -1,6 +1,7 @@
 """Key exchange: non-interactive agreement, the framed interactive
 protocol, confirmation, and tamper evidence."""
 
+import socket
 import struct
 
 import pytest
@@ -25,9 +26,15 @@ from twincsp.kex import (
     MSG_CONFIRM,
     MSG_INIT,
     MSG_RESP,
+    StreamChannel,
     encode_frame,
-    loopback_channels,
 )
+
+
+def loopback_channels(timeout: float | None = 5.0) -> tuple[StreamChannel, StreamChannel]:
+    """Two connected channels over a socketpair."""
+    a, b = socket.socketpair()
+    return StreamChannel(a, timeout), StreamChannel(b, timeout)
 
 
 def aborted(outcome) -> bool:

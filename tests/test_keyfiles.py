@@ -24,6 +24,7 @@ from twincsp import (
 from twincsp.cli import EXIT_IO, dispatch
 from twincsp.codec import CodecError, blob, serialize_canonical, serialize_word
 from twincsp.keyfiles import (
+    CT_FILE_VERSION,
     CT_MAGIC,
     KEY_MAGIC,
     decode_ciphertext,
@@ -89,9 +90,20 @@ class TestDiagnostics:
     def test_ciphertext_version_1_refused(self, twin_material):
         _, ct = twin_material
         data = bytearray(encode_ciphertext(ct))
-        assert data[6] == 0x02  # version byte follows the 6-byte magic
+        assert data[6] == CT_FILE_VERSION  # version byte follows the 6-byte magic
         data[6] = 0x01
         with pytest.raises(CodecError, match="0x01.*length extension") as exc:
+            decode_ciphertext(bytes(data))
+        assert exc.value.offset == 6
+
+    def test_ciphertext_version_2_refused(self, twin_material):
+        """A 0x02 body was XORed with the SHA-256 counter keystream; its tag
+        would still verify, so the version byte is what refuses it."""
+        _, ct = twin_material
+        data = bytearray(encode_ciphertext(ct))
+        assert data[6] == CT_FILE_VERSION == 0x03
+        data[6] = 0x02
+        with pytest.raises(CodecError, match="0x02.*SHA-256 counter keystream") as exc:
             decode_ciphertext(bytes(data))
         assert exc.value.offset == 6
 
