@@ -111,7 +111,9 @@ def _build_parser() -> _Parser:
 
 
 def _get_rng(args) -> SeededRng:
-    seed_hex = getattr(args, "seed", None) or os.environ.get("TCSP_SEED")
+    seed_hex = getattr(args, "seed", None)
+    if seed_hex is None:
+        seed_hex = os.environ.get("TCSP_SEED")
     if seed_hex is None:
         seed = os.urandom(32)
         print(f"seed: {seed.hex()}", file=sys.stderr)

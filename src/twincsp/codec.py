@@ -28,10 +28,13 @@ Hash input: label length (1) | ASCII label | element count (1) |
 concatenated serializations.  H is SHA-256.
 
 Key files, ciphertext files and key-exchange frames share one field
-layout, blob = 4-byte big-endian length | payload, built by ``blob`` and
-read by ``Reader``, whose ``element`` runs the strict decoder above on an
-element that must fill its blob.  Every parse failure is a ``CodecError``
-naming the byte offset; the CLI maps it to exit 2, kex to ProtocolError.
+layout, blob = 4-byte big-endian length | payload, built by ``blob``.
+``Reader`` is the one parser of outside bytes, element decoders included:
+truncation, magics, one-byte tables and trailing bytes are each checked
+by one of its methods, and ``Reader.element`` parses an element from a
+reader bounded by its blob.  Every parse failure is a ``CodecError``
+built by ``Reader.error``, naming one absolute byte offset; the CLI maps
+it to exit 2, kex to ProtocolError.
 """
 
 from __future__ import annotations
@@ -101,40 +104,36 @@ def serialize_canonical(cf: CanonicalForm) -> bytes:
 
 
 def deserialize_canonical(data: bytes) -> CanonicalForm:
-    cf, used = read_canonical(data, 0)
-    if used != len(data):
-        raise CodecError("trailing bytes after canonical form", used)
+    r = Reader(data)
+    cf = read_canonical(r)
+    r.done()
     return cf
 
 
-def read_canonical(data: bytes, offset: int) -> tuple[CanonicalForm, int]:
-    """Parse one canonical form starting at offset; returns (value, next offset).
+def read_canonical(r: Reader) -> CanonicalForm:
+    """Parse one canonical form from r.
 
     Rejects factor tables that are not those of a normal form: a factor
     that is not a permutation, an identity or half-twist factor, or an
     adjacent pair that is not left-weighted."""
-    n, offset = _read_common(data, offset, KIND_CANONICAL)
-    if offset + 8 > len(data):
-        raise CodecError("truncated header", offset)
-    delta_exp, count = struct.unpack_from(">iI", data, offset)
-    offset += 8
+    n = _read_common(r, KIND_CANONICAL)
+    delta_exp, count = r.unpack(">iI", "header")
+    table = struct.Struct(f">{n}H")
     factors: list[PermutationBraid] = []
     for _ in range(count):
-        if offset + 2 * n > len(data):
-            raise CodecError("truncated factor table", offset)
-        perm = struct.unpack_from(f">{n}H", data, offset)
+        at = r.offset
+        perm = table.unpack(r.take(table.size, "factor table"))
         if not pm.is_permutation(perm):
-            raise CodecError(f"not a permutation of 0..{n - 1}: {perm}", offset)
+            raise r.error(f"not a permutation of 0..{n - 1}: {perm}", at)
         if perm == pm.identity(n):
-            raise CodecError("identity factor in canonical form", offset)
+            raise r.error("identity factor in canonical form", at)
         if perm == pm.half_twist(n):
-            raise CodecError("half-twist factor in canonical form", offset)
+            raise r.error("half-twist factor in canonical form", at)
         # left-weighted: S(B), the descents of B^-1, lies in F(A), A's descents
         if factors and not pm.descents(pm.inverse(perm)) <= pm.descents(factors[-1].perm):
-            raise CodecError("factor pair not left-weighted", offset)
+            raise r.error("factor pair not left-weighted", at)
         factors.append(PermutationBraid(n, perm))
-        offset += 2 * n
-    return CanonicalForm(n, delta_exp, tuple(factors)), offset
+    return CanonicalForm(n, delta_exp, tuple(factors))
 
 
 def serialize_word(w: BraidWord) -> bytes:
@@ -147,36 +146,25 @@ def serialize_word(w: BraidWord) -> bytes:
                          f"within +-32767, so n at most 32768 ({exc})") from exc
 
 
-def read_word(data: bytes, offset: int) -> tuple[BraidWord, int]:
-    n, offset = _read_common(data, offset, KIND_WORD)
-    if offset + 4 > len(data):
-        raise CodecError("truncated header", offset)
-    (count,) = struct.unpack_from(">I", data, offset)
-    offset += 4
-    if offset + 2 * count > len(data):
-        raise CodecError("truncated letter table", offset)
-    letters = struct.unpack_from(f">{count}h", data, offset)
-    offset += 2 * count
+def read_word(r: Reader) -> BraidWord:
+    n = _read_common(r, KIND_WORD)
+    (count,) = r.unpack(">I", "letter count")
+    letters = r.unpack(f">{count}h", "letter table")
     try:
-        return BraidWord(n, letters), offset
+        return BraidWord(n, letters)
     except ValueError as exc:
-        raise CodecError(str(exc), offset - 2 * count) from exc
+        raise r.error(str(exc), r.offset - 2 * count) from exc
 
 
-def _read_common(data: bytes, offset: int, expect_kind: int) -> tuple[int, int]:
-    if data[offset : offset + 4] != MAGIC:
-        raise CodecError("bad magic", offset)
-    offset += 4
-    if offset + 4 > len(data):
-        raise CodecError("truncated header", offset)
-    version, kind, n = struct.unpack_from(">BBH", data, offset)
-    if version != VERSION:
-        raise CodecError(f"unsupported version 0x{version:02x}", offset)
-    if kind != expect_kind:
-        raise CodecError(f"unexpected kind 0x{kind:02x}", offset + 1)
+def _read_common(r: Reader, kind: int) -> int:
+    """The magic, version and kind of an element; returns its strand count."""
+    r.magic(MAGIC)
+    r.byte("version", (VERSION,))
+    r.byte("kind", (kind,))
+    (n,) = r.unpack(">H", "strand count")
     if n < 2:
-        raise CodecError(f"bad strand count {n}", offset + 2)
-    return n, offset + 4
+        raise r.error(f"bad strand count {n}", r.offset - 2)
+    return n
 
 
 def blob(payload: bytes) -> bytes:
@@ -185,41 +173,60 @@ def blob(payload: bytes) -> bytes:
 
 
 class Reader:
-    """Reads the fields of data in order; offsets in errors are into data."""
+    """The one parser of outside bytes: reads the fields of data[offset:end]
+    in order.  Every CodecError it builds names one absolute offset into
+    data, after the prefix that names the element being parsed."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, offset: int = 0, end: int | None = None, prefix: str = ""):
         self.data = data
-        self.offset = 0
+        self.offset = offset
+        self.end = len(data) if end is None else end
+        self.prefix = prefix
+
+    def error(self, message: str, offset: int | None = None) -> CodecError:
+        return CodecError(self.prefix + message, self.offset if offset is None else offset)
 
     def take(self, k: int, what: str) -> bytes:
-        if self.offset + k > len(self.data):
-            raise CodecError(f"truncated {what}", self.offset)
-        out = self.data[self.offset : self.offset + k]
-        self.offset += k
-        return out
+        start = self.offset
+        if start + k > self.end:
+            raise self.error(f"truncated {what}")
+        self.offset = start + k
+        return self.data[start : start + k]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def magic(self, m: bytes) -> None:
+        if self.take(len(m), "magic") != m:
+            raise self.error("bad magic", self.offset - len(m))
+
+    def byte(self, what: str, known) -> int:
+        """One byte that must be in known (a table of the supported values)."""
+        (b,) = self.take(1, what)
+        if b not in known:
+            raise self.error(f"unsupported {what} 0x{b:02x}", self.offset - 1)
+        return b
 
     def blob(self, what: str) -> bytes:
-        (ln,) = struct.unpack(">I", self.take(4, f"{what} length"))
+        (ln,) = self.unpack(">I", f"{what} length")
         return self.take(ln, what)
 
     def element(self, read, what: str, n: int | None = None):
         """One element decoded by read (read_canonical or read_word) from
         its own blob, which it must fill; given n, it must live in B_n."""
-        base = self.offset + 4
-        payload = self.blob(what)
-        try:
-            value, used = read(payload, 0)
-        except CodecError as exc:
-            raise CodecError(f"bad {what}: {exc}", base + exc.offset) from exc
-        if used != len(payload):
-            raise CodecError(f"trailing bytes in {what}", base + used)
+        start = self.offset + 4
+        self.blob(what)
+        sub = Reader(self.data, start, self.offset, f"bad {what}: ")
+        value = read(sub)
+        if sub.offset != sub.end:
+            raise self.error(f"trailing bytes in {what}", sub.offset)
         if n is not None and value.n != n:
-            raise CodecError(f"{what} lives in B_{value.n}, params say B_{n}", base)
+            raise self.error(f"{what} lives in B_{value.n}, params say B_{n}", start)
         return value
 
     def done(self) -> None:
-        if self.offset != len(self.data):
-            raise CodecError("trailing bytes", self.offset)
+        if self.offset != self.end:
+            raise self.error("trailing bytes")
 
 
 def hash_elements(label: str, elems: list[CanonicalForm] | tuple[CanonicalForm, ...]) -> SymKey:

@@ -23,8 +23,10 @@ then each word and element is checked against them (strand count, and
 for secrets every letter in 1..l-1) without normal-form work.  The
 role byte is read here only: ``decode_key`` returns whichever key the file
 holds.  Given the decrypting key, ``decode_ciphertext`` also checks the
-header element's strand count and the scheme byte against it.  Every
-failure is a ``codec.CodecError`` naming the offending byte offset.
+header element's strand count and the scheme byte against it.  Both
+decoders read every byte through one ``codec.Reader`` (magic, one-byte
+fields against their tables, elements in their blobs), so every failure
+is a ``codec.CodecError`` naming one absolute byte offset into the file.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import struct
 
 from .braid import BraidWord, GroupParams
 from .codec import (
-    CodecError,
     Reader,
     SealedBox,
     blob,
@@ -64,9 +65,8 @@ def _read_secret(r: Reader, what: str, params: GroupParams) -> BraidWord:
     start = r.offset - 2 * len(w.letters)  # 2-byte letters end the blob
     for i, v in enumerate(w.letters):
         if abs(v) >= params.l:
-            raise CodecError(
-                f"{what} letter {v} is outside the left subgroup 1..{params.l - 1}",
-                start + 2 * i)
+            raise r.error(f"{what} letter {v} is outside the left subgroup "
+                          f"1..{params.l - 1}", start + 2 * i)
     return w
 
 
@@ -88,28 +88,21 @@ def decode_key(data: bytes, role: int | None = None) -> PublicKey | KeyPair:
     byte must say that): the k secret words of a secret file, then the k
     public elements, each checked against the params."""
     r = Reader(data)
-    if r.take(len(KEY_MAGIC), "magic") != KEY_MAGIC:
-        raise CodecError("bad magic", 0)
-    (version,) = r.take(1, "version")
-    if version != KEY_FILE_VERSION:
-        raise CodecError(f"unsupported version 0x{version:02x}", r.offset - 1)
-    (k,) = r.take(1, "scheme byte")
-    if k not in SCHEME_NAMES:
-        raise CodecError(f"unknown scheme 0x{k:02x}", r.offset - 1)
-    (found,) = r.take(1, "role byte")
-    if found not in ROLE_NAMES:
-        raise CodecError(f"unknown role 0x{found:02x}", r.offset - 1)
-    n, l, rr, W = struct.unpack(">HHHH", r.take(8, "params"))
+    r.magic(KEY_MAGIC)
+    r.byte("version", (KEY_FILE_VERSION,))
+    k = r.byte("scheme", SCHEME_NAMES)
+    found = r.byte("role", ROLE_NAMES)
+    n, l, rr, W = r.unpack(">HHHH", "params")
     g = r.element(read_word, "base element")
     try:
         params = GroupParams(l=l, r=rr, g=g, W=W)
     except ValueError as exc:
-        raise CodecError(f"bad params: {exc}", r.offset) from exc
+        raise r.error(f"bad params: {exc}") from exc
     if params.n != n:
-        raise CodecError(f"params say n={n} but l+r={params.n}", r.offset)
+        raise r.error(f"params say n={n} but l+r={params.n}")
     if role not in (None, found):
-        raise CodecError(f"expected a {ROLE_NAMES[role]} key file, "
-                         f"found a {ROLE_NAMES[found]} key", 9)
+        raise r.error(f"expected a {ROLE_NAMES[role]} key file, "
+                      f"found a {ROLE_NAMES[found]} key", 9)
     ordinals = ("",) if k == 1 else ("first ", "second ")
     secrets = ()
     if found == ROLE_SECRET:
@@ -151,25 +144,18 @@ def decode_ciphertext(data: bytes, key: KeyPair | None = None) -> Ciphertext:
     """Decode a ciphertext file; given the decrypting key, also check that
     the header element lives in the key's B_n and the scheme byte is its k."""
     r = Reader(data)
-    if r.take(len(CT_MAGIC), "magic") != CT_MAGIC:
-        raise CodecError("bad magic", 0)
-    (version,) = r.take(1, "version")
+    r.magic(CT_MAGIC)
+    version = r.byte("version", {CT_FILE_VERSION, *REFUSED_CT_VERSIONS})
     if version in REFUSED_CT_VERSIONS:
-        raise CodecError(
-            f"unsupported ciphertext file version 0x{version:02x}: "
-            f"{REFUSED_CT_VERSIONS[version]}; encrypt the message again", r.offset - 1)
-    if version != CT_FILE_VERSION:
-        raise CodecError(f"unsupported version 0x{version:02x}", r.offset - 1)
-    (scheme,) = r.take(1, "scheme byte")
-    scheme_at = r.offset - 1
-    if scheme not in SCHEME_NAMES:
-        raise CodecError(f"unknown scheme 0x{scheme:02x}", scheme_at)
+        raise r.error(f"unsupported ciphertext file version 0x{version:02x}: "
+                      f"{REFUSED_CT_VERSIONS[version]}; encrypt the message again", r.offset - 1)
+    scheme = r.byte("scheme", SCHEME_NAMES)
     Y = r.element(read_canonical, "header element", None if key is None else key.params.n)
     ct_bytes = r.blob("ciphertext body")
     tag = r.blob("tag")
     if len(tag) != 32:
-        raise CodecError("tag must be 32 bytes", r.offset - len(tag))
+        raise r.error("tag must be 32 bytes", r.offset - len(tag))
     r.done()
     if key is not None and scheme != key.k:
-        raise CodecError("ciphertext scheme does not match key", scheme_at)
+        raise r.error("ciphertext scheme does not match key", len(CT_MAGIC) + 1)
     return Ciphertext(scheme, Y, SealedBox(ct_bytes, tag))

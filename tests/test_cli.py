@@ -260,6 +260,12 @@ class TestExitCodes:
     def test_bad_seed_is_usage_error(self, workdir):
         assert dispatch(["keygen", "--out", str(workdir / "k"), "--seed", "zz"]) == EXIT_USAGE
 
+    def test_empty_seed_is_usage_error(self, workdir, monkeypatch):
+        # --seed "$SEED" with SEED unset must not fall back to fresh entropy
+        monkeypatch.delenv("TCSP_SEED", raising=False)
+        assert dispatch(["keygen", "--out", str(workdir / "k"), "--seed", ""]) == EXIT_USAGE
+        assert list(workdir.iterdir()) == []
+
     @pytest.mark.parametrize("command, flag, value", [
         ("trapdoor-demo", "--trials", "0"),
         ("trapdoor-demo", "--trials", "-3"),

@@ -23,6 +23,7 @@ from twincsp import (
 from twincsp.codec import (
     KEY_BYTES,
     CodecError,
+    Reader,
     _keystream,
     deserialize_canonical,
     read_word,
@@ -61,8 +62,8 @@ class TestSerialization:
     def test_word_round_trip(self):
         word = BraidWord(7, (1, -6, 3, 3, -2))
         data = serialize_word(word)
-        out, used = read_word(data, 0)
-        assert out == word and used == len(data)
+        r = Reader(data)
+        assert read_word(r) == word and r.offset == len(data)
 
     def test_bad_magic_offset(self):
         data = bytearray(serialize_canonical(normal_form(BraidWord(4, (1,)))))
@@ -81,6 +82,18 @@ class TestSerialization:
         data = serialize_canonical(normal_form(BraidWord(4, (1, 2))))
         with pytest.raises(CodecError, match="truncated"):
             deserialize_canonical(data[:-3])
+
+    def test_cut_after_kind_names_the_strand_count(self):
+        data = serialize_canonical(normal_form(BraidWord(4, (1, 2))))
+        with pytest.raises(CodecError, match="truncated strand count") as exc:
+            deserialize_canonical(data[:6])
+        assert exc.value.offset == 6
+
+    def test_trailing_bytes_after_form(self):
+        data = serialize_canonical(normal_form(BraidWord(4, (1, 2))))
+        with pytest.raises(CodecError, match="trailing bytes") as exc:
+            deserialize_canonical(data + b"\x00")
+        assert exc.value.offset == len(data)
 
     def test_word_beyond_the_letter_field_is_value_error(self):
         with pytest.raises(ValueError, match=r"\+-32767, so n at most 32768"):

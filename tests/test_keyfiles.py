@@ -114,6 +114,24 @@ class TestDiagnostics:
         with pytest.raises(CodecError, match="scheme"):
             decode_keypair(bytes(data))
 
+    def test_unknown_role(self, twin_material):
+        kp, _ = twin_material
+        data = bytearray(encode_keypair(kp))
+        data[9] = 0x7F  # magic(7) | version | scheme | role
+        with pytest.raises(CodecError, match="unsupported role 0x7f") as exc:
+            decode_keypair(bytes(data))
+        assert exc.value.offset == 9
+
+    def test_canonical_form_in_the_base_word_blob(self, params, twin_material):
+        kp, _ = twin_material
+        data = encode_public_key(kp.public).replace(
+            blob(serialize_word(params.g)), blob(serialize_canonical(normal_form(params.g))), 1)
+        with pytest.raises(CodecError, match="bad base element: unsupported kind 0x02") as exc:
+            decode_public_key(data)
+        # g's blob follows magic, version, scheme, role and four 2-byte params;
+        # its kind byte follows "TCSP" and the version
+        assert exc.value.offset == len(KEY_MAGIC) + 3 + 8 + 4 + 5
+
     def test_role_mixups_rejected(self, twin_material):
         kp, _ = twin_material
         with pytest.raises(CodecError, match="secret"):
@@ -181,6 +199,35 @@ class TestMalformedBlob:
         kp, _ = twin_material
         self.check(params, decode_public_key, encode_public_key(kp.public),
                    material_offset(params), "first public element")
+
+    def test_element_cut_after_its_kind_byte(self, params, twin_material):
+        """The first missing field is named: the strand count, at + 6."""
+        kp, _ = twin_material
+        at = material_offset(params)
+        data = bytearray(encode_public_key(kp.public))
+        struct.pack_into(">I", data, at, 6)
+        with pytest.raises(CodecError, match="bad first public element: truncated strand count"
+                           ) as exc:
+            decode_public_key(bytes(data))
+        assert exc.value.offset == at + 4 + 6
+
+    def test_element_with_one_strand(self, params, twin_material):
+        _, ct = twin_material
+        at = len(CT_MAGIC) + 2
+        data = bytearray(encode_ciphertext(ct))
+        struct.pack_into(">H", data, at + 4 + 6, 1)
+        with pytest.raises(CodecError, match="bad header element: bad strand count 1") as exc:
+            decode_ciphertext(bytes(data))
+        assert exc.value.offset == at + 4 + 6
+
+    def test_nested_failure_names_one_offset(self, params, twin_material):
+        """A public key file whose first element lost its last factor: the
+        message names the absolute offset once, and it is exc.offset."""
+        kp, _ = twin_material
+        short, _ = self.relength(encode_public_key(kp.public), material_offset(params), -2)
+        with pytest.raises(CodecError) as exc:
+            decode_public_key(short)
+        assert re.findall(r"\(at offset (\d+)\)", str(exc.value)) == [str(exc.value.offset)]
 
 
 class TestKeyMaterialAgainstParams:
