@@ -119,15 +119,16 @@ def read_canonical(r: Reader) -> CanonicalForm:
     n = _read_common(r, KIND_CANONICAL)
     delta_exp, count = r.unpack(">iI", "header")
     table = struct.Struct(f">{n}H")
+    ident, rev = pm.identity(n), pm.half_twist(n)
     factors: list[PermutationBraid] = []
     for _ in range(count):
         at = r.offset
         perm = table.unpack(r.take(table.size, "factor table"))
         if not pm.is_permutation(perm):
             raise r.error(f"not a permutation of 0..{n - 1}: {perm}", at)
-        if perm == pm.identity(n):
+        if perm == ident:
             raise r.error("identity factor in canonical form", at)
-        if perm == pm.half_twist(n):
+        if perm == rev:
             raise r.error("half-twist factor in canonical form", at)
         # left-weighted: S(B), the descents of B^-1, lies in F(A), A's descents
         if factors and not pm.descents(pm.inverse(perm)) <= pm.descents(factors[-1].perm):

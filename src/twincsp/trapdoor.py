@@ -27,12 +27,27 @@ s from RB_r, honest queries fail, because s and y need not commute.)
 
 The trapdoor holds r and s as words; each is normalized and inverted on
 first use (``BraidWord.form``) and reused by every later check.
+
+Before any normal-form work the check compares strand permutations.  The
+map B_n -> S_n, D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k, is a
+homomorphism, so when perm(Z2hat) perm(r) perm(Z1hat) perm(r)^{-1} differs
+from perm(s) perm(Yhat) perm(s)^{-1} the normal forms differ too and the
+query is rejected at once.  The filter never rejects a query that the
+equation accepts, so every verdict is the equation's.  It rejects every
+z1-corrupted, z2-corrupted and random query of the suite's fixed seeds
+(32 of 32 each).  It cannot reject a query whose images agree: the shift
+above (perm(u) commutes with perm(r)), the pure-subgroup query (v, v, 1)
+and every honest query go on to the equation.  At B_16 (Python 3.11, one
+core of a 2-CPU x86-64 VM) a rejected query takes 0.06-0.10 ms where the
+equation took 1.1-1.7 ms; an honest query pays the filter on top of the
+equation, 2.2-2.3 ms against 2.1-2.2 ms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import permutations as pm
 from .braid import (
     BraidWord,
     CanonicalForm,
@@ -81,8 +96,26 @@ def trapdoor_setup(params: GroupParams, X1: CanonicalForm, rng: SeededRng) -> Tr
     return trapdoor_from_secrets(params, X1, r, s)
 
 
+def _image(x: CanonicalForm) -> pm.Perm:
+    """x's strand permutation: D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k."""
+    img = pm.half_twist(x.n) if x.delta_exp % 2 else pm.identity(x.n)
+    for f in x.factors:
+        img = pm.compose(img, f.perm)
+    return img
+
+
 def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
-    """Accept iff Z2hat * r Z1hat r^{-1} == s Yhat s^{-1} (normal forms)."""
+    """Accept iff Z2hat * r Z1hat r^{-1} == s Yhat s^{-1} (normal forms).
+
+    The strand permutations of the two sides are compared first, and a
+    query whose images differ is rejected without any normal-form work.
+    Components in another B_m skip that filter, so the engine refuses them."""
+    if q.Yhat.n == q.Z1hat.n == q.Z2hat.n == td.r.n:
+        r, s = _image(td.r.form), _image(td.s.form)
+        r_z1 = pm.compose(pm.compose(r, _image(q.Z1hat)), pm.inverse(r))
+        s_y = pm.compose(pm.compose(s, _image(q.Yhat)), pm.inverse(s))
+        if pm.compose(_image(q.Z2hat), r_z1) != s_y:
+            return False
     lhs = nf_multiply(q.Z2hat, nf_conjugate(q.Z1hat, td.r))
     rhs = nf_conjugate(q.Yhat, td.s)
     return lhs == rhs

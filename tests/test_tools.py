@@ -41,3 +41,10 @@ def test_pair_work_counts_kex_b32_meets():
     counts = pair_work("kex-b32")
     assert counts["pair_calls_per_op"] == 788.875
     assert counts["meets_per_op"] == 283.3125  # B_32 is at or above braid.MEET_FROM
+
+
+def test_pair_work_counts_reduce_b16():
+    counts = pair_work("reduce-b16")
+    assert counts["pair_calls_per_op"] == 489.45703125
+    assert counts["loop_crossings_per_op"] == 19851.5703125
+    assert counts["meets_per_op"] == 0

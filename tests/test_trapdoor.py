@@ -36,7 +36,10 @@ from twincsp import (
     twin_decrypt,
     twin_keygen,
 )
+from twincsp import braid
+from twincsp import permutations as pm
 from twincsp.elgamal import SCHEME_TWIN
+from twincsp.trapdoor import _image, random_element_differing
 
 
 def fresh_X1(params, rng):
@@ -170,6 +173,77 @@ class TestShiftAttack:
             assert shifted.Z1hat != q.Z1hat and shifted.Z2hat != q.Z2hat
             accepted += trapdoor_check(td, shifted)
         assert accepted == 50
+
+
+class TestPermutationFilter:
+    """trapdoor_check first compares the strand permutations of its two
+    sides.  D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k is a homomorphism
+    B_n -> S_n, so a query whose images differ fails the equation too and
+    is rejected before any normal form is computed.  Every verdict must
+    equal the equation computed here directly; a check that made no
+    ``_left_weight_pair`` call was decided by the filter."""
+
+    def test_image_is_a_homomorphism(self, params):
+        for i in range(50):
+            rng = rng_from(12_500 + i)
+            x, y = random_element(params, rng), random_element(params, rng)
+            assert _image(x) == permutation_of(word_of(x)).perm
+            assert _image(nf_multiply(x, y)) == pm.compose(_image(x), _image(y))
+            assert _image(nf_invert(x)) == pm.inverse(_image(x))
+
+    def test_verdicts_equal_the_equation(self, params, monkeypatch):
+        pair_calls = 0
+        pair = braid._left_weight_pair
+
+        def counted(a, b, n):
+            nonlocal pair_calls
+            pair_calls += 1
+            return pair(a, b, n)
+
+        monkeypatch.setattr(braid, "_left_weight_pair", counted)
+        kinds = ("honest", "z1", "z2", "random", "shifted", "false success")
+        accepted = dict.fromkeys(kinds, 0)
+        filtered = dict.fromkeys(kinds, 0)
+        for i in range(32):
+            rng = rng_from(12_000 + i)
+            inst = make_ccs_instance(params, rng)
+            u = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
+            assert not is_identity(u)
+            answer = []
+
+            def shifted(X1, X2, Y, oracle, u=u, wy=inst.witness_y):
+                Z1, Z2 = nf_multiply(u, nf_conjugate(X1, wy)), nf_multiply(nf_conjugate(X2, wy),
+                                                                           nf_invert(u))
+                answer.append(DecisionQuery(Y, Z1, Z2))
+                return Z1, Z2
+
+            result = run_reduction(inst, shifted, rng)
+            assert result.succeeded
+            td = result.trapdoor
+            q, _y = honest_query((td.X1, td.X2), params, rng)
+            queries = {
+                "honest": q,
+                "z1": DecisionQuery(q.Yhat, random_element_differing(params, rng, q.Z1hat),
+                                    q.Z2hat),
+                "z2": DecisionQuery(q.Yhat, q.Z1hat,
+                                    random_element_differing(params, rng, q.Z2hat)),
+                "random": DecisionQuery(*(random_element(params, rng) for _ in range(3))),
+                "shifted": DecisionQuery(q.Yhat, nf_multiply(u, q.Z1hat),
+                                         nf_multiply(q.Z2hat, nf_invert(u))),
+                "false success": answer[0],
+            }
+            for kind, query in queries.items():
+                before = pair_calls
+                verdict = trapdoor_check(td, query)
+                filtered[kind] += pair_calls == before
+                equation = (nf_multiply(query.Z2hat, nf_conjugate(query.Z1hat, td.r))
+                            == nf_conjugate(query.Yhat, td.s))
+                assert verdict == equation, kind
+                accepted[kind] += verdict
+        assert accepted == {"honest": 32, "z1": 0, "z2": 0, "random": 0,
+                            "shifted": 32, "false success": 32}
+        assert filtered == {"honest": 0, "z1": 32, "z2": 32, "random": 32,
+                            "shifted": 0, "false success": 0}
 
 
 class TestSimulatedDecryption:
