@@ -382,9 +382,3 @@ def nf_conjugate(x: CanonicalForm, t: BraidWord) -> CanonicalForm:
     """normal_form(t * x * t^{-1}) computed without leaving canonical forms,
     from the forms of t and t^{-1} that the word keeps."""
     return nf_multiply(nf_multiply(t.form, x), t.inverse_form)
-
-
-def equals(a: BraidWord, b: BraidWord) -> bool:
-    """Group equality, decided by comparing normal forms."""
-    _check_same_strands(a, b)
-    return normal_form(a) == normal_form(b)

@@ -21,7 +21,8 @@ are two codec blobs read as key files are (one canonical form each in the
 exchange's B_n; a ``CodecError`` becomes a ``ProtocolError``), and CONFIRM
 carries the 32 bytes SHA256(key || "confirm" || role byte).  The transport
 is a ``StreamChannel`` over a connected socket, which frames, checks and
-records the bytes of one party.
+records the bytes of one party.  ``loopback_run`` runs both parties in one
+process over a socket pair (the kex-demo command and the benchmark use it).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import hashlib
 import hmac
 import socket
 import struct
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,6 +55,8 @@ MSG_CONFIRM = 0x03
 ROLE_BYTE = {"initiator": b"\x01", "responder": b"\x02"}
 
 MAX_FRAME = 1 << 20
+
+LOOPBACK_TIMEOUT = 5.0
 
 
 class ProtocolError(Exception):
@@ -224,45 +228,22 @@ def kex_run(
 
 
 # ---------------------------------------------------------------------------
-# Loopback driver (tests, demos, tamper fuzzing)
+# Loopback driver
 # ---------------------------------------------------------------------------
-
-class FlippingChannel(StreamChannel):
-    """Flips the low bit of the outgoing byte at flip_offset, an offset into
-    the frames this channel sends; ``sent`` keeps the intended bytes."""
-
-    def __init__(self, sock: socket.socket, flip_offset: int, timeout: float | None = None):
-        super().__init__(sock, timeout)
-        self.flip_offset = flip_offset
-
-    def send_bytes(self, data: bytes) -> None:
-        lo = self.flip_offset - len(self.sent)
-        if 0 <= lo < len(data):
-            data = data[:lo] + bytes([data[lo] ^ 0x01]) + data[lo + 1 :]
-        super().send_bytes(data)
-
 
 def loopback_run(
     params: GroupParams,
     init_rng: SeededRng,
     resp_rng: SeededRng,
     confirm: bool = True,
-    tamper: tuple[Role, int] | None = None,
-    timeout: float = 5.0,
 ):
-    """Run both sides over an in-process socket pair.
+    """Run both sides over an in-process socket pair, the responder on a
+    thread; each socket times out after LOOPBACK_TIMEOUT seconds.
 
     Returns (initiator outcome, responder outcome); each is a KexResult or
-    the exception that aborted that side.  tamper=(role, offset) flips one
-    byte of that role's outgoing stream in flight.
+    the exception that aborted that side.
     """
-    import threading
-
-    chan_i, chan_r = (
-        FlippingChannel(sock, tamper[1], timeout) if tamper and tamper[0] is role
-        else StreamChannel(sock, timeout)
-        for role, sock in zip((Role.INITIATOR, Role.RESPONDER), socket.socketpair())
-    )
+    chan_i, chan_r = (StreamChannel(sock, LOOPBACK_TIMEOUT) for sock in socket.socketpair())
 
     outcomes: dict[Role, object] = {}
 
@@ -279,7 +260,7 @@ def loopback_run(
     )
     t.start()
     side(Role.INITIATOR, chan_i, init_rng)
-    t.join(timeout + 5.0)
+    t.join(LOOPBACK_TIMEOUT + 5.0)
     if Role.RESPONDER not in outcomes:
         outcomes[Role.RESPONDER] = ProtocolError("responder did not finish")
     return outcomes[Role.INITIATOR], outcomes[Role.RESPONDER]

@@ -1,5 +1,4 @@
-"""Executable simulation of the main reduction, plus the decryption-oracle
-leak against the single-key scheme.
+"""Executable simulation of the main reduction.
 
 The reduction wraps an adversary for the twin problem inside a solver for
 the plain shared-conjugate problem: given a challenge (X, Y), it sets
@@ -12,11 +11,8 @@ make Z1 the answer: the check passes (u Z1, Z2 u^-1) for any u from RB_r,
 so an adversary can make the reduction report success with a wrong value
 (tests/test_reduction.py::TestFalseSuccess: 20 of 20).
 
-The oracle-leak demo shows why the single-key scheme needs this machinery
-at all: a decryption oracle for it answers the decision predicate for
-free.  The attacker seals a known message under the hash of a guessed
-pair (Yhat, Zhat) and watches whether the oracle's decryption returns
-that message; it does exactly when Zhat is the true shared conjugate.
+The trapdoor stands in for the decision oracle that a decryption oracle
+for the single-key scheme leaks for free (tests/conftest.py::oracle_leak_demo).
 
 Adversaries only ever see (X1, X2, Y, oracle); instance witnesses stay
 with the caller.
@@ -28,8 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .braid import BraidWord, CanonicalForm, GroupParams, nf_conjugate
-from .codec import AuthenticationError, hash_elements, sym_encrypt
-from .elgamal import SCHEME_CS, Ciphertext, KeyPair, cs_decrypt
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
 from .trapdoor import (
     DecisionQuery,
@@ -153,21 +147,3 @@ def probing_adversary(
 
     return run, labels
 
-
-def oracle_leak_demo(
-    kp: KeyPair, Yhat: CanonicalForm, Zhat: CanonicalForm, rng: SeededRng
-) -> bool:
-    """Answer the decision predicate "is Zhat == ccs(X, Yhat)?" using only a
-    decryption oracle for the single-key scheme (kp holds one secret).
-
-    Forges a ciphertext for a known message under H("cs", Yhat, Zhat); the
-    oracle (an honest cs_decrypt) recomputes the key from its secret, so
-    decryption returns the known message exactly when the guess was right.
-    """
-    probe = rng.rand_bytes(16)
-    key = hash_elements("cs", [Yhat, Zhat])
-    forged = Ciphertext(SCHEME_CS, Yhat, sym_encrypt(key, probe))
-    try:
-        return cs_decrypt(kp, forged) == probe
-    except AuthenticationError:
-        return False

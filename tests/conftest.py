@@ -1,18 +1,31 @@
+import socket
+import threading
+
 import pytest
 
 from twincsp import (
+    AuthenticationError,
     BraidWord,
     CanonicalForm,
     DecisionQuery,
+    GroupParams,
+    KeyPair,
     PermutationBraid,
+    ProtocolError,
+    Role,
     SeededRng,
     default_params,
-    equals,
+    hash_elements,
+    kex_run,
     multiply,
     nf_conjugate,
+    normal_form,
     random_element,
+    sym_encrypt,
 )
 from twincsp import permutations as pm
+from twincsp.elgamal import SCHEME_CS, Ciphertext, cs_decrypt
+from twincsp.kex import StreamChannel
 
 
 @pytest.fixture
@@ -40,7 +53,93 @@ def is_identity(cf: CanonicalForm) -> bool:
 
 def commutes(a: BraidWord, b: BraidWord) -> bool:
     """Whether ab = ba as group elements."""
-    return equals(multiply(a, b), multiply(b, a))
+    return normal_form(multiply(a, b)) == normal_form(multiply(b, a))
+
+
+def oracle_leak_demo(
+    kp: KeyPair, Yhat: CanonicalForm, Zhat: CanonicalForm, rng: SeededRng
+) -> bool:
+    """Answer the decision predicate "is Zhat == ccs(X, Yhat)?" using only a
+    decryption oracle for the single-key scheme (kp holds one secret).
+
+    This is why the single-key scheme needs the reduction's trapdoor at
+    all: a decryption oracle for it answers the decision predicate for
+    free.  Forges a ciphertext for a known message under H("cs", Yhat,
+    Zhat); the oracle (an honest cs_decrypt) recomputes the key from its
+    secret, so decryption returns the known message exactly when Zhat is
+    the true shared conjugate.
+    """
+    probe = rng.rand_bytes(16)
+    key = hash_elements("cs", [Yhat, Zhat])
+    forged = Ciphertext(SCHEME_CS, Yhat, sym_encrypt(key, probe))
+    try:
+        return cs_decrypt(kp, forged) == probe
+    except AuthenticationError:
+        return False
+
+
+class FlippingChannel(StreamChannel):
+    """Flips the low bit of the outgoing byte at flip_offset, an offset into
+    the frames this channel sends; ``sent`` keeps the intended bytes."""
+
+    def __init__(self, sock: socket.socket, flip_offset: int, timeout: float):
+        super().__init__(sock, timeout)
+        self.flip_offset = flip_offset
+
+    def send_bytes(self, data: bytes) -> None:
+        lo = self.flip_offset - len(self.sent)
+        if 0 <= lo < len(data):
+            data = data[:lo] + bytes([data[lo] ^ 0x01]) + data[lo + 1 :]
+        super().send_bytes(data)
+
+
+def two_party_run(
+    params: GroupParams,
+    init_rng: SeededRng,
+    resp_rng: SeededRng,
+    *,
+    resp_params: GroupParams | None = None,
+    tamper: tuple[Role, int] | None = None,
+    timeout: float = 5.0,
+):
+    """Run kex_run for both roles over a socket pair, the responder on a
+    thread and in resp_params (default: params), with confirmation.
+
+    Returns (initiator outcome, responder outcome); each is a KexResult or
+    the exception that aborted that side.  tamper=(role, offset) flips one
+    byte of that role's outgoing stream in flight.  Each side closes its
+    socket when it finishes, and both are closed on every path out.
+    """
+    socks = socket.socketpair()
+    outcomes: dict[Role, object] = {}
+
+    def side(role: Role, channel: StreamChannel, params: GroupParams, rng: SeededRng) -> None:
+        try:
+            outcomes[role] = kex_run(role, channel, params, rng)
+        except Exception as exc:
+            outcomes[role] = exc
+        finally:
+            channel.close()
+
+    try:
+        chan_i, chan_r = (
+            FlippingChannel(sock, tamper[1], timeout) if tamper and tamper[0] is role
+            else StreamChannel(sock, timeout)
+            for role, sock in zip(Role, socks)
+        )
+        t = threading.Thread(
+            target=side, args=(Role.RESPONDER, chan_r, resp_params or params, resp_rng),
+            daemon=True,
+        )
+        t.start()
+        side(Role.INITIATOR, chan_i, params, init_rng)
+        t.join(timeout + 5.0)
+    finally:
+        for sock in socks:
+            sock.close()
+    if Role.RESPONDER not in outcomes:
+        outcomes[Role.RESPONDER] = ProtocolError("responder did not finish")
+    return outcomes[Role.INITIATOR], outcomes[Role.RESPONDER]
 
 
 def delta(n: int) -> BraidWord:

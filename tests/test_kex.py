@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from conftest import rng_from
+from conftest import rng_from, two_party_run
 from twincsp import (
     BraidWord,
     KeyConfirmError,
@@ -182,31 +182,10 @@ class TestInteractive:
         assert len(res_i.sent) < 4 + 1 + 2 * 1000  # single frame only
 
     def test_param_mismatch_aborts(self):
-        import threading
-
         p8 = default_params()
         p6 = default_params(l=6, r=6)
-        chan_i, chan_r = loopback_channels(timeout=5.0)
-        outcomes = {}
-
-        def responder():
-            try:
-                outcomes["r"] = kex_run(Role.RESPONDER, chan_r, p6, rng_from(101))
-            except Exception as exc:
-                outcomes["r"] = exc
-            finally:
-                chan_r.close()
-
-        t = threading.Thread(target=responder, daemon=True)
-        t.start()
-        try:
-            outcomes["i"] = kex_run(Role.INITIATOR, chan_i, p8, rng_from(100))
-        except Exception as exc:
-            outcomes["i"] = exc
-        finally:
-            chan_i.close()
-        t.join(10)
-        assert any(isinstance(v, Exception) for v in outcomes.values())
+        outcomes = two_party_run(p8, rng_from(100), rng_from(101), resp_params=p6)
+        assert any(isinstance(v, Exception) for v in outcomes)
 
     def test_peer_closed_socket_is_protocol_error(self):
         chan_a, chan_b = loopback_channels(timeout=2.0)
@@ -248,7 +227,7 @@ class TestInteractive:
         # flip a byte inside the responder's element payload
         res_i, res_r = loopback_run(params, rng_from(105), rng_from(106))
         offset = 40  # inside the first element of RESP
-        out_i, out_r = loopback_run(
+        out_i, out_r = two_party_run(
             params,
             rng_from(105),
             rng_from(106),
@@ -261,7 +240,7 @@ class TestInteractive:
         res_i, _res_r = loopback_run(params, rng_from(107), rng_from(108))
         positions = [0, 3, 4, 5, 9, len(res_i.sent) // 2, len(res_i.sent) - 1]
         for pos in positions:
-            out_i, out_r = loopback_run(
+            out_i, out_r = two_party_run(
                 params,
                 rng_from(107),
                 rng_from(108),
@@ -273,7 +252,7 @@ class TestInteractive:
     def test_tamper_keeps_the_intended_bytes_in_sent(self, params):
         # the last byte of the responder's CONFIRM tag arrives flipped
         _base_i, base_r = loopback_run(params, rng_from(105), rng_from(106))
-        out_i, out_r = loopback_run(
+        out_i, out_r = two_party_run(
             params,
             rng_from(105),
             rng_from(106),
@@ -287,7 +266,7 @@ class TestInteractive:
     def test_confirm_tag_mismatch_is_key_confirm_error(self, params):
         res_i, _ = loopback_run(params, rng_from(109), rng_from(110))
         confirm_tag_offset = len(res_i.sent) - 16  # inside the CONFIRM tag
-        out_i, out_r = loopback_run(
+        out_i, out_r = two_party_run(
             params,
             rng_from(109),
             rng_from(110),

@@ -2,7 +2,13 @@
 
 import pytest
 
-from conftest import is_identity, perfect_adversary, random_adversary, rng_from
+from conftest import (
+    is_identity,
+    oracle_leak_demo,
+    perfect_adversary,
+    random_adversary,
+    rng_from,
+)
 from twincsp import (
     SubgroupSide,
     conjugate,
@@ -13,7 +19,6 @@ from twincsp import (
     nf_invert,
     nf_multiply,
     normal_form,
-    oracle_leak_demo,
     probing_adversary,
     random_element,
     run_reduction,
