@@ -19,10 +19,12 @@ Wire format: 4-byte big-endian frame length, 1-byte message type
 they are read: the type must be the one expected next, INIT/RESP payloads
 are two codec blobs read as key files are (one canonical form each in the
 exchange's B_n; a ``CodecError`` becomes a ``ProtocolError``), and CONFIRM
-carries the 32 bytes SHA256(key || "confirm" || role byte).  The transport
-is a ``StreamChannel`` over a connected socket, which frames, checks and
-records the bytes of one party.  ``loopback_run`` runs both parties in one
-process over a socket pair (the kex-demo command and the benchmark use it).
+carries the 32 bytes SHA256(key || "confirm" || role byte); a CONFIRM
+head announcing any other length is refused before its body is read.  The
+transport is a ``StreamChannel`` over a connected socket, which frames,
+checks and records the bytes of one party.  ``loopback_run`` runs both
+parties in one process over a socket pair (the kex-demo command and the
+benchmark use it).
 """
 
 from __future__ import annotations
@@ -144,13 +146,16 @@ class StreamChannel:
         (length,) = struct.unpack(">I", head)
         if not 1 <= length <= MAX_FRAME:
             raise ProtocolError(f"bad frame length {length}")
+        if expect_type == MSG_CONFIRM and length != 33:
+            # Refused before the body is read: a wrong length would
+            # otherwise wait for bytes that never come.
+            raise ProtocolError(
+                f"confirmation payload must be 32 bytes, head announces {length - 1}")
         body = self.recv_exact(length)
         self.received += body
         msg_type, payload = body[0], body[1:]
         if msg_type != expect_type:
             raise ProtocolError(f"expected message type {expect_type:#04x}, got {msg_type:#04x}")
-        if msg_type == MSG_CONFIRM and len(payload) != 32:
-            raise ProtocolError("confirmation payload must be 32 bytes")
         return payload
 
     def send_publics(self, msg_type: int, key: KeyPair) -> None:

@@ -3,6 +3,7 @@ protocol, confirmation, and tamper evidence."""
 
 import socket
 import struct
+import time
 
 import pytest
 
@@ -112,6 +113,19 @@ class TestFrames:
             with pytest.raises(ProtocolError, match="32 bytes"):
                 self.responder_reads(params, self.valid_init(params),
                                      encode_frame(MSG_CONFIRM, b"\x00" * size))
+
+    def test_confirm_head_of_wrong_length_is_refused_at_once(self):
+        # A flipped length byte: the head announces 289 bytes, none follow.
+        chan_a, chan_b = loopback_channels(timeout=5.0)
+        try:
+            chan_a.send_bytes(struct.pack(">I", 289))
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match="32 bytes, head announces 288"):
+                chan_b.recv_frame(MSG_CONFIRM)
+            assert time.monotonic() - start < 0.5
+        finally:
+            chan_a.close()
+            chan_b.close()
 
     def test_encode_matches_frame_layout(self):
         frame = encode_frame(MSG_CONFIRM, bytes(range(32)))

@@ -3,7 +3,8 @@ the engine used before, which left-weights every adjacent pair of the whole
 factor sequence until none moves.  Both share the pair kernel, which
 tests/test_pair_transfer.py checks on its own.  Also counts the pair calls
 that the one-pass form no longer makes, among them every call that would
-left-weight a factor against a half twist."""
+left-weight a factor against a half twist, and takes each branch of the
+run gathering in normal_form against the reference."""
 
 import pytest
 
@@ -12,6 +13,7 @@ from twincsp import (
     BraidWord,
     CanonicalForm,
     PermutationBraid,
+    SubgroupSide,
     braid,
     default_params,
     loopback_run,
@@ -21,6 +23,7 @@ from twincsp import (
     normal_form,
     probing_adversary,
     run_reduction,
+    sample_subgroup,
     twin_decrypt,
     twin_encrypt,
     twin_keygen,
@@ -224,6 +227,11 @@ def test_half_twist_exit_equals_reference(n, half_twists):
     pairs = list(d_cases(n, 7400 + n))
     words = [BraidWord(n, word_of(x).letters + word_of(y).letters) for x, y in pairs]
     words.append(BraidWord(n, (1,) * 5 + tuple(range(1, n)) * 2))
+    if n == 3:
+        # Runs s1 | s1 s2 s1 | s1 s2: the run D leaves for the front and
+        # flips s1 to s2, then the pair (s2, s1 s2) makes D.  Most n = 3
+        # words gather D as a run and never make one in a pair.
+        words.append(BraidWord(3, (1, 1, 2, 1, 1, 2)))
     half_twists["made"] = 0
     products = [nf_multiply(x, y) for x, y in pairs]
     forms = [normal_form(w) for w in words]
@@ -235,3 +243,57 @@ def test_half_twist_exit_equals_reference(n, half_twists):
         assert half_twists["made"] > 0, "no inner factor became D"
     assert products == [reference_multiply(x, y) for x, y in pairs]
     assert forms == [reference_normal_form(w) for w in words]
+
+
+def run_words(n: int) -> list[BraidWord]:
+    """Words that take each branch of normal_form's run gathering, with f
+    the generator farthest from 1 and 2; each word is also taken with
+    every letter i mapped to n - i, which puts the runs at the other end."""
+    f = n - 1
+    shapes = [
+        (),                           # the empty word
+        (1,), (-1,),                  # one run; D and D^-1 at n = 2
+        (1, 1), (-1, -1, -1),         # a descent at i starts a new run
+        (1, 2), (2, 1, 3, 2),         # a positive run grows
+        (-1, -2), (-2, -1, -3, -2),   # a negative run grows
+        (1, 2, 1), (-2, -1, -2),      # runs that are D or D^-1 at n = 3
+        (1, 2, 1, 1, 2, 1),
+        (2, -f, 1), (-2, f, -1),      # pass back over an opposite run and join
+        (2, -f, -f, 1, 3),            # pass back over two runs
+        (-f, 1), (f, f, -1, 2),       # pass back to the start, new run
+        (1, -2, 3), (3, -2, 1),       # blocked by a run holding i-1, i+1
+        (3, -2, -1, 2), (1, -1, 1),   # blocked by a run holding i
+        (2, 1, -2), (2, 1, -2, -2),   # one, two negative runs after a run
+        (2, 1, -2, 3, -2, -2, 1, -1, -1),
+        (1, -f, 2, -f, 3, -f),        # alternating signs, mostly commuting
+    ]
+    words = []
+    for shape in shapes:
+        if all(1 <= abs(v) < n for v in shape):
+            words.append(BraidWord(n, shape))
+            words.append(BraidWord(n, tuple(n - v if v > 0 else -(n + v) for v in shape)))
+    return words
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 16, 32, 48))
+def test_run_gathering_equals_reference(n):
+    words = run_words(n)
+    rng = rng_from(7500 + n)
+    # Concatenations, so that runs of each shape meet runs of the others.
+    words += [BraidWord(n, sum((rng.choice(words).letters for _ in range(6)), ()))
+              for _ in range(20)]
+    for w in words:
+        assert normal_form(w) == reference_normal_form(w), w
+
+
+def test_normal_form_pair_calls_on_b32_secrets(pair_calls):
+    """The exact pair calls of normal_form over 32 seeded B_32 subgroup
+    secrets (976 letters, 156 factors in their forms): 2,374 when every
+    letter was its own factor, 814 with runs."""
+    p = default_params(16, 16, 32)
+    secrets = [sample_subgroup(p, side, rng_from(7600 + k))
+               for k in range(16) for side in SubgroupSide]
+    pair_calls.clear()
+    forms = [normal_form(w) for w in secrets]
+    assert len(pair_calls) == 814
+    assert forms == [reference_normal_form(w) for w in secrets]

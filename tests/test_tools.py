@@ -25,26 +25,35 @@ def pair_work(workload: str) -> dict:
 def test_pair_work_counts_pke_short():
     counts = pair_work("pke-short")
     for key in ("pair_calls_per_op", "loop_crossings_per_op", "meets_per_op",
-                "meet_crossings_per_op"):
+                "meet_crossings_per_op", "normal_form_pair_calls_per_op",
+                "normal_form_crossings_per_op"):
         assert key in counts
-    assert counts["pair_calls_per_op"] == 238.89453125
+    assert counts["pair_calls_per_op"] == 222.40625
     assert counts["meets_per_op"] == 0  # B_16 is below braid.MEET_FROM
+    assert counts["normal_form_pair_calls_per_op"] == 13.16796875
+    assert counts["normal_form_crossings_per_op"] == 519.671875
 
 
 def test_pair_work_counts_pke_bulk():
     counts = pair_work("pke-bulk")
-    assert counts["pair_calls_per_op"] == 188.125
+    assert counts["pair_calls_per_op"] == 172.5625
     assert counts["meets_per_op"] == 0
+    assert counts["normal_form_pair_calls_per_op"] == 12.875
+    assert counts["normal_form_crossings_per_op"] == 549.0625
 
 
 def test_pair_work_counts_kex_b32_meets():
     counts = pair_work("kex-b32")
-    assert counts["pair_calls_per_op"] == 788.875
-    assert counts["meets_per_op"] == 283.3125  # B_32 is at or above braid.MEET_FROM
+    assert counts["pair_calls_per_op"] == 599.84375
+    assert counts["meets_per_op"] == 217.96875  # B_32 is at or above braid.MEET_FROM
+    assert counts["normal_form_pair_calls_per_op"] == 94.5
+    assert counts["normal_form_crossings_per_op"] == 14846.8125
 
 
 def test_pair_work_counts_reduce_b16():
     counts = pair_work("reduce-b16")
-    assert counts["pair_calls_per_op"] == 489.45703125
-    assert counts["loop_crossings_per_op"] == 19851.5703125
+    assert counts["pair_calls_per_op"] == 374.03125
+    assert counts["loop_crossings_per_op"] == 15280.99609375
     assert counts["meets_per_op"] == 0
+    assert counts["normal_form_pair_calls_per_op"] == 73.83203125
+    assert counts["normal_form_crossings_per_op"] == 2919.73046875

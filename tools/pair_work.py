@@ -6,7 +6,8 @@
 Runs one round of a ``perfbench`` workload against the package in
 ``CHECKOUT/src`` and prints one JSON line: factor-pair calls (and among
 them those whose right factor is the half twist D), crossings moved one at
-a time, meets taken and crossings moved by meets, all per op.
+a time, meets taken and crossings moved by meets, and the pair calls and
+crossings (moved either way) made inside ``normal_form``, all per op.
 Counts are exact and repeat between runs; nothing is timed.  A checkout
 whose engine has no meet reports zero meets.
 
@@ -41,20 +42,33 @@ ROOT = Path(__file__).resolve().parent.parent
 def count_work(braid, workload) -> dict:
     from twincsp.permutations import inversion_count as inversions
 
-    count = {"pair_calls": 0, "d_right": 0, "crossings_moved": 0, "meets": 0, "meet_crossings": 0}
+    count = {"pair_calls": 0, "d_right": 0, "crossings_moved": 0, "meets": 0, "meet_crossings": 0,
+             "nf_pair_calls": 0, "nf_crossings": 0}
     lock = threading.Lock()  # the key exchange runs its responder in a thread
+    local = threading.local()  # local.depth: normal_form calls open on this thread
     pair, meet = braid._left_weight_pair, getattr(braid, "_meet", None)
+    normal_form = braid.normal_form
 
     def counted_pair(a, b, n):
         d_right = b == list(range(n - 1, -1, -1))
         before = inversions(a)
         moved = pair(a, b, n)
         after = inversions(a)
+        inside = getattr(local, "depth", 0) > 0
         with lock:
             count["pair_calls"] += 1
             count["d_right"] += d_right
             count["crossings_moved"] += after - before
+            count["nf_pair_calls"] += inside
+            count["nf_crossings"] += (after - before) * inside
         return moved
+
+    def counted_normal_form(word):
+        local.depth = getattr(local, "depth", 0) + 1
+        try:
+            return normal_form(word)
+        finally:
+            local.depth -= 1
 
     def counted_meet(a, binv, n):
         m = meet(a, binv, n)
@@ -67,6 +81,9 @@ def count_work(braid, workload) -> dict:
     braid._left_weight_pair = counted_pair
     if meet is not None:
         braid._meet = counted_meet
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "twincsp"]:
+        if getattr(mod, "normal_form", None) is normal_form:  # also the names imported from braid
+            mod.normal_form = counted_normal_form
     run_round(workload)
     ops = workload.units * workload.ops_per_unit
     return {
@@ -75,6 +92,8 @@ def count_work(braid, workload) -> dict:
         "loop_crossings_per_op": (count["crossings_moved"] - count["meet_crossings"]) / ops,
         "meets_per_op": count["meets"] / ops,
         "meet_crossings_per_op": count["meet_crossings"] / ops,
+        "normal_form_pair_calls_per_op": count["nf_pair_calls"] / ops,
+        "normal_form_crossings_per_op": count["nf_crossings"] / ops,
     }
 
 
