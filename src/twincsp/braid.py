@@ -117,7 +117,6 @@ class PermutationBraid:
     """A positive braid in which each strand pair crosses at most once, held
     as its permutation tuple; a plain record that checks nothing itself."""
 
-    n: int
     perm: Perm
 
 
@@ -225,11 +224,12 @@ def conjugate(a: BraidWord, t: BraidWord) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 # A pair of B_n with n >= MEET_FROM that has moved n crossings ends with one
-# meet.  Insertion + meet over insertion-only time on fixed-seed key exchange
-# pairs (W = 32; Python 3.11, one core; ``tools/pair_work.py --replay``): 1.54
-# at n = 16 (1.42 on twin encryption pairs), 1.14 at 20, 1.02 at 24, 0.99 at
-# 25, 1.03 at 26, 0.91 at 27, 0.89 at 28, 0.82 at 32.  At n = 32, a meet
-# after n/2 or 2n crossings instead of n was 4% and 5% slower.
+# meet.  Insertion + meet over insertion-only time on seed-1 key exchange pairs
+# (W = 32; Python 3.11, one core of a 2-CPU x86-64 VM; two runs of
+# ``tools/pair_work.py --replay``, 2026-10-19): 1.55-1.58 at n = 16 (1.43-1.49
+# on twin encryption pairs), 1.21 at 20, 1.05-1.06 at 24, 1.01-1.04 at 25,
+# 0.98-0.99 at 26, 0.94-0.95 at 27, 0.89-0.91 at 28, 0.81-0.83 at 32.  At
+# n = 32, a meet after n/2 or 2n crossings instead of n was 4% and 5% slower.
 MEET_FROM = 27
 
 
@@ -342,7 +342,7 @@ def _form(n: int, dexp: int, prefix: list[list[int]], tail) -> CanonicalForm:
             dexp += 1
         if facs and facs[-1] == ident:
             facs.pop()
-    return CanonicalForm(n, dexp, tuple(PermutationBraid(n, tuple(f)) for f in facs))
+    return CanonicalForm(n, dexp, tuple(PermutationBraid(tuple(f)) for f in facs))
 
 
 def normal_form(a: BraidWord) -> CanonicalForm:
@@ -402,7 +402,7 @@ def nf_invert(x: CanonicalForm) -> CanonicalForm:
     out = []
     for j in range(k, 0, -1):
         c = pm.compose(rev, pm.inverse(x.factors[j - 1].perm))
-        out.append(PermutationBraid(n, pm.flip(c) if (p + j - 1) % 2 else c))
+        out.append(PermutationBraid(pm.flip(c) if (p + j - 1) % 2 else c))
     return CanonicalForm(n, -p - k, tuple(out))
 
 

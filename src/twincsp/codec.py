@@ -133,7 +133,7 @@ def read_canonical(r: Reader) -> CanonicalForm:
         # left-weighted: S(B), the descents of B^-1, lies in F(A), A's descents
         if factors and not pm.descents(pm.inverse(perm)) <= pm.descents(factors[-1].perm):
             raise r.error("factor pair not left-weighted", at)
-        factors.append(PermutationBraid(n, perm))
+        factors.append(PermutationBraid(perm))
     return CanonicalForm(n, delta_exp, tuple(factors))
 
 

@@ -22,9 +22,11 @@ exchange's B_n; a ``CodecError`` becomes a ``ProtocolError``), and CONFIRM
 carries the 32 bytes SHA256(key || "confirm" || role byte); a CONFIRM
 head announcing any other length is refused before its body is read.  The
 transport is a ``StreamChannel`` over a connected socket, which frames,
-checks and records the bytes of one party.  ``loopback_run`` runs both
-parties in one process over a socket pair (the kex-demo command and the
-benchmark use it).
+checks and records the bytes of one party.  ``run_parties`` runs both
+parties in one process over two given channels, the responder on a
+thread; ``loopback_run`` gives it a socket pair (the kex-demo command and
+the benchmark use it) and the tamper tests give it a channel that flips a
+byte in flight.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ def kex_run(
 
 
 # ---------------------------------------------------------------------------
-# Loopback driver
+# Two-party driver
 # ---------------------------------------------------------------------------
 
 def loopback_run(
@@ -242,14 +244,20 @@ def loopback_run(
     resp_rng: SeededRng,
     confirm: bool = True,
 ):
-    """Run both sides over an in-process socket pair, the responder on a
-    thread; each socket times out after LOOPBACK_TIMEOUT seconds.
+    """Run both sides over an in-process socket pair through run_parties;
+    each socket times out after LOOPBACK_TIMEOUT seconds."""
+    chan_i, chan_r = (StreamChannel(sock, LOOPBACK_TIMEOUT) for sock in socket.socketpair())
+    return run_parties(params, chan_i, chan_r, init_rng, resp_rng, confirm)
+
+
+def run_parties(params: GroupParams, chan_i: StreamChannel, chan_r: StreamChannel,
+                init_rng: SeededRng, resp_rng: SeededRng, confirm: bool = True):
+    """Run the initiator on chan_i and the responder on chan_r, the
+    responder on a thread; each channel is closed when its party finishes.
 
     Returns (initiator outcome, responder outcome); each is a KexResult or
     the exception that aborted that side.
     """
-    chan_i, chan_r = (StreamChannel(sock, LOOPBACK_TIMEOUT) for sock in socket.socketpair())
-
     outcomes: dict[Role, object] = {}
 
     def side(role: Role, channel: StreamChannel, rng: SeededRng) -> None:
@@ -260,9 +268,7 @@ def loopback_run(
         finally:
             channel.close()
 
-    t = threading.Thread(
-        target=side, args=(Role.RESPONDER, chan_r, resp_rng), daemon=True
-    )
+    t = threading.Thread(target=side, args=(Role.RESPONDER, chan_r, resp_rng), daemon=True)
     t.start()
     side(Role.INITIATOR, chan_i, init_rng)
     t.join(LOOPBACK_TIMEOUT + 5.0)

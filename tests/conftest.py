@@ -1,5 +1,4 @@
 import socket
-import threading
 
 import pytest
 
@@ -11,12 +10,10 @@ from twincsp import (
     GroupParams,
     KeyPair,
     PermutationBraid,
-    ProtocolError,
     Role,
     SeededRng,
     default_params,
     hash_elements,
-    kex_run,
     multiply,
     nf_conjugate,
     normal_form,
@@ -25,7 +22,7 @@ from twincsp import (
 )
 from twincsp import permutations as pm
 from twincsp.elgamal import SCHEME_CS, Ciphertext, cs_decrypt
-from twincsp.kex import StreamChannel
+from twincsp.kex import StreamChannel, run_parties
 
 
 @pytest.fixture
@@ -43,7 +40,7 @@ def permutation_of(a: BraidWord) -> PermutationBraid:
     p = pm.identity(a.n)
     for v in a.letters:
         p = pm.compose(p, pm.transposition(a.n, abs(v)))
-    return PermutationBraid(a.n, p)
+    return PermutationBraid(p)
 
 
 def is_identity(cf: CanonicalForm) -> bool:
@@ -98,48 +95,25 @@ def two_party_run(
     init_rng: SeededRng,
     resp_rng: SeededRng,
     *,
-    resp_params: GroupParams | None = None,
     tamper: tuple[Role, int] | None = None,
     timeout: float = 5.0,
 ):
-    """Run kex_run for both roles over a socket pair, the responder on a
-    thread and in resp_params (default: params), with confirmation.
-
-    Returns (initiator outcome, responder outcome); each is a KexResult or
-    the exception that aborted that side.  tamper=(role, offset) flips one
-    byte of that role's outgoing stream in flight.  Each side closes its
-    socket when it finishes, and both are closed on every path out.
+    """``kex.run_parties`` over a socket pair whose sockets time out after
+    timeout seconds, with confirmation; tamper=(role, offset) flips one
+    byte of that role's outgoing stream in flight.  Both sockets are closed
+    on every path out.
     """
     socks = socket.socketpair()
-    outcomes: dict[Role, object] = {}
-
-    def side(role: Role, channel: StreamChannel, params: GroupParams, rng: SeededRng) -> None:
-        try:
-            outcomes[role] = kex_run(role, channel, params, rng)
-        except Exception as exc:
-            outcomes[role] = exc
-        finally:
-            channel.close()
-
     try:
         chan_i, chan_r = (
             FlippingChannel(sock, tamper[1], timeout) if tamper and tamper[0] is role
             else StreamChannel(sock, timeout)
             for role, sock in zip(Role, socks)
         )
-        t = threading.Thread(
-            target=side, args=(Role.RESPONDER, chan_r, resp_params or params, resp_rng),
-            daemon=True,
-        )
-        t.start()
-        side(Role.INITIATOR, chan_i, params, init_rng)
-        t.join(timeout + 5.0)
+        return run_parties(params, chan_i, chan_r, init_rng, resp_rng)
     finally:
         for sock in socks:
             sock.close()
-    if Role.RESPONDER not in outcomes:
-        outcomes[Role.RESPONDER] = ProtocolError("responder did not finish")
-    return outcomes[Role.INITIATOR], outcomes[Role.RESPONDER]
 
 
 def delta(n: int) -> BraidWord:

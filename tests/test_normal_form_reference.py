@@ -71,7 +71,7 @@ def _normalize_factors(factors: list[list[int]], n: int) -> tuple[int, list[tupl
 def reference_form(n: int, entries: list) -> CanonicalForm:
     dtot, facs = _collect_deltas(entries)
     dp, tuples = _normalize_factors(facs, n)
-    return CanonicalForm(n, dtot + dp, tuple(PermutationBraid(n, p) for p in tuples))
+    return CanonicalForm(n, dtot + dp, tuple(PermutationBraid(p) for p in tuples))
 
 
 def reference_normal_form(w: BraidWord) -> CanonicalForm:

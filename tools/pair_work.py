@@ -1,7 +1,7 @@
 """Counted work of the normal-form engine per benchmark op.
 
     python3 tools/pair_work.py --checkout . --workload kex-b32 --seed 1
-    python3 tools/pair_work.py --workload kex-b32 --replay [--strands 20] [--budgets]
+    python3 tools/pair_work.py --workload kex-b32 --replay [--strands 20]
 
 Runs one round of a ``perfbench`` workload against the package in
 ``CHECKOUT/src`` and prints one JSON line: factor-pair calls (and among
@@ -16,9 +16,7 @@ every ``_left_weight_pair`` call in the round and replays them through
 the checkout's kernel as it is, with the meet taken after n crossings at
 every n (``braid.MEET_FROM`` patched to 2) and with the meet turned off
 (``MEET_FROM`` patched above n); each figure is the median, over 9
-repetitions, of thread CPU microseconds per pair call.
-``--budgets`` adds the meet taken after n/2 and 2n crossings, from a copy
-of the kernel with its budget line rewritten.  ``--strands N`` runs
+repetitions, of thread CPU microseconds per pair call.  ``--strands N`` runs
 kex-b32's exchanges at B_N (l = N // 2) instead, which is how the
 ``MEET_FROM`` crossover figures are measured at n other than 32.
 """
@@ -27,11 +25,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import inspect
 import json
 import statistics
 import sys
-import textwrap
 import threading
 import time
 from pathlib import Path
@@ -102,19 +98,7 @@ def run_round(workload) -> None:
         workload.check(i, workload.run(i))
 
 
-def kernel_meeting_after(braid, budget: str):
-    """A copy of the checkout's kernel that takes the meet after `budget`
-    crossings (an expression in n) instead of after n."""
-    src = textwrap.dedent(inspect.getsource(braid._left_weight_pair))
-    line = "budget = n if"
-    if src.count(line) != 1:
-        raise SystemExit(f"the kernel has no single {line!r} line to rewrite")
-    scope: dict = {}
-    exec(src.replace(line, f"budget = {budget} if"), vars(braid), scope)
-    return scope["_left_weight_pair"]
-
-
-def replay(braid, workload, budgets: bool, reps: int = 9) -> dict:
+def replay(braid, workload, reps: int = 9) -> dict:
     recorded = []
     pair = braid._left_weight_pair
 
@@ -127,14 +111,11 @@ def replay(braid, workload, budgets: bool, reps: int = 9) -> dict:
     braid._left_weight_pair = pair
 
     meet_from, top = braid.MEET_FROM, max(n for _a, _b, n in recorded)
-    variants = {  # name: (kernel, MEET_FROM in force)
-        "us_per_call": (pair, meet_from),
-        "us_per_call_meet_after_n": (pair, 2),
-        "us_per_call_no_meet": (pair, top + 1),
+    variants = {  # name: MEET_FROM in force
+        "us_per_call": meet_from,
+        "us_per_call_meet_after_n": 2,
+        "us_per_call_no_meet": top + 1,
     }
-    if budgets:
-        variants["us_per_call_meet_after_n/2"] = (kernel_meeting_after(braid, "n // 2"), 2)
-        variants["us_per_call_meet_after_2n"] = (kernel_meeting_after(braid, "2 * n"), 2)
     # The machine's speed drifts within a second, so the variants take
     # turns on chunks of 500 pairs, in rotating order.
     chunks = [recorded[k:k + 500] for k in range(0, len(recorded), 500)]
@@ -145,11 +126,11 @@ def replay(braid, workload, budgets: bool, reps: int = 9) -> dict:
         total = dict.fromkeys(names, 0)
         for c, chunk in enumerate(chunks):
             for name in names[c % len(names):] + names[:c % len(names)]:
-                kernel, braid.MEET_FROM = variants[name]
+                braid.MEET_FROM = variants[name]
                 args = [(list(a), list(b), n) for a, b, n in chunk]
                 t0 = time.thread_time_ns()
                 for a, b, n in args:
-                    kernel(a, b, n)
+                    pair(a, b, n)
                 total[name] += time.thread_time_ns() - t0
         for name in names:
             times[name].append(total[name] / 1e3 / len(recorded))
@@ -167,7 +148,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--replay", action="store_true", help="time the pair kernel on the round's pairs")
-    ap.add_argument("--budgets", action="store_true", help="replay also with the meet after n/2 and 2n")
     ap.add_argument("--strands", type=int, help="kex-b32 only: run the exchanges at B_N")
     args = ap.parse_args(argv)
     if args.strands and args.workload != "kex-b32":
@@ -187,7 +167,7 @@ def main(argv=None) -> int:
         workload.ref = word_invariants(n, workload.params.g.letters)
         head["strands"] = n
     if args.replay:
-        head.update(replay(braid, workload, args.budgets))
+        head.update(replay(braid, workload))
     else:
         head.update(count_work(braid, workload))
     print(json.dumps(head))
