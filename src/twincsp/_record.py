@@ -1,0 +1,77 @@
+"""Frozen value records, built from closures.
+
+``@record`` turns an annotated class body into an immutable value type:
+fields in annotation order, filled by position or keyword, with trailing
+class-level defaults; ``__post_init__`` runs after the fields are set and
+may validate them or, through ``object.__setattr__``, normalize them.
+Two records are equal only when they are of the same class with equal
+fields, and equal records hash equal.  Assigning or deleting an attribute
+raises ``AttributeError``; ``functools.cached_property`` still works,
+since it writes the instance ``__dict__`` directly.  An ``__init__``,
+``__eq__`` or ``__repr__`` that the class body writes out itself is kept.
+
+It does for these classes what the standard library's frozen data classes
+did, without generating and compiling the source of each method, which
+made up a large share of ``import twincsp``.  Fields are stored with
+``object.__setattr__``: filling the instance ``__dict__`` instead makes
+every later attribute read slower.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+_set = object.__setattr__
+_MISSING = object()
+
+
+def record(cls):
+    """Make cls a frozen value record, as the module docstring describes."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    fields = attrgetter(*names)
+    title = cls.__qualname__
+
+    def bind(args: tuple, kwargs: dict) -> list:
+        """Field values from positions, keywords and defaults."""
+        values = list(args)
+        for name in names[len(args):]:
+            values.append(kwargs.pop(name, defaults.get(name, _MISSING)))
+        if kwargs or len(values) > len(names) or _MISSING in values:
+            raise TypeError(f"{title}() takes {', '.join(names)} by position or keyword"
+                            + (f", with defaults for {', '.join(defaults)}" if defaults else ""))
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in names) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a {title} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {title} is frozen")
+
+    own = vars(cls).keys() & {"__init__", "__eq__", "__repr__"}
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        if method.__name__ not in own:
+            method.__qualname__ = f"{title}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+    return cls

@@ -65,10 +65,10 @@ All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import permutations as pm
+from ._record import _set, record
 from .permutations import Perm
 
 
@@ -81,7 +81,7 @@ def _check_same_strands(a: "BraidWord | CanonicalForm", b: "BraidWord | Canonica
         raise StrandMismatchError(f"strand counts differ: {a.n} != {b.n}")
 
 
-@dataclass(frozen=True)
+@record
 class BraidWord:
     """A free word in signed Artin generators of B_n."""
 
@@ -112,15 +112,25 @@ class BraidWord:
         return nf_invert(self.form)
 
 
-@dataclass(frozen=True)
+@record
 class PermutationBraid:
     """A positive braid in which each strand pair crosses at most once, held
     as its permutation tuple; a plain record that checks nothing itself."""
 
     perm: Perm
 
+    # The engine builds and compares factors and forms through these, which
+    # are faster written out than record's generic ones.
+    def __init__(self, perm: Perm):
+        _set(self, "perm", perm)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.perm == other.perm
+        return NotImplemented
+
+
+@record
 class CanonicalForm:
     """Left-greedy normal form D^delta_exp A_1 ... A_k.
 
@@ -133,8 +143,19 @@ class CanonicalForm:
     delta_exp: int
     factors: tuple[PermutationBraid, ...] = ()
 
+    def __init__(self, n: int, delta_exp: int, factors: tuple[PermutationBraid, ...] = ()):
+        _set(self, "n", n)
+        _set(self, "delta_exp", delta_exp)
+        _set(self, "factors", factors)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.n, self.delta_exp, self.factors)
+                    == (other.n, other.delta_exp, other.factors))
+        return NotImplemented
+
+
+@record
 class GroupParams:
     """Public parameters: B_n split as n = l + r, base element g, sample length W.
 

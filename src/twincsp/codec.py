@@ -42,9 +42,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
 
 from . import permutations as pm
+from ._record import record
 from .braid import BraidWord, CanonicalForm, PermutationBraid
 
 MAGIC = b"TCSP"
@@ -67,7 +67,7 @@ class CodecError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@record
 class SymKey:
     """A 256-bit symmetric key."""
 
@@ -78,7 +78,7 @@ class SymKey:
             raise ValueError("key must be exactly 32 bytes")
 
 
-@dataclass(frozen=True)
+@record
 class SealedBox:
     """Keystream ciphertext plus a 32-byte authentication tag."""
 

@@ -20,8 +20,7 @@ work.  Messages are arbitrary byte strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .braid import BraidWord, CanonicalForm, GroupParams, nf_conjugate
 from .codec import SealedBox, hash_elements, sym_decrypt, sym_encrypt
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
@@ -32,7 +31,7 @@ SCHEME_TWIN = 0x02
 SCHEME_NAMES = {SCHEME_CS: "cs", SCHEME_TWIN: "twin"}
 
 
-@dataclass(frozen=True)
+@record
 class PublicKey:
     """The public conjugates X_i = w_i g w_i^{-1} of k secrets from one side."""
 
@@ -45,7 +44,7 @@ class PublicKey:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+@record
 class KeyPair:
     """k secret words from one subgroup and their public conjugates."""
 
@@ -63,7 +62,7 @@ class KeyPair:
         return PublicKey(self.params, self.side, self.publics)
 
 
-@dataclass(frozen=True)
+@record
 class Ciphertext:
     """Conjugate header Y plus the sealed symmetric payload."""
 

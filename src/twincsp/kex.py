@@ -36,9 +36,9 @@ import hmac
 import socket
 import struct
 import threading
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from .braid import CanonicalForm, GroupParams, nf_conjugate
 from .codec import (
     CodecError,
@@ -186,7 +186,7 @@ def confirm_tag(key: SymKey, role: Role) -> bytes:
     return hashlib.sha256(key.bytes + b"confirm" + ROLE_BYTE[role.value]).digest()
 
 
-@dataclass
+@record
 class KexResult:
     key: SymKey
     sent: bytes

@@ -20,9 +20,9 @@ with the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ._record import record
 from .braid import BraidWord, CanonicalForm, GroupParams, nf_conjugate
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
 from .trapdoor import (
@@ -47,7 +47,7 @@ class QueryBudgetError(RuntimeError):
     """The adversary exceeded its decision-query budget."""
 
 
-@dataclass(frozen=True)
+@record
 class CcsInstance:
     """A challenge (g, X, Y) plus its witnesses, which no adversary sees; the
     tests, the CLI's reduce-demo and the benchmark read them to check an
@@ -67,7 +67,7 @@ def make_ccs_instance(params: GroupParams, rng: SeededRng) -> CcsInstance:
     return CcsInstance(params, nf_conjugate(params.g.form, x), nf_conjugate(params.g.form, y), x, y)
 
 
-@dataclass
+@record
 class ReductionResult:
     """Outcome of one simulated reduction run."""
 

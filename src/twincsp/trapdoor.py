@@ -45,9 +45,9 @@ equation, 2.2-2.3 ms against 2.1-2.2 ms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from . import permutations as pm
+from ._record import record
 from .braid import (
     BraidWord,
     CanonicalForm,
@@ -60,7 +60,7 @@ from .braid import (
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
 
-@dataclass(frozen=True)
+@record
 class Trapdoor:
     """Hidden (r, s) plus the tied public pair (X1, X2)."""
 
@@ -70,7 +70,7 @@ class Trapdoor:
     X2: CanonicalForm
 
 
-@dataclass(frozen=True)
+@record
 class DecisionQuery:
     """A twin-conjugacy query; the engine refuses components outside B_n."""
 

@@ -1,11 +1,15 @@
 """The work counter that perf changes are judged by still runs, and the
 engine still does exactly the work recorded for seed 1.  A change that
-moves these counts re-pins them and says why."""
+moves these counts re-pins them and says why.  The A/B pair tool's
+summary is checked on fixed runs."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,3 +61,49 @@ def test_pair_work_counts_reduce_b16():
     assert counts["meets_per_op"] == 0
     assert counts["normal_form_pair_calls_per_op"] == 73.83203125
     assert counts["normal_form_crossings_per_op"] == 2919.73046875
+
+
+def load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(**values) -> dict:
+    return {"correct": True, "attempted": 100, "failed": 0,
+            "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}
+
+
+def test_ab_pairs_summary_on_fixed_runs():
+    ab = load_ab_pairs()
+    runs = {
+        "parent": [result_line(ops_per_s=p, setup_s=s)
+                   for p, s in [(10, 0.020), (11, 0.021), (12, 0.022), (13, 0.023), (14, 0.024)]],
+        "change": [result_line(ops_per_s=p, setup_s=s)
+                   for p, s in [(12, 0.015), (11, 0.016), (13, 0.021), (12, 0.017), (15, 0.024)]],
+    }
+    runs["change"][1]["failed"] = 2
+    out = ab.summarize(runs, {"ops_per_s": "higher", "setup_s": "lower"})
+    assert out["pairs"] == 5 and out["correct"]
+    assert out["failed"] == {"parent": 0, "change": 2}
+    assert out["attempted"] == {"parent": 500, "change": 500}
+    ops = out["metrics"]["ops_per_s"]
+    assert ops["parent"] == {"median": 12, "q1": 10.5, "q3": 13.5}
+    assert ops["change"] == {"median": 12, "q1": 11.5, "q3": 14.0}
+    assert ops["change_over_parent"] == 1.0
+    assert ops["change_won"] == 3  # pair 2 is a tie, pair 4 a loss
+    setup = out["metrics"]["setup_s"]
+    assert setup["change_won"] == 4  # pair 5 is a tie; lower is better
+    assert setup["change"]["median"] == 0.017
+    assert setup["change_over_parent"] == 0.017 / 0.022
+
+
+def test_ab_pairs_summary_needs_matched_pairs():
+    ab = load_ab_pairs()
+    one = {"parent": [result_line(ops_per_s=1)], "change": [result_line(ops_per_s=1)]}
+    with pytest.raises(ValueError):
+        ab.summarize(one, {"ops_per_s": "higher"})
+    uneven = {"parent": [result_line(ops_per_s=1)] * 3, "change": [result_line(ops_per_s=1)] * 2}
+    with pytest.raises(ValueError):
+        ab.summarize(uneven, {"ops_per_s": "higher"})

@@ -1,0 +1,104 @@
+"""Alternating A/B pairs of benchmark runs: a parent checkout against a change.
+
+    python3 tools/ab_pairs.py --parent DIR --change DIR --workload kex-b32 \\
+        --seed 7 --pairs 10 [--seconds 20] [--trace 0|1]
+
+Runs ``perfbench/run.py`` from the root of each checkout, one run per side
+per pair; the side that runs first alternates from pair to pair, so that a
+drift of the machine's speed does not favour one side.  Prints one JSON
+line: for each metric the runs report (the end-to-end metrics, or with
+``--trace 1`` the per-layer ones), each side's median and quartiles over
+its runs, change median over parent median, and the number of pairs in
+which the change read better, by the direction ``BENCHMARK.json`` gives.
+A run that exits non-zero or prints no result stops the tool.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def better_directions(checkout: Path) -> dict[str, str]:
+    """Metric name -> "higher" or "lower", from the checkout's BENCHMARK.json."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"run in {checkout} failed (exit {proc.returncode}):\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+    """runs["parent"][i] and runs["change"][i] are the result lines of pair i.
+    Each metric gets both sides' median and quartiles, the ratio of the
+    medians and the pairs the change won (a tie wins nothing)."""
+    parent, change = runs["parent"], runs["change"]
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need at least two pairs, with one run per side in each")
+    metrics = {}
+    for name in parent[0]["metrics"]:
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        sign = 1 if better[name] == "higher" else -1
+        won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        summary = {side: quartiles(values[side]) for side in SIDES}
+        base = summary["parent"]["median"]
+        summary["change_over_parent"] = summary["change"]["median"] / base if base else None
+        summary["change_won"] = won
+        metrics[name] = summary
+    return {
+        "pairs": len(parent),
+        "correct": all(r["correct"] for side in SIDES for r in runs[side]),
+        "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+        "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
+        "metrics": metrics,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, type=Path)
+    ap.add_argument("--change", required=True, type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for i in range(args.pairs):
+        for side in SIDES if i % 2 == 0 else reversed(SIDES):
+            runs[side].append(run_once(checkouts[side], args.workload, args.seed,
+                                       args.seconds, args.trace))
+    out = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+           "trace": args.trace}
+    out.update(summarize(runs, better_directions(checkouts["change"])))
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
