@@ -20,7 +20,7 @@ with the caller.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from ._record import record
 from .braid import BraidWord, CanonicalForm, GroupParams, nf_conjugate
@@ -37,7 +37,7 @@ from .trapdoor import (
 Oracle = Callable[[DecisionQuery], bool]
 Adversary = Callable[
     [CanonicalForm, CanonicalForm, CanonicalForm, Oracle],
-    Optional[tuple[CanonicalForm, CanonicalForm]],
+    tuple[CanonicalForm, CanonicalForm] | None,
 ]
 
 DEFAULT_QUERY_BUDGET = 1024
@@ -71,8 +71,8 @@ def make_ccs_instance(params: GroupParams, rng: SeededRng) -> CcsInstance:
 class ReductionResult:
     """Outcome of one simulated reduction run."""
 
-    value: Optional[CanonicalForm]
-    transcript: list[tuple[DecisionQuery, bool]]
+    value: CanonicalForm | None
+    transcript: tuple[tuple[DecisionQuery, bool], ...]
     trapdoor: Trapdoor
 
     @property
@@ -108,8 +108,8 @@ def run_reduction(
     if output is not None:
         Z1, Z2 = output
         if trapdoor_check(td, DecisionQuery(inst.Y, Z1, Z2)):
-            return ReductionResult(Z1, transcript, td)
-    return ReductionResult(None, transcript, td)
+            return ReductionResult(Z1, tuple(transcript), td)
+    return ReductionResult(None, tuple(transcript), td)
 
 
 def probing_adversary(

@@ -25,8 +25,16 @@ Both r and s are drawn from LB_l: each must commute with the right-side
 ephemeral y for the acceptance equation to balance.  (Testable fact: with
 s from RB_r, honest queries fail, because s and y need not commute.)
 
-The trapdoor holds r and s as words; each is normalized and inverted on
-first use (``BraidWord.form``) and reused by every later check.
+The check solves the equation for Z2hat and compares it with the
+trapdoor's prediction
+
+    Z2hat  ==  s Yhat (s^{-1} r) Z1hat^{-1} r^{-1},
+
+four products and an ``nf_invert`` (which left-weights nothing) where the
+equation as written takes five.  X2 is the prediction for (g, X1), so
+setup and check share one formula; setup computes s^{-1} r once for every
+later check.  The words r and s are normalized and inverted on first use
+(``BraidWord.form``).
 
 Before any normal-form work the check compares strand permutations.  The
 map B_n -> S_n, D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k, is a
@@ -37,14 +45,13 @@ equation accepts, so every verdict is the equation's.  It rejects every
 z1-corrupted, z2-corrupted and random query of the suite's fixed seeds
 (32 of 32 each).  It cannot reject a query whose images agree: the shift
 above (perm(u) commutes with perm(r)), the pure-subgroup query (v, v, 1)
-and every honest query go on to the equation.  At B_16 (Python 3.11, one
-core of a 2-CPU x86-64 VM) a rejected query takes 0.06-0.10 ms where the
-equation took 1.1-1.7 ms; an honest query pays the filter on top of the
-equation, 2.2-2.3 ms against 2.1-2.2 ms.
+and every honest query go on to the prediction.  At B_16 (Python 3.11, one
+core of a 2-CPU x86-64 VM, median thread CPU time over 200 checks) a
+rejected query takes 0.04 ms and an honest one 1.06-1.21 ms, where the
+five-product equation took 1.33-1.62 ms.
 """
 
 from __future__ import annotations
-
 
 from . import permutations as pm
 from ._record import record
@@ -52,6 +59,7 @@ from .braid import (
     BraidWord,
     CanonicalForm,
     GroupParams,
+    _check_same_strands,
     nf_conjugate,
     nf_invert,
     nf_multiply,
@@ -62,12 +70,14 @@ from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
 @record
 class Trapdoor:
-    """Hidden (r, s) plus the tied public pair (X1, X2)."""
+    """Hidden (r, s) plus the tied public pair (X1, X2), and the normal form
+    of s^{-1} r, which every check uses."""
 
     r: BraidWord
     s: BraidWord
     X1: CanonicalForm
     X2: CanonicalForm
+    s_inv_r: CanonicalForm
 
 
 @record
@@ -79,14 +89,21 @@ class DecisionQuery:
     Z2hat: CanonicalForm
 
 
+def _prediction(r: BraidWord, s: BraidWord, s_inv_r: CanonicalForm,
+                Y: CanonicalForm, Z1: CanonicalForm) -> CanonicalForm:
+    """s Y (s^{-1} r) Z1^{-1} r^{-1}, in four products: the Z2 that the
+    trapdoor (r, s) pairs with (Y, Z1)."""
+    return nf_multiply(nf_multiply(nf_multiply(nf_multiply(s.form, Y), s_inv_r), nf_invert(Z1)),
+                       r.inverse_form)
+
+
 def trapdoor_from_secrets(
     params: GroupParams, X1: CanonicalForm, r: BraidWord, s: BraidWord
 ) -> Trapdoor:
-    """Build the trapdoor for explicit (r, s); X2 = (sgs^{-1})(rX1r^{-1})^{-1}."""
-    sgs = nf_conjugate(params.g.form, s)
-    rX1r = nf_conjugate(X1, r)
-    X2 = nf_multiply(sgs, nf_invert(rX1r))
-    return Trapdoor(r, s, X1, X2)
+    """Build the trapdoor for explicit (r, s); X2 is the prediction for
+    (g, X1), s g (s^{-1} r) X1^{-1} r^{-1} = (sgs^{-1})(rX1r^{-1})^{-1}."""
+    s_inv_r = nf_multiply(s.inverse_form, r.form)
+    return Trapdoor(r, s, X1, _prediction(r, s, s_inv_r, params.g.form, X1), s_inv_r)
 
 
 def trapdoor_setup(params: GroupParams, X1: CanonicalForm, rng: SeededRng) -> Trapdoor:
@@ -105,20 +122,22 @@ def _image(x: CanonicalForm) -> pm.Perm:
 
 
 def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
-    """Accept iff Z2hat * r Z1hat r^{-1} == s Yhat s^{-1} (normal forms).
+    """Accept iff Z2hat == s Yhat (s^{-1} r) Z1hat^{-1} r^{-1}, the trapdoor's
+    prediction (normal forms); that is Z2hat * r Z1hat r^{-1} == s Yhat s^{-1}.
+    X2 is the same formula's prediction for (g, X1).
 
-    The strand permutations of the two sides are compared first, and a
-    query whose images differ is rejected without any normal-form work.
-    Components in another B_m skip that filter, so the engine refuses them."""
-    if q.Yhat.n == q.Z1hat.n == q.Z2hat.n == td.r.n:
-        r, s = _image(td.r.form), _image(td.s.form)
-        r_z1 = pm.compose(pm.compose(r, _image(q.Z1hat)), pm.inverse(r))
-        s_y = pm.compose(pm.compose(s, _image(q.Yhat)), pm.inverse(s))
-        if pm.compose(_image(q.Z2hat), r_z1) != s_y:
-            return False
-    lhs = nf_multiply(q.Z2hat, nf_conjugate(q.Z1hat, td.r))
-    rhs = nf_conjugate(q.Yhat, td.s)
-    return lhs == rhs
+    A component outside the trapdoor's B_n raises StrandMismatchError.  The
+    strand permutations of the two sides are compared first, and a query
+    whose images differ is rejected without any normal-form work (0.04 ms
+    at B_16); one that passes costs four products (1.06-1.21 ms)."""
+    for x in (q.Yhat, q.Z1hat, q.Z2hat):
+        _check_same_strands(x, td.r)
+    r, s = _image(td.r.form), _image(td.s.form)
+    r_z1 = pm.compose(pm.compose(r, _image(q.Z1hat)), pm.inverse(r))
+    s_y = pm.compose(pm.compose(s, _image(q.Yhat)), pm.inverse(s))
+    if pm.compose(_image(q.Z2hat), r_z1) != s_y:
+        return False
+    return q.Z2hat == _prediction(td.r, td.s, td.s_inv_r, q.Yhat, q.Z1hat)
 
 
 def honest_query(td_publics: tuple[CanonicalForm, CanonicalForm],

@@ -56,8 +56,8 @@ def test_pair_work_counts_kex_b32_meets():
 
 def test_pair_work_counts_reduce_b16():
     counts = pair_work("reduce-b16")
-    assert counts["pair_calls_per_op"] == 374.03125
-    assert counts["loop_crossings_per_op"] == 15280.99609375
+    assert counts["pair_calls_per_op"] == 358.56640625
+    assert counts["loop_crossings_per_op"] == 14835.296875
     assert counts["meets_per_op"] == 0
     assert counts["normal_form_pair_calls_per_op"] == 73.83203125
     assert counts["normal_form_crossings_per_op"] == 2919.73046875

@@ -16,6 +16,7 @@ from twincsp import (
     Ciphertext,
     DecisionQuery,
     PublicKey,
+    StrandMismatchError,
     SubgroupSide,
     conjugate,
     hash_elements,
@@ -36,7 +37,7 @@ from twincsp import (
     twin_decrypt,
     twin_keygen,
 )
-from twincsp import braid
+from twincsp import braid, trapdoor
 from twincsp import permutations as pm
 from twincsp.elgamal import SCHEME_TWIN
 from twincsp.trapdoor import _image, random_element_differing
@@ -246,6 +247,52 @@ class TestPermutationFilter:
                             "shifted": 0, "false success": 0}
 
 
+class TestProductCount:
+    """Normal-form products per trapdoor operation on fixed seeds: five to
+    set up (s^-1 r, then the four of X2 = the prediction for (g, X1)), four
+    to check a query that passes the strand-permutation filter and none for
+    a query it rejects."""
+
+    def test_products_per_setup_and_check(self, params, monkeypatch):
+        products = 0
+        multiply = braid.nf_multiply
+
+        def counted(x, y):
+            nonlocal products
+            products += 1
+            return multiply(x, y)
+
+        # nf_conjugate calls braid's nf_multiply; the trapdoor calls its own import
+        monkeypatch.setattr(braid, "nf_multiply", counted)
+        monkeypatch.setattr(trapdoor, "nf_multiply", counted)
+        one = normal_form(BraidWord(params.n, ()))
+        setup, passed, rejected = [], [], []
+        for i in range(16):
+            rng = rng_from(13_000 + i)
+            _, X1 = fresh_X1(params, rng)
+            before = products
+            td = trapdoor_setup(params, X1, rng)
+            setup.append(products - before)
+            q, _y = honest_query((td.X1, td.X2), params, rng)
+            u = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
+            passing = (q, DecisionQuery(q.Yhat, nf_multiply(u, q.Z1hat),
+                                        nf_multiply(q.Z2hat, nf_invert(u))),
+                       DecisionQuery(u, u, one))
+            failing = (DecisionQuery(q.Yhat, random_element_differing(params, rng, q.Z1hat),
+                                     q.Z2hat),
+                       DecisionQuery(q.Yhat, q.Z1hat,
+                                     random_element_differing(params, rng, q.Z2hat)),
+                       DecisionQuery(*(random_element(params, rng) for _ in range(3))))
+            for queries, counts, verdict in ((passing, passed, True), (failing, rejected, False)):
+                for query in queries:
+                    before = products
+                    assert trapdoor_check(td, query) is verdict
+                    counts.append(products - before)
+        assert setup == [5] * 16
+        assert passed == [4] * 48
+        assert rejected == [0] * 48
+
+
 class TestSimulatedDecryption:
     """One query tells a CKS-style simulated decryption oracle from real
     decryption.  The adversary encrypts from its own ephemeral y under
@@ -428,7 +475,7 @@ class TestStrandAgreement:
         q, _y = honest_query((td.X1, td.X2), params, rng)
         parts = [q.Yhat, q.Z1hat, q.Z2hat]
         parts[slot] = self.SMALL
-        with pytest.raises(ValueError):
+        with pytest.raises(StrandMismatchError):
             trapdoor_check(td, DecisionQuery(*parts))
 
     def test_reduction_refuses_an_answer_in_another_group(self, params):
@@ -438,7 +485,7 @@ class TestStrandAgreement:
         def adversary(X1, X2, Y, oracle):
             return nf_conjugate(X1, inst.witness_y), self.SMALL
 
-        with pytest.raises(ValueError):
+        with pytest.raises(StrandMismatchError):
             run_reduction(inst, adversary, rng)
 
     def test_secret_in_another_group(self, params):
