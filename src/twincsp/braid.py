@@ -254,9 +254,11 @@ def conjugate(a: BraidWord, t: BraidWord) -> BraidWord:
 MEET_FROM = 27
 
 
-def _left_weight_pair(a: list[int], b: list[int], n: int) -> bool:
+def _left_weight_pair(a: list[int], b: list[int], n: int) -> int:
     """Transfer crossings from the head of b to the tail of a (in place)
-    until S(b) is a subset of F(a).  Returns True if anything moved.
+    until S(b) is a subset of F(a).  Returns the number of crossings the
+    insertion pass moved: 0 exactly when the pair was left-weighted, at
+    least n when a meet finished it (the meet's crossings not included).
 
     i is in S(b) iff value i-1 sits after value i in b, i.e. the inverse
     table binv has a descent at i; i is in F(a) iff a[i-1] > a[i].  One
@@ -293,11 +295,10 @@ def _left_weight_pair(a: list[int], b: list[int], n: int) -> bool:
             a[:] = [a[x] for x in m]
             binv = [binv[x] for x in m]
             break
-    if not moved:
-        return False
-    for v, pos in enumerate(binv):
-        b[pos] = v
-    return True
+    if moved:
+        for v, pos in enumerate(binv):
+            b[pos] = v
+    return moved
 
 
 def _meet(a: list[int], binv: list[int], n: int) -> list[int]:

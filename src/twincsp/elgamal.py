@@ -110,15 +110,6 @@ def cs_keygen(params: GroupParams, rng: SeededRng) -> KeyPair:
     return keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
 
 
-def cs_encrypt(pk: PublicKey, message: bytes, rng: SeededRng) -> Ciphertext:
-    """key = H("cs", Y, Z) for a one-element public key."""
-    return encrypt(pk, message, rng, SCHEME_CS)
-
-
-def cs_decrypt(kp: KeyPair, ct: Ciphertext) -> bytes:
-    return decrypt(kp, ct, SCHEME_CS)
-
-
 def twin_keygen(params: GroupParams, rng: SeededRng) -> KeyPair:
     """Two independent secret conjugators from LB_l."""
     return keygen(params, SubgroupSide.LEFT, SCHEME_TWIN, rng)

@@ -10,9 +10,9 @@ with generator i iff i is a descent of p, and can begin with generator i
 iff i is a descent of p^{-1}.  Generator indices are 1-based (generator i
 swaps positions i-1 and i), matching the Artin indexing of braid words.
 
-Every helper stays here even with few or no callers in the package
-(``descents``, ``inversion_count``): perfbench/tracing.py counts calls by
-wrapping each one by name.
+Every helper stays even with no caller in the package: perfbench/tracing.py
+wraps each one by name to count calls, and ``inversion_count`` is how
+tools/pair_work.py counts the crossings of each meet.
 """
 
 from __future__ import annotations

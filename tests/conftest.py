@@ -1,4 +1,8 @@
+import importlib.util
 import socket
+import threading
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +25,39 @@ from twincsp import (
     sym_encrypt,
 )
 from twincsp import permutations as pm
-from twincsp.elgamal import SCHEME_CS, Ciphertext, cs_decrypt
+from twincsp.elgamal import SCHEME_CS, Ciphertext, decrypt
 from twincsp.kex import StreamChannel, run_parties
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name: str):
+    """A script from tools/, loaded as a module by its path."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The one counter of the engine's work (pair calls, crossings, meets),
+# shared with tools/pair_work.py: ``with engine_work(braid) as work:``.
+engine_work = load_tool("pair_work").engine_work
+
+
+class CallCounter:
+    """Counts calls of a wrapped function, per thread."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.by_thread = Counter()
+
+    def __call__(self, *args, **kwargs):
+        self.by_thread[threading.get_ident()] += 1
+        return self.fn(*args, **kwargs)
+
+    @property
+    def total(self) -> int:
+        return sum(self.by_thread.values())
 
 
 @pytest.fixture
@@ -62,15 +97,15 @@ def oracle_leak_demo(
     This is why the single-key scheme needs the reduction's trapdoor at
     all: a decryption oracle for it answers the decision predicate for
     free.  Forges a ciphertext for a known message under H("cs", Yhat,
-    Zhat); the oracle (an honest cs_decrypt) recomputes the key from its
-    secret, so decryption returns the known message exactly when Zhat is
-    the true shared conjugate.
+    Zhat); the oracle (an honest single-scheme decrypt) recomputes the key
+    from its secret, so decryption returns the known message exactly when
+    Zhat is the true shared conjugate.
     """
     probe = rng.rand_bytes(16)
     key = hash_elements("cs", [Yhat, Zhat])
     forged = Ciphertext(SCHEME_CS, Yhat, sym_encrypt(key, probe))
     try:
-        return cs_decrypt(kp, forged) == probe
+        return decrypt(kp, forged, SCHEME_CS) == probe
     except AuthenticationError:
         return False
 

@@ -27,10 +27,10 @@ from twincsp import (
     Role,
     SubgroupSide,
     conjugate,
-    cs_decrypt,
-    cs_encrypt,
     cs_keygen,
+    decrypt,
     default_params,
+    encrypt,
     invert,
     loopback_run,
     make_ccs_instance,
@@ -50,6 +50,7 @@ from twincsp import (
     twin_keygen,
 )
 from twincsp.codec import AuthenticationError
+from twincsp.elgamal import SCHEME_CS
 
 N = 16
 PARAMS = default_params()
@@ -156,7 +157,7 @@ def test_criterion_4_scheme_correctness():
     kp_twin = twin_keygen(PARAMS, rng)
     for i in range(100):
         msg = rng.rand_bytes(1 + rng.rand_below(128))
-        if cs_decrypt(kp_cs, cs_encrypt(kp_cs.public, msg, rng)) != msg:
+        if decrypt(kp_cs, encrypt(kp_cs.public, msg, rng, SCHEME_CS), SCHEME_CS) != msg:
             bad_round_trips += 1
         if twin_decrypt(kp_twin, twin_encrypt(kp_twin.public, msg, rng)) != msg:
             bad_round_trips += 1
@@ -165,9 +166,9 @@ def test_criterion_4_scheme_correctness():
     other_cs = cs_keygen(PARAMS, rng)
     other_twin = twin_keygen(PARAMS, rng)
     for i in range(50):
-        ct = cs_encrypt(kp_cs.public, b"cross", rng)
+        ct = encrypt(kp_cs.public, b"cross", rng, SCHEME_CS)
         try:
-            cs_decrypt(other_cs, ct)
+            decrypt(other_cs, ct, SCHEME_CS)
             accepted_forgeries += 1
         except AuthenticationError:
             pass
@@ -180,9 +181,9 @@ def test_criterion_4_scheme_correctness():
     for i in range(50):
         y = sample_subgroup(PARAMS, SubgroupSide.RIGHT, rng)
         fresh_Y = normal_form(conjugate(PARAMS.g, y))
-        ct = cs_encrypt(kp_cs.public, b"tamper", rng)
+        ct = encrypt(kp_cs.public, b"tamper", rng, SCHEME_CS)
         try:
-            cs_decrypt(kp_cs, Ciphertext(ct.scheme, fresh_Y, ct.box))
+            decrypt(kp_cs, Ciphertext(ct.scheme, fresh_Y, ct.box), SCHEME_CS)
             accepted_forgeries += 1
         except AuthenticationError:
             pass

@@ -4,13 +4,12 @@ word-at-a-time path."""
 
 import sys
 import threading
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_identity, random_word, rng_from, word_of
+from conftest import CallCounter, is_identity, random_word, rng_from, word_of
 from twincsp import (
     BraidWord,
     conjugate,
@@ -54,22 +53,6 @@ def test_conjugator_holds_an_inverse_pair():
     assert t.inverse_form == normal_form(invert(t))
     assert is_identity(nf_multiply(t.form, t.inverse_form))
     assert t.form is t.form and t.inverse_form is t.inverse_form
-
-
-class CallCounter:
-    """Counts calls of a wrapped function, per thread."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.by_thread = Counter()
-
-    def __call__(self, *args, **kwargs):
-        self.by_thread[threading.get_ident()] += 1
-        return self.fn(*args, **kwargs)
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_thread.values())
 
 
 @pytest.fixture

@@ -14,9 +14,9 @@ import struct
 from conftest import rng_from
 from twincsp import (
     BraidWord,
-    cs_encrypt,
     cs_keygen,
     default_params,
+    encrypt,
     hash_elements,
     loopback_run,
     nf_invert,
@@ -24,6 +24,7 @@ from twincsp import (
     normal_form,
 )
 from twincsp.codec import AuthenticationError, deserialize_canonical, sym_decrypt
+from twincsp.elgamal import SCHEME_CS
 
 
 def degenerate(l: int, r: int) -> bool:
@@ -52,7 +53,7 @@ def split_attack_opens(params, seed: int, trials: int = 20) -> int:
     for i in range(trials):
         rng = rng_from(seed + i)
         kp = cs_keygen(params, rng)
-        ct = cs_encrypt(kp.public, b"split", rng)
+        ct = encrypt(kp.public, b"split", rng, SCHEME_CS)
         Z = nf_multiply(nf_multiply(kp.publics[0], nf_invert(g_R)),
                         nf_multiply(nf_invert(g_L), ct.Y))
         try:

@@ -15,8 +15,6 @@ from twincsp import (
     Ciphertext,
     SubgroupSide,
     conjugate,
-    cs_decrypt,
-    cs_encrypt,
     cs_keygen,
     decrypt,
     encrypt,
@@ -31,6 +29,7 @@ from twincsp import (
     twin_encrypt,
     twin_keygen,
 )
+from twincsp.elgamal import SCHEME_CS
 
 
 class TestCcsShared:
@@ -82,7 +81,7 @@ class TestCsScheme:
         kp = cs_keygen(params, rng)
         for i in range(20):
             msg = rng.rand_bytes(i * 7)
-            assert cs_decrypt(kp, cs_encrypt(kp.public, msg, rng)) == msg
+            assert decrypt(kp, encrypt(kp.public, msg, rng, SCHEME_CS), SCHEME_CS) == msg
 
     def test_round_trip_asserts_shared_symmetry(self, params):
         # the load-bearing equality behind correctness, asserted per seed
@@ -100,14 +99,14 @@ class TestCsScheme:
     def test_empty_message(self, params):
         rng = rng_from(47)
         kp = cs_keygen(params, rng)
-        ct = cs_encrypt(kp.public, b"", rng)
-        assert ct.box.ct == b"" and cs_decrypt(kp, ct) == b""
+        ct = encrypt(kp.public, b"", rng, SCHEME_CS)
+        assert ct.box.ct == b"" and decrypt(kp, ct, SCHEME_CS) == b""
 
     def test_distinct_ephemerals(self, params):
         kp = cs_keygen(params, rng_from(48))
         seen = set()
         for i in range(100):
-            ct = cs_encrypt(kp.public, b"same message", rng_from(2000 + i))
+            ct = encrypt(kp.public, b"same message", rng_from(2000 + i), SCHEME_CS)
             seen.add(serialize_canonical(ct.Y))
         assert len(seen) == 100
 
@@ -115,18 +114,18 @@ class TestCsScheme:
         rng = rng_from(49)
         kp_a = cs_keygen(params, rng)
         kp_b = cs_keygen(params, rng)
-        ct = cs_encrypt(kp_a.public, b"for A only", rng)
+        ct = encrypt(kp_a.public, b"for A only", rng, SCHEME_CS)
         with pytest.raises(AuthenticationError):
-            cs_decrypt(kp_b, ct)
+            decrypt(kp_b, ct, SCHEME_CS)
 
     def test_tampered_header_rejection(self, params):
         rng = rng_from(50)
         kp = cs_keygen(params, rng)
-        ct = cs_encrypt(kp.public, b"message", rng)
+        ct = encrypt(kp.public, b"message", rng, SCHEME_CS)
         y2 = sample_subgroup(params, SubgroupSide.RIGHT, rng)
         forged = Ciphertext(ct.scheme, normal_form(conjugate(params.g, y2)), ct.box)
         with pytest.raises(AuthenticationError):
-            cs_decrypt(kp, forged)
+            decrypt(kp, forged, SCHEME_CS)
 
 
 class TestTwinScheme:
@@ -169,7 +168,7 @@ class TestTwinScheme:
         kp = twin_keygen(params, rng)
         skp = cs_keygen(params, rng)
         twin_ct = twin_encrypt(kp.public, b"m", rng)
-        cs_ct = cs_encrypt(skp.public, b"m", rng)
+        cs_ct = encrypt(skp.public, b"m", rng, SCHEME_CS)
         assert isinstance(twin_ct.Y, type(cs_ct.Y))
         assert len(twin_ct.box.ct) == len(cs_ct.box.ct) == 1
 
@@ -192,12 +191,12 @@ class TestOneKeyType:
         cs_kp, twin_kp = cs_keygen(params, rng), twin_keygen(params, rng)
         right = nike_keygen(params, SubgroupSide.RIGHT, rng)
         with pytest.raises(ValueError, match="does not fit"):
-            cs_encrypt(twin_kp.public, b"m", rng)
+            encrypt(twin_kp.public, b"m", rng, SCHEME_CS)
         with pytest.raises(ValueError, match="does not fit"):
             twin_encrypt(cs_kp.public, b"m", rng)
         ct = twin_encrypt(twin_kp.public, b"m", rng)
         with pytest.raises(ValueError, match="does not fit"):
-            cs_decrypt(twin_kp, ct)
+            decrypt(twin_kp, ct, SCHEME_CS)
         with pytest.raises(ValueError, match="left-subgroup"):
             twin_encrypt(right.public, b"m", rng)
         with pytest.raises(ValueError, match="left-subgroup"):

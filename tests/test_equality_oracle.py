@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import delta, random_word, rewrite_equivalent, rng_from, word_of
+from conftest import delta, engine_work, random_word, rewrite_equivalent, rng_from, word_of
 from twincsp import BraidWord, braid, default_params, normal_form, sample_subgroup
 from twincsp.sampling import SubgroupSide
 
@@ -104,26 +104,13 @@ def check_cases(n: int, tag: int) -> None:
 
 
 @pytest.mark.parametrize("n", (4, 16, 20, 32, 48))
-def test_equality_agrees_with_handle_reduction(n, monkeypatch):
-    seen = {"half_twists": 0, "meets": 0}
-    pair, meet = braid._left_weight_pair, braid._meet
-
-    def counted_pair(a, b, n):
-        moved = pair(a, b, n)
-        seen["half_twists"] += a == list(range(n - 1, -1, -1))
-        return moved
-
-    def counted_meet(*args):
-        seen["meets"] += 1
-        return meet(*args)
-
-    monkeypatch.setattr(braid, "_left_weight_pair", counted_pair)
-    monkeypatch.setattr(braid, "_meet", counted_meet)
-    for tag in range(3):
-        check_cases(n, 7500 + 10 * n + tag)
-    assert seen["half_twists"], "no factor became D"
+def test_equality_agrees_with_handle_reduction(n):
+    with engine_work(braid) as work:
+        for tag in range(3):
+            check_cases(n, 7500 + 10 * n + tag)
+    assert work.d_made, "no factor became D"
     if n >= braid.MEET_FROM:
-        assert seen["meets"], "no pair reached the meet"
+        assert work.meets, "no pair reached the meet"
 
 
 @settings(max_examples=12, deadline=None)

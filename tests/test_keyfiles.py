@@ -12,9 +12,9 @@ from twincsp import (
     KeyPair,
     PublicKey,
     SubgroupSide,
-    cs_encrypt,
     cs_keygen,
     default_params,
+    encrypt,
     nike_keygen,
     normal_form,
     sample_subgroup,
@@ -23,6 +23,7 @@ from twincsp import (
 )
 from twincsp.cli import EXIT_IO, dispatch
 from twincsp.codec import CodecError, blob, serialize_canonical, serialize_word
+from twincsp.elgamal import SCHEME_CS
 from twincsp.keyfiles import (
     CT_FILE_VERSION,
     CT_MAGIC,
@@ -40,7 +41,7 @@ from twincsp.keyfiles import (
 def cs_material(params):
     rng = rng_from(120)
     kp = cs_keygen(params, rng)
-    return kp, cs_encrypt(kp.public, b"cs file payload", rng)
+    return kp, encrypt(kp.public, b"cs file payload", rng, SCHEME_CS)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ run gathering in normal_form against the reference."""
 
 import pytest
 
-from conftest import delta, is_identity, random_word, rng_from, word_of
+from conftest import delta, engine_work, is_identity, random_word, rng_from, word_of
 from twincsp import (
     BraidWord,
     CanonicalForm,
@@ -108,76 +108,41 @@ def cases(n: int, tag: int):
     yield BraidWord(n, t.letters + g.letters + tuple(-v for v in reversed(t.letters)))
 
 
-@pytest.fixture
-def pair_calls(monkeypatch):
-    calls = []
-    pair = braid._left_weight_pair
-
-    def counted(a, b, n):
-        calls.append(n)
-        return pair(a, b, n)
-
-    monkeypatch.setattr(braid, "_left_weight_pair", counted)
-    return calls
-
-
 @pytest.mark.parametrize("n", SIZES)
-def test_engine_equals_reference(n, monkeypatch):
-    meets = []
-    meet = braid._meet
-    monkeypatch.setattr(braid, "_meet", lambda *a: meets.append(1) or meet(*a))
+def test_engine_equals_reference(n):
     words = [w for tag in range(3) for w in cases(n, 7000 + 10 * n + tag)]
-    forms = [normal_form(w) for w in words]
-    for w, x in zip(words, forms):
-        assert x == reference_normal_form(w), w
-        assert nf_invert(x) == reference_invert(x)
-    for x in forms:
-        for y in forms[::3]:
-            assert nf_multiply(x, y) == reference_multiply(x, y)
-            assert nf_multiply(x, nf_invert(y)) == reference_multiply(x, reference_invert(y))
+    with engine_work(braid) as work:
+        forms = [normal_form(w) for w in words]
+        for w, x in zip(words, forms):
+            assert x == reference_normal_form(w), w
+            assert nf_invert(x) == reference_invert(x)
+        for x in forms:
+            for y in forms[::3]:
+                assert nf_multiply(x, y) == reference_multiply(x, y)
+                assert nf_multiply(x, nf_invert(y)) == reference_multiply(x, reference_invert(y))
     if n >= braid.MEET_FROM:
-        assert meets, "no pair reached the meet"
+        assert work.meets, "no pair reached the meet"
 
 
 @pytest.mark.parametrize("n", (4, 16, 32))
-def test_invert_makes_no_pair_call(n, pair_calls):
+def test_invert_makes_no_pair_call(n):
     x = normal_form(random_word(n, 3 * n, rng_from(71 + n)))
     assert len(x.factors) >= 2
-    pair_calls.clear()
-    inv = nf_invert(x)
-    assert pair_calls == []
+    with engine_work(braid) as work:
+        inv = nf_invert(x)
+    assert work.pair_calls == 0
     assert is_identity(nf_multiply(x, inv))
 
 
 @pytest.mark.parametrize("dexp", (0, 1, -3))
 @pytest.mark.parametrize("n", (4, 16, 32))
-def test_multiply_by_half_twist_power_makes_no_pair_call(n, dexp, pair_calls):
+def test_multiply_by_half_twist_power_makes_no_pair_call(n, dexp):
     x = normal_form(random_word(n, 3 * n, rng_from(72 + n)))
     assert len(x.factors) >= 2
-    pair_calls.clear()
-    product = nf_multiply(x, CanonicalForm(n, dexp, ()))
-    assert pair_calls == []
+    with engine_work(braid) as work:
+        product = nf_multiply(x, CanonicalForm(n, dexp, ()))
+    assert work.pair_calls == 0
     assert product == reference_multiply(x, CanonicalForm(n, dexp, ()))
-
-
-@pytest.fixture
-def half_twists(monkeypatch):
-    """Counts pair calls and, among them, those whose right factor is D on
-    entry (``right``) and those whose left factor is D on exit (``made``:
-    an inner factor became D mid-percolation)."""
-    seen = {"calls": 0, "right": 0, "made": 0}
-    pair = braid._left_weight_pair
-
-    def counted(a, b, n):
-        rev = list(range(n - 1, -1, -1))
-        seen["calls"] += 1
-        seen["right"] += b == rev
-        moved = pair(a, b, n)
-        seen["made"] += a == rev
-        return moved
-
-    monkeypatch.setattr(braid, "_left_weight_pair", counted)
-    return seen
 
 
 def _b16_twin_round_trip():
@@ -199,13 +164,17 @@ def _b32_exchange():
 
 
 @pytest.mark.parametrize("run", (_b16_twin_round_trip, _b16_reduction, _b32_exchange))
-def test_no_pair_call_meets_a_half_twist(run, half_twists):
+def test_no_pair_call_meets_a_half_twist(run):
     """A factor that is or becomes D leaves for the front at once, so the
-    pair (A, D), which would only compute (D, tau A), is never formed."""
-    run()
-    assert half_twists["calls"] > 100
-    assert half_twists["made"] > 0, "no factor became D: the exit was not exercised"
-    assert half_twists["right"] == 0
+    pair (A, D), which would only compute (D, tau A), is never formed.
+    ``d_made`` counts the pairs whose left factor is D on exit (an inner
+    factor became D mid-percolation), ``d_right`` those whose right factor
+    is D on entry."""
+    with engine_work(braid) as work:
+        run()
+    assert work.pair_calls > 100
+    assert work.d_made > 0, "no factor became D: the exit was not exercised"
+    assert work.d_right == 0
 
 
 def d_cases(n: int, tag: int):
@@ -223,7 +192,7 @@ def d_cases(n: int, tag: int):
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 16, 32))
-def test_half_twist_exit_equals_reference(n, half_twists):
+def test_half_twist_exit_equals_reference(n):
     pairs = list(d_cases(n, 7400 + n))
     words = [BraidWord(n, word_of(x).letters + word_of(y).letters) for x, y in pairs]
     words.append(BraidWord(n, (1,) * 5 + tuple(range(1, n)) * 2))
@@ -232,15 +201,15 @@ def test_half_twist_exit_equals_reference(n, half_twists):
         # flips s1 to s2, then the pair (s2, s1 s2) makes D.  Most n = 3
         # words gather D as a run and never make one in a pair.
         words.append(BraidWord(3, (1, 1, 2, 1, 1, 2)))
-    half_twists["made"] = 0
-    products = [nf_multiply(x, y) for x, y in pairs]
-    forms = [normal_form(w) for w in words]
+    with engine_work(braid) as work:
+        products = [nf_multiply(x, y) for x, y in pairs]
+        forms = [normal_form(w) for w in words]
     if n == 2:
         # Every factor is D or the identity: each positive letter is a D
         # tail factor, and no pair ever moves.
         assert forms[-1] == CanonicalForm(2, 7, ())
     else:
-        assert half_twists["made"] > 0, "no inner factor became D"
+        assert work.d_made > 0, "no inner factor became D"
     assert products == [reference_multiply(x, y) for x, y in pairs]
     assert forms == [reference_normal_form(w) for w in words]
 
@@ -286,14 +255,14 @@ def test_run_gathering_equals_reference(n):
         assert normal_form(w) == reference_normal_form(w), w
 
 
-def test_normal_form_pair_calls_on_b32_secrets(pair_calls):
+def test_normal_form_pair_calls_on_b32_secrets():
     """The exact pair calls of normal_form over 32 seeded B_32 subgroup
     secrets (976 letters, 156 factors in their forms): 2,374 when every
     letter was its own factor, 814 with runs."""
     p = default_params(16, 16, 32)
     secrets = [sample_subgroup(p, side, rng_from(7600 + k))
                for k in range(16) for side in SubgroupSide]
-    pair_calls.clear()
-    forms = [normal_form(w) for w in secrets]
-    assert len(pair_calls) == 814
+    with engine_work(braid) as work:
+        forms = [normal_form(w) for w in secrets]
+    assert work.pair_calls == 814
     assert forms == [reference_normal_form(w) for w in secrets]

@@ -1,13 +1,12 @@
 """The factor-pair kernel against a reference that moves one crossing at a
 time, on synthetic pairs on both sides of the crossover at which heavy
 pairs finish with a meet and on pairs recorded from the schemes, and where
-in the schemes that meet engages."""
+in the schemes that meet engages.  The kernel must end at the reference's
+pair and move as many crossings: its return value plus its meet's."""
 
 import random
 
-import pytest
-
-from conftest import perfect_adversary, rng_from
+from conftest import engine_work, perfect_adversary, rng_from
 from twincsp import (
     braid,
     default_params,
@@ -23,10 +22,11 @@ from twincsp import (
 def reference_transfer(a, b):
     """Left-weight (a, b) the textbook way: while some generator i starts b
     (value i sits before value i-1) and does not finish a (a[i-1] < a[i]),
-    move it: a gains a final s_i, b loses its leading s_i."""
+    move it: a gains a final s_i, b loses its leading s_i.  Returns the
+    number of crossings moved with the left-weighted pair."""
     n = len(a)
     a, b = list(a), list(b)
-    moved = False
+    moved = 0
     while True:
         pos = {v: p for p, v in enumerate(b)}
         i = next((i for i in range(1, n) if pos[i] < pos[i - 1] and a[i - 1] < a[i]), None)
@@ -34,7 +34,7 @@ def reference_transfer(a, b):
             return moved, a, b
         a[i - 1], a[i] = a[i], a[i - 1]
         b[pos[i]], b[pos[i - 1]] = i - 1, i
-        moved = True
+        moved += 1
 
 
 def near(perm, swaps, rnd):
@@ -55,41 +55,38 @@ def pairs(n, rnd):
         yield near(range(n), swaps, rnd), near(range(n - 1, -1, -1), swaps, rnd)
 
 
-@pytest.fixture
-def meet_calls(monkeypatch):
-    calls = []
-    real = braid._meet
-
-    def counted(a, binv, n):
-        calls.append(n)
-        return real(a, binv, n)
-
-    monkeypatch.setattr(braid, "_meet", counted)
-    return calls
+def kernel_transfer(work, a, b, n):
+    """The kernel on copies of (a, b), run inside ``engine_work``: the
+    crossings it moved, its loop's and its meet's, with the pair."""
+    a, b = list(a), list(b)
+    meets, meet_crossings = sum(work.meets.values()), work.meet_crossings
+    moved = braid._left_weight_pair(a, b, n)
+    if sum(work.meets.values()) > meets:
+        assert moved >= n, "a meet finished a pair that moved fewer than n crossings"
+    return moved + work.meet_crossings - meet_crossings, a, b
 
 
-def test_kernel_matches_reference(meet_calls):
+def test_kernel_matches_reference():
     rnd = random.Random(5150)
-    for n in range(2, 65):
-        for a, b in pairs(n, rnd):
-            want = reference_transfer(a, b)
-            a2, b2 = list(a), list(b)
-            got = braid._left_weight_pair(a2, b2, n)
-            assert (got, a2, b2) == want, (n, a, b)
+    with engine_work(braid) as work:
+        for n in range(2, 65):
+            for a, b in pairs(n, rnd):
+                assert kernel_transfer(work, a, b, n) == reference_transfer(a, b), (n, a, b)
     # Below the crossover the loop did all the work; above it, heavy pairs
     # finished with a meet at every n.
-    assert sorted(set(meet_calls)) == list(range(braid.MEET_FROM, 65))
+    assert sorted(work.meets) == list(range(braid.MEET_FROM, 65))
 
 
-def test_meet_engages_at_b32_and_never_at_b16(meet_calls):
+def test_meet_engages_at_b32_and_never_at_b16():
     p16 = default_params()
-    loopback_run(p16, rng_from(5151), rng_from(5152))
-    kp = twin_keygen(p16, rng_from(5153))
-    assert twin_decrypt(kp, twin_encrypt(kp.public, b"m", rng_from(5154))) == b"m"
-    assert meet_calls == []
-    res_i, res_r = loopback_run(default_params(16, 16, 32), rng_from(5155), rng_from(5156))
+    with engine_work(braid) as work:
+        loopback_run(p16, rng_from(5151), rng_from(5152))
+        kp = twin_keygen(p16, rng_from(5153))
+        assert twin_decrypt(kp, twin_encrypt(kp.public, b"m", rng_from(5154))) == b"m"
+        assert not work.meets
+        res_i, res_r = loopback_run(default_params(16, 16, 32), rng_from(5155), rng_from(5156))
     assert res_i.key == res_r.key
-    assert meet_calls and set(meet_calls) == {32}
+    assert set(work.meets) == {32}
 
 
 def insertion_paths(a, b):
@@ -152,15 +149,13 @@ def scheme_pairs(monkeypatch):
     return out
 
 
-def test_kernel_matches_reference_on_scheme_pairs(monkeypatch, meet_calls):
+def test_kernel_matches_reference_on_scheme_pairs(monkeypatch):
     recorded = scheme_pairs(monkeypatch)
-    meet_calls.clear()
     paths = set()
-    for a, b, n in recorded:
-        if n < braid.MEET_FROM:
-            paths |= insertion_paths(a, b)
-        a2, b2 = list(a), list(b)
-        got = braid._left_weight_pair(a2, b2, n)
-        assert (got, a2, b2) == reference_transfer(a, b), (n, a, b)
+    with engine_work(braid) as work:
+        for a, b, n in recorded:
+            if n < braid.MEET_FROM:
+                paths |= insertion_paths(a, b)
+            assert kernel_transfer(work, a, b, n) == reference_transfer(a, b), (n, a, b)
     assert paths == {"blocked by a", "to front"}
-    assert 32 in meet_calls
+    assert 32 in work.meets

@@ -9,10 +9,6 @@ import twincsp
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The single scheme's encrypt/decrypt pair: nothing outside the tests calls
-# them, and tests/test_elgamal.py pins that they refuse a two-secret key.
-TEST_ONLY = {"cs_encrypt", "cs_decrypt"}
-
 
 def referenced_names() -> set[str]:
     """Every Name id and Attribute attr in src/, tools/ and perfbench/,
@@ -33,4 +29,4 @@ def referenced_names() -> set[str]:
 def test_every_public_name_has_a_caller_outside_the_tests():
     used = referenced_names()
     unused = {name for name in twincsp.__all__ if name not in used}
-    assert unused == TEST_ONLY
+    assert unused == set()

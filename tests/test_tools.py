@@ -3,13 +3,15 @@ engine still does exactly the work recorded for seed 1.  A change that
 moves these counts re-pins them and says why.  The A/B pair tool's
 summary is checked on fixed runs."""
 
-import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import load_tool
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,6 +35,8 @@ def test_pair_work_counts_pke_short():
                 "normal_form_crossings_per_op"):
         assert key in counts
     assert counts["pair_calls_per_op"] == 222.40625
+    assert counts["d_right_pair_calls_per_op"] == 0.0
+    assert counts["loop_crossings_per_op"] == 9245.4140625
     assert counts["meets_per_op"] == 0  # B_16 is below braid.MEET_FROM
     assert counts["normal_form_pair_calls_per_op"] == 13.16796875
     assert counts["normal_form_crossings_per_op"] == 519.671875
@@ -41,6 +45,8 @@ def test_pair_work_counts_pke_short():
 def test_pair_work_counts_pke_bulk():
     counts = pair_work("pke-bulk")
     assert counts["pair_calls_per_op"] == 172.5625
+    assert counts["d_right_pair_calls_per_op"] == 0.0
+    assert counts["loop_crossings_per_op"] == 6281.0625
     assert counts["meets_per_op"] == 0
     assert counts["normal_form_pair_calls_per_op"] == 12.875
     assert counts["normal_form_crossings_per_op"] == 549.0625
@@ -49,7 +55,10 @@ def test_pair_work_counts_pke_bulk():
 def test_pair_work_counts_kex_b32_meets():
     counts = pair_work("kex-b32")
     assert counts["pair_calls_per_op"] == 599.84375
+    assert counts["d_right_pair_calls_per_op"] == 0.0
+    assert counts["loop_crossings_per_op"] == 9671.875
     assert counts["meets_per_op"] == 217.96875  # B_32 is at or above braid.MEET_FROM
+    assert counts["meet_crossings_per_op"] == 88009.125
     assert counts["normal_form_pair_calls_per_op"] == 94.5
     assert counts["normal_form_crossings_per_op"] == 14846.8125
 
@@ -57,17 +66,28 @@ def test_pair_work_counts_kex_b32_meets():
 def test_pair_work_counts_reduce_b16():
     counts = pair_work("reduce-b16")
     assert counts["pair_calls_per_op"] == 358.56640625
+    assert counts["d_right_pair_calls_per_op"] == 0.0
     assert counts["loop_crossings_per_op"] == 14835.296875
     assert counts["meets_per_op"] == 0
     assert counts["normal_form_pair_calls_per_op"] == 73.83203125
     assert counts["normal_form_crossings_per_op"] == 2919.73046875
 
 
-def load_ab_pairs():
-    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def test_pair_work_refuses_a_kernel_that_returns_a_bool(tmp_path):
+    """A kernel that says only whether it moved anything cannot feed the
+    crossing counts, so a checkout with one is refused, not miscounted."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    braid = tmp_path / "src" / "twincsp" / "braid.py"
+    text = braid.read_text()
+    assert text.count("    return moved\n") == 1
+    braid.write_text(text.replace("    return moved\n", "    return bool(moved)\n"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "pair_work.py"), "--checkout", str(tmp_path),
+         "--workload", "pke-bulk", "--seed", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "returns a bool" in proc.stderr
 
 
 def result_line(**values) -> dict:
@@ -76,7 +96,7 @@ def result_line(**values) -> dict:
 
 
 def test_ab_pairs_summary_on_fixed_runs():
-    ab = load_ab_pairs()
+    ab = load_tool("ab_pairs")
     runs = {
         "parent": [result_line(ops_per_s=p, setup_s=s)
                    for p, s in [(10, 0.020), (11, 0.021), (12, 0.022), (13, 0.023), (14, 0.024)]],
@@ -100,7 +120,7 @@ def test_ab_pairs_summary_on_fixed_runs():
 
 
 def test_ab_pairs_summary_needs_matched_pairs():
-    ab = load_ab_pairs()
+    ab = load_tool("ab_pairs")
     one = {"parent": [result_line(ops_per_s=1)], "change": [result_line(ops_per_s=1)]}
     with pytest.raises(ValueError):
         ab.summarize(one, {"ops_per_s": "higher"})

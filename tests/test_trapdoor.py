@@ -9,7 +9,15 @@ explicitly (that equality is the shared-value symmetry the schemes rely on).
 
 import pytest
 
-from conftest import is_identity, permutation_of, rng_from, truth_2ccsp, word_of
+from conftest import (
+    CallCounter,
+    engine_work,
+    is_identity,
+    permutation_of,
+    rng_from,
+    truth_2ccsp,
+    word_of,
+)
 from twincsp import (
     AuthenticationError,
     BraidWord,
@@ -192,16 +200,7 @@ class TestPermutationFilter:
             assert _image(nf_multiply(x, y)) == pm.compose(_image(x), _image(y))
             assert _image(nf_invert(x)) == pm.inverse(_image(x))
 
-    def test_verdicts_equal_the_equation(self, params, monkeypatch):
-        pair_calls = 0
-        pair = braid._left_weight_pair
-
-        def counted(a, b, n):
-            nonlocal pair_calls
-            pair_calls += 1
-            return pair(a, b, n)
-
-        monkeypatch.setattr(braid, "_left_weight_pair", counted)
+    def test_verdicts_equal_the_equation(self, params):
         kinds = ("honest", "z1", "z2", "random", "shifted", "false success")
         accepted = dict.fromkeys(kinds, 0)
         filtered = dict.fromkeys(kinds, 0)
@@ -234,9 +233,9 @@ class TestPermutationFilter:
                 "false success": answer[0],
             }
             for kind, query in queries.items():
-                before = pair_calls
-                verdict = trapdoor_check(td, query)
-                filtered[kind] += pair_calls == before
+                with engine_work(braid) as work:
+                    verdict = trapdoor_check(td, query)
+                filtered[kind] += work.pair_calls == 0
                 equation = (nf_multiply(query.Z2hat, nf_conjugate(query.Z1hat, td.r))
                             == nf_conjugate(query.Yhat, td.s))
                 assert verdict == equation, kind
@@ -254,25 +253,18 @@ class TestProductCount:
     a query it rejects."""
 
     def test_products_per_setup_and_check(self, params, monkeypatch):
-        products = 0
-        multiply = braid.nf_multiply
-
-        def counted(x, y):
-            nonlocal products
-            products += 1
-            return multiply(x, y)
-
+        products = CallCounter(braid.nf_multiply)
         # nf_conjugate calls braid's nf_multiply; the trapdoor calls its own import
-        monkeypatch.setattr(braid, "nf_multiply", counted)
-        monkeypatch.setattr(trapdoor, "nf_multiply", counted)
+        monkeypatch.setattr(braid, "nf_multiply", products)
+        monkeypatch.setattr(trapdoor, "nf_multiply", products)
         one = normal_form(BraidWord(params.n, ()))
         setup, passed, rejected = [], [], []
         for i in range(16):
             rng = rng_from(13_000 + i)
             _, X1 = fresh_X1(params, rng)
-            before = products
+            before = products.total
             td = trapdoor_setup(params, X1, rng)
-            setup.append(products - before)
+            setup.append(products.total - before)
             q, _y = honest_query((td.X1, td.X2), params, rng)
             u = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
             passing = (q, DecisionQuery(q.Yhat, nf_multiply(u, q.Z1hat),
@@ -285,9 +277,9 @@ class TestProductCount:
                        DecisionQuery(*(random_element(params, rng) for _ in range(3))))
             for queries, counts, verdict in ((passing, passed, True), (failing, rejected, False)):
                 for query in queries:
-                    before = products
+                    before = products.total
                     assert trapdoor_check(td, query) is verdict
-                    counts.append(products - before)
+                    counts.append(products.total - before)
         assert setup == [5] * 16
         assert passed == [4] * 48
         assert rejected == [0] * 48

@@ -15,9 +15,9 @@ import hashlib
 from conftest import perfect_adversary, rng_from
 from twincsp import (
     SubgroupSide,
-    cs_encrypt,
-    default_params,
     cs_keygen,
+    default_params,
+    encrypt,
     hash_elements,
     loopback_run,
     make_ccs_instance,
@@ -33,6 +33,7 @@ from twincsp import (
     twin_encrypt,
     twin_keygen,
 )
+from twincsp.elgamal import SCHEME_CS
 from twincsp.keyfiles import encode_keypair, encode_public_key
 
 MESSAGE = b"known answer"
@@ -94,7 +95,7 @@ def test_twin_encrypt(params):
 
 def test_cs_encrypt(params):
     kp = cs_keygen(params, rng_from(9003))
-    ct = cs_encrypt(kp.public, MESSAGE, rng_from(9004))
+    ct = encrypt(kp.public, MESSAGE, rng_from(9004), SCHEME_CS)
     assert form_digest(ct.Y) == (
         "0fe8ad993da672980684b42bc7c81db973dc3065c9b610105e4f7907c5745cc0"
     )

@@ -4,12 +4,17 @@
     python3 tools/pair_work.py --workload kex-b32 --replay [--strands 20]
 
 Runs one round of a ``perfbench`` workload against the package in
-``CHECKOUT/src`` and prints one JSON line: factor-pair calls (and among
-them those whose right factor is the half twist D), crossings moved one at
-a time, meets taken and crossings moved by meets, and the pair calls and
-crossings (moved either way) made inside ``normal_form``, all per op.
-Counts are exact and repeat between runs; nothing is timed.  A checkout
-whose engine has no meet reports zero meets.
+``CHECKOUT/src`` and prints one JSON line of counts per op, all taken by
+``engine_work``: factor-pair calls, and among them those whose right
+factor is the half twist D; crossings moved one at a time, which
+``_left_weight_pair`` returns; meets taken, and the crossings each meet
+moves (the inversions of its permutation); and the pair calls and
+crossings (moved either way) made inside ``normal_form``.  Counts are
+exact and repeat between runs; nothing is timed.  A checkout whose pair
+kernel returns a bool instead of its crossings is refused.
+
+``engine_work`` is also the one engine counter of the test suite, which
+loads this file by path.
 
 ``--replay`` times the pair kernel instead.  It records the inputs of
 every ``_left_weight_pair`` call in the round and replays them through
@@ -24,40 +29,66 @@ kex-b32's exchanges at B_N (l = N // 2) instead, which is how the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import statistics
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def count_work(braid, workload) -> dict:
-    from twincsp.permutations import inversion_count as inversions
+@contextlib.contextmanager
+def engine_work(braid):
+    """Count the engine's work while the block runs, on every thread.
 
-    count = {"pair_calls": 0, "d_right": 0, "crossings_moved": 0, "meets": 0, "meet_crossings": 0,
-             "nf_pair_calls": 0, "nf_crossings": 0}
+    Wraps ``braid._left_weight_pair``, ``braid._meet`` and ``normal_form``
+    in every ``twincsp`` module that imported it, yields the counts and
+    puts the originals back on exit:
+
+    - ``pair_calls``; ``d_right``, the pairs whose right factor is D on
+      entry; ``d_made``, the pairs whose left factor is D on exit;
+    - ``loop_crossings``, the sum of the kernel's return values;
+    - ``meets``, a Counter by strand count, and ``meet_crossings``;
+    - ``nf_pair_calls`` and ``nf_crossings`` (loop and meet), made inside
+      ``normal_form``.
+    """
+    from twincsp.permutations import inversion_count
+
+    work = SimpleNamespace(pair_calls=0, d_right=0, d_made=0, loop_crossings=0,
+                           meets=Counter(), meet_crossings=0, nf_pair_calls=0, nf_crossings=0)
     lock = threading.Lock()  # the key exchange runs its responder in a thread
     local = threading.local()  # local.depth: normal_form calls open on this thread
-    pair, meet = braid._left_weight_pair, getattr(braid, "_meet", None)
-    normal_form = braid.normal_form
+    pair, meet, normal_form = braid._left_weight_pair, braid._meet, braid.normal_form
 
     def counted_pair(a, b, n):
-        d_right = b == list(range(n - 1, -1, -1))
-        before = inversions(a)
+        d = list(range(n - 1, -1, -1))
+        d_right = b == d
         moved = pair(a, b, n)
-        after = inversions(a)
         inside = getattr(local, "depth", 0) > 0
         with lock:
-            count["pair_calls"] += 1
-            count["d_right"] += d_right
-            count["crossings_moved"] += after - before
-            count["nf_pair_calls"] += inside
-            count["nf_crossings"] += (after - before) * inside
+            work.pair_calls += 1
+            work.d_right += d_right
+            work.d_made += a == d
+            work.loop_crossings += moved
+            work.nf_pair_calls += inside
+            work.nf_crossings += moved * inside
         return moved
+
+    def counted_meet(a, binv, n):
+        m = meet(a, binv, n)
+        moved = inversion_count(m)
+        inside = getattr(local, "depth", 0) > 0
+        with lock:
+            work.meets[n] += 1
+            work.meet_crossings += moved
+            work.nf_crossings += moved * inside
+        return m
 
     def counted_normal_form(word):
         local.depth = getattr(local, "depth", 0) + 1
@@ -66,30 +97,32 @@ def count_work(braid, workload) -> dict:
         finally:
             local.depth -= 1
 
-    def counted_meet(a, binv, n):
-        m = meet(a, binv, n)
-        moved = inversions(m)
-        with lock:
-            count["meets"] += 1
-            count["meet_crossings"] += moved
-        return m
+    importers = [m for name, m in sys.modules.items()  # braid and every module importing it
+                 if name.split(".")[0] == "twincsp"
+                 and getattr(m, "normal_form", None) is normal_form]
+    braid._left_weight_pair, braid._meet = counted_pair, counted_meet
+    for mod in importers:
+        mod.normal_form = counted_normal_form
+    try:
+        yield work
+    finally:
+        braid._left_weight_pair, braid._meet = pair, meet
+        for mod in importers:
+            mod.normal_form = normal_form
 
-    braid._left_weight_pair = counted_pair
-    if meet is not None:
-        braid._meet = counted_meet
-    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "twincsp"]:
-        if getattr(mod, "normal_form", None) is normal_form:  # also the names imported from braid
-            mod.normal_form = counted_normal_form
-    run_round(workload)
+
+def count_work(braid, workload) -> dict:
+    with engine_work(braid) as work:
+        run_round(workload)
     ops = workload.units * workload.ops_per_unit
     return {
-        "pair_calls_per_op": count["pair_calls"] / ops,
-        "d_right_pair_calls_per_op": count["d_right"] / ops,
-        "loop_crossings_per_op": (count["crossings_moved"] - count["meet_crossings"]) / ops,
-        "meets_per_op": count["meets"] / ops,
-        "meet_crossings_per_op": count["meet_crossings"] / ops,
-        "normal_form_pair_calls_per_op": count["nf_pair_calls"] / ops,
-        "normal_form_crossings_per_op": count["nf_crossings"] / ops,
+        "pair_calls_per_op": work.pair_calls / ops,
+        "d_right_pair_calls_per_op": work.d_right / ops,
+        "loop_crossings_per_op": work.loop_crossings / ops,
+        "meets_per_op": sum(work.meets.values()) / ops,
+        "meet_crossings_per_op": work.meet_crossings / ops,
+        "normal_form_pair_calls_per_op": work.nf_pair_calls / ops,
+        "normal_form_crossings_per_op": work.nf_crossings / ops,
     }
 
 
@@ -168,6 +201,9 @@ def main(argv=None) -> int:
         head["strands"] = n
     if args.replay:
         head.update(replay(braid, workload))
+    elif isinstance(braid._left_weight_pair([0, 1], [1, 0], 2), bool):
+        sys.exit(f"{args.checkout}: _left_weight_pair returns a bool, not the crossings it "
+                 "moved, so its crossings cannot be counted")
     else:
         head.update(count_work(braid, workload))
     print(json.dumps(head))
