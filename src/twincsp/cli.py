@@ -162,12 +162,12 @@ def _cmd_decrypt(args) -> int:
     return EXIT_OK
 
 
-def _describe_canonical(cf, indent="  ") -> str:
-    lines = [f"{indent}strands:   {cf.n}",
-             f"{indent}half-twist power: {cf.delta_exp}",
-             f"{indent}factors:   {len(cf.factors)}"]
+def _describe_canonical(cf) -> str:
+    lines = [f"  strands:   {cf.n}",
+             f"  half-twist power: {cf.delta_exp}",
+             f"  factors:   {len(cf.factors)}"]
     for i, f in enumerate(cf.factors):
-        lines.append(f"{indent}  A{i + 1}: {f.perm}")
+        lines.append(f"    A{i + 1}: {f.perm}")
     return "\n".join(lines)
 
 

@@ -1,15 +1,22 @@
 """Hashed encryption from the conjugacy search problem, single and twin,
-and the one key type of the package.
+the one key type of the package and the one shared-conjugate rule.
 
 A key is k secrets w_i from one subgroup (its side) and their public
 conjugates X_i = w_i g w_i^{-1}: k = 1 for the single scheme, k = 2 for
-the twin scheme and both key exchanges.  Both schemes are hybrids, a
-conjugate header plus a symmetric box.  An encryption draws one ephemeral
-y from the right subgroup and hashes Y = y g y^{-1} with every shared
-conjugate Z_i = y X_i y^{-1} = w_i Y w_i^{-1} (the secrets come from the
-left subgroup, which commutes with the right one elementwise) under label
-"cs" for k = 1 or "twin" for k = 2, so that every secret enters the key.
-The ciphertext's scheme byte is k.
+the twin scheme and both key exchanges; ``keygen`` draws every key.
+
+Every scheme is a key agreement between a left-side key (x_i, X_i) and a
+right-side key (y_j, Y_j): either party computes the shared conjugates
+
+    ccs(X_i, Y_j) = x_i Y_j x_i^{-1} = y_j X_i y_j^{-1},   i outer,
+
+with ``shared_conjugates`` (the subgroups commute elementwise) and hashes
+them.  The key exchanges hash the four values of two two-secret keys.
+Both encryption schemes are hybrids, a conjugate header plus a symmetric
+box: a fresh one-secret right-side key (its public element is the header
+Y) agrees with the recipient's key, and the box key is
+H(label, Y, Z_1, .., Z_k) under label "cs" for k = 1 or "twin" for k = 2,
+so that every secret enters the key.  The ciphertext's scheme byte is k.
 
 Each conjugator is normalized once: a word keeps the normal forms of
 itself and its inverse (``BraidWord.form``), so an encryption normalizes
@@ -78,6 +85,17 @@ def keygen(params: GroupParams, side: SubgroupSide, k: int, rng: SeededRng) -> K
     return KeyPair(params, side, secrets, publics)
 
 
+def shared_conjugates(me: KeyPair, peer: PublicKey) -> list[CanonicalForm]:
+    """The shared conjugates of my key and an opposite-side peer key, in the
+    order ccs(X_i, Y_j), i outer: x_i Y_j x_i^{-1} if I hold the x_i, else
+    y_j X_i y_j^{-1}."""
+    if peer.side is me.side:
+        raise ValueError("parties must use opposite subgroups")
+    if me.side is SubgroupSide.LEFT:
+        return [nf_conjugate(Y, x) for x in me.secrets for Y in peer.elements]
+    return [nf_conjugate(X, y) for X in peer.elements for y in me.secrets]
+
+
 def _label(key: PublicKey | KeyPair, k: int | None = None) -> str:
     """The hash label of a key of left-subgroup secrets (exactly k, if given)."""
     if key.side is not SubgroupSide.LEFT:
@@ -88,20 +106,22 @@ def _label(key: PublicKey | KeyPair, k: int | None = None) -> str:
 
 
 def encrypt(pk: PublicKey, message: bytes, rng: SeededRng, k: int | None = None) -> Ciphertext:
-    """Ephemeral y from RB_r; Y = ygy^{-1}, Z_i = y X_i y^{-1},
-    key = H(label, Y, Z_1, .., Z_k).  k, if given, is the size the key must have."""
+    """Agree with pk from a fresh ephemeral key (y from RB_r, Y = ygy^{-1}):
+    key = H(label, Y, Z_1, .., Z_k), Z_i = y X_i y^{-1}.  k, if given, is the
+    size the key must have."""
     label = _label(pk, k)
-    y = sample_subgroup(pk.params, SubgroupSide.RIGHT, rng)
-    Y = nf_conjugate(pk.params.g.form, y)
-    key = hash_elements(label, [Y, *(nf_conjugate(X, y) for X in pk.elements)])
+    eph = keygen(pk.params, SubgroupSide.RIGHT, 1, rng)
+    Y = eph.publics[0]
+    key = hash_elements(label, [Y, *shared_conjugates(eph, pk)])
     return Ciphertext(pk.k, Y, sym_encrypt(key, message))
 
 
 def decrypt(kp: KeyPair, ct: Ciphertext, k: int | None = None) -> bytes:
-    """Recompute Z_i = w_i Y w_i^{-1} and open the box; raises
+    """Agree with the header Y (Z_i = w_i Y w_i^{-1}) and open the box; raises
     AuthenticationError on forged or mis-keyed ciphertexts."""
     label = _label(kp, k)
-    key = hash_elements(label, [ct.Y, *(nf_conjugate(ct.Y, w) for w in kp.secrets)])
+    header = PublicKey(kp.params, SubgroupSide.RIGHT, (ct.Y,))
+    key = hash_elements(label, [ct.Y, *shared_conjugates(kp, header)])
     return sym_decrypt(key, ct.box)
 
 

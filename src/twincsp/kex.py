@@ -1,18 +1,13 @@
 """Non-interactive and interactive key exchange over the twin construction.
 
-Each party holds a two-element ``KeyPair`` (two secret words from its own
-subgroup, then their public conjugates), and both derive
-
-    k = H(ccs(X1,Y1), ccs(X1,Y2), ccs(X2,Y1), ccs(X2,Y2))
-
-where the X side always denotes the left-subgroup party and the Y side
-the right-subgroup party; each of the four values is computable by either
-party because opposite subgroups commute.  The peer's key is a
-``PublicKey`` of its side.  The non-interactive variant
-assumes the publics arrived out of band; the interactive variant ships
-them as frames over a socket and finishes with a key-confirmation round
-so that tampering has a testable failure mode (confirmation can be
-disabled for derivation-only runs).
+Each party holds a two-element ``KeyPair`` of its own subgroup, and both
+derive k = H(ccs(X1,Y1), ccs(X1,Y2), ccs(X2,Y1), ccs(X2,Y2)), X the
+left-subgroup party's publics and Y the right's, from
+``elgamal.shared_conjugates`` of its key and the peer's ``PublicKey``.
+The non-interactive variant assumes the publics arrived out of band; the
+interactive variant ships them as frames over a socket and finishes with
+a key-confirmation round so that tampering has a testable failure mode
+(confirmation can be disabled for derivation-only runs).
 
 Wire format: 4-byte big-endian frame length, 1-byte message type
 (0x01 INIT, 0x02 RESP, 0x03 CONFIRM), payload.  Frames are checked where
@@ -39,7 +34,7 @@ import threading
 from enum import Enum
 
 from ._record import record
-from .braid import CanonicalForm, GroupParams, nf_conjugate
+from .braid import GroupParams
 from .codec import (
     CodecError,
     Reader,
@@ -49,7 +44,7 @@ from .codec import (
     read_canonical,
     serialize_canonical,
 )
-from .elgamal import KeyPair, PublicKey, keygen
+from .elgamal import KeyPair, PublicKey, keygen, shared_conjugates
 from .sampling import SeededRng, SubgroupSide
 
 MSG_INIT = 0x01
@@ -80,19 +75,9 @@ def nike_keygen(params: GroupParams, side: SubgroupSide, rng: SeededRng) -> KeyP
     return keygen(params, side, 2, rng)
 
 
-def _four_shared(me: KeyPair, peer: PublicKey) -> list[CanonicalForm]:
-    """The shared conjugates in the fixed order ccs(X_i, Y_j), i outer:
-    x_i Y_j x_i^{-1} if I hold the x_i, else y_j X_i y_j^{-1}."""
-    if peer.side is me.side:
-        raise ValueError("parties must use opposite subgroups")
-    if me.side is SubgroupSide.LEFT:
-        return [nf_conjugate(Y, x) for x in me.secrets for Y in peer.elements]
-    return [nf_conjugate(X, y) for X in peer.elements for y in me.secrets]
-
-
 def nike_shared_key(me: KeyPair, peer: PublicKey, label: str = "nike") -> SymKey:
     """Shared key of the non-interactive protocol; both sides agree."""
-    return hash_elements(label, _four_shared(me, peer))
+    return hash_elements(label, shared_conjugates(me, peer))
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +88,11 @@ class StreamChannel:
     """One party's connection over a connected socket: sends, receives and
     checks frames, and records the raw frames in ``sent``/``received``.
     Transport failures (timeouts, resets, broken pipes) surface as
-    ProtocolError."""
+    ProtocolError; each socket operation gives up after timeout seconds."""
 
-    def __init__(self, sock: socket.socket, timeout: float | None = None):
+    def __init__(self, sock: socket.socket, timeout: float):
         self._sock = sock
-        if timeout is not None:
-            sock.settimeout(timeout)
+        sock.settimeout(timeout)
         self.sent = b""
         self.received = b""
 

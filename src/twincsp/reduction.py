@@ -24,7 +24,8 @@ from collections.abc import Callable
 
 from ._record import record
 from .braid import BraidWord, CanonicalForm, GroupParams, nf_conjugate
-from .sampling import SeededRng, SubgroupSide, sample_subgroup
+from .elgamal import keygen
+from .sampling import SeededRng, SubgroupSide
 from .trapdoor import (
     DecisionQuery,
     Trapdoor,
@@ -62,9 +63,9 @@ class CcsInstance:
 
 def make_ccs_instance(params: GroupParams, rng: SeededRng) -> CcsInstance:
     """X = xgx^{-1} with x from LB_l; Y = ygy^{-1} with y from RB_r."""
-    x = sample_subgroup(params, SubgroupSide.LEFT, rng)
-    y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
-    return CcsInstance(params, nf_conjugate(params.g.form, x), nf_conjugate(params.g.form, y), x, y)
+    x = keygen(params, SubgroupSide.LEFT, 1, rng)
+    y = keygen(params, SubgroupSide.RIGHT, 1, rng)
+    return CcsInstance(params, x.publics[0], y.publics[0], x.secrets[0], y.secrets[0])
 
 
 @record

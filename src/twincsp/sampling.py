@@ -52,9 +52,10 @@ class SeededRng:
         return out
 
     def rand_below(self, m: int) -> int:
-        """Uniform integer in [0, m) by rejection sampling on 4-byte draws."""
-        if m <= 0:
-            raise ValueError("m must be positive")
+        """Uniform integer in [0, m), 0 < m <= 2**32, by rejection sampling on
+        4-byte draws."""
+        if not 0 < m <= 2**32:
+            raise ValueError("m must be in 1..2**32")
         limit = (2**32 // m) * m
         while True:
             v = int.from_bytes(self.rand_bytes(4), "big")

@@ -48,10 +48,9 @@ fixed seeds (32 of 32 each).  It cannot reject a query whose images agree:
 the shift above (perm(u) commutes with perm(r)), the pure-subgroup query
 (v, v, 1) and every honest query go on to the prediction.  At B_16 (Python
 3.11, one core of a 2-CPU x86-64 VM, median thread CPU time over 200
-checks) an honest query takes 1.06-1.21 ms, where the five-product
-equation took 1.33-1.62 ms.  A rejected one takes 0.02-0.04 ms; it took
-0.03-0.06 ms while the four images were rebuilt on every check (medians of
-five alternating runs of 3,200 checks on 16 trapdoors).
+checks) an honest query takes 1.06-1.21 ms.  A rejected one takes
+0.02-0.04 ms (medians of five alternating runs of 3,200 checks on 16
+trapdoors).
 """
 
 from __future__ import annotations
@@ -65,11 +64,11 @@ from .braid import (
     CanonicalForm,
     GroupParams,
     _check_same_strands,
-    nf_conjugate,
     nf_invert,
     nf_multiply,
     normal_form,
 )
+from .elgamal import PublicKey, keygen, shared_conjugates
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
 
@@ -154,21 +153,17 @@ def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
 
 def honest_query(td_publics: tuple[CanonicalForm, CanonicalForm],
                  params: GroupParams, rng: SeededRng) -> tuple[DecisionQuery, BraidWord]:
-    """A query satisfying the twin predicate for (X1, X2), built from a fresh
-    right-subgroup ephemeral y: (ygy^{-1}, yX1y^{-1}, yX2y^{-1}).
+    """A query satisfying the twin predicate for (X1, X2): a fresh
+    right-side key (y, Yhat = ygy^{-1}) agrees with (X1, X2), so
+    Zihat = y Xi y^{-1}.
 
-    Returns the ephemeral too; whenever X_i = x_i g x_i^{-1} with x_i in
+    Returns the ephemeral y too; whenever X_i = x_i g x_i^{-1} with x_i in
     LB_l, the components equal x_i Yhat x_i^{-1}, so this is exactly the
     honest-query shape of the twin scheme.
     """
-    X1, X2 = td_publics
-    y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
-    q = DecisionQuery(
-        Yhat=nf_conjugate(params.g.form, y),
-        Z1hat=nf_conjugate(X1, y),
-        Z2hat=nf_conjugate(X2, y),
-    )
-    return q, y
+    eph = keygen(params, SubgroupSide.RIGHT, 1, rng)
+    Z1hat, Z2hat = shared_conjugates(eph, PublicKey(params, SubgroupSide.LEFT, td_publics))
+    return DecisionQuery(eph.publics[0], Z1hat, Z2hat), eph.secrets[0]
 
 
 def random_element(params: GroupParams, rng: SeededRng) -> CanonicalForm:
@@ -195,8 +190,7 @@ def trapdoor_stats(params: GroupParams, trials: int, rng: SeededRng) -> tuple[in
     differs from the honest value; callers set their own bounds."""
     complete = rejected = random_passes = 0
     for _ in range(trials):
-        x = sample_subgroup(params, SubgroupSide.LEFT, rng)
-        td = trapdoor_setup(params, nf_conjugate(params.g.form, x), rng)
+        td = trapdoor_setup(params, keygen(params, SubgroupSide.LEFT, 1, rng).publics[0], rng)
         q, _y = honest_query((td.X1, td.X2), params, rng)
         complete += trapdoor_check(td, q)
         junk = random_element_differing(params, rng, q.Z2hat)

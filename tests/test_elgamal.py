@@ -19,17 +19,19 @@ from twincsp import (
     decrypt,
     encrypt,
     hash_elements,
+    keygen,
     multiply,
     nf_conjugate,
     nike_keygen,
     normal_form,
     sample_subgroup,
     serialize_canonical,
+    sym_decrypt,
     twin_decrypt,
     twin_encrypt,
     twin_keygen,
 )
-from twincsp.elgamal import SCHEME_CS
+from twincsp.elgamal import SCHEME_CS, SCHEME_NAMES, shared_conjugates
 
 
 class TestCcsShared:
@@ -60,6 +62,40 @@ class TestCcsShared:
         Y = normal_form(BraidWord(4, (1,)))
         with pytest.raises(ValueError):
             nf_conjugate(Y, BraidWord(params.n, (1,)))
+
+
+class TestSharedConjugates:
+    """The one rule every scheme hashes, on each key shape the package uses:
+    (k_left, k_right) = (1, 1) for cs, (2, 1) for twin, (2, 2) for the
+    key exchanges."""
+
+    @pytest.mark.parametrize("k_left, k_right", [(1, 1), (2, 1), (2, 2)])
+    def test_both_sides_agree_in_the_fixed_order(self, params, k_left, k_right):
+        for trial in range(5):
+            rng = rng_from(3100 + 10 * k_left + k_right + 100 * trial)
+            left = keygen(params, SubgroupSide.LEFT, k_left, rng)
+            right = keygen(params, SubgroupSide.RIGHT, k_right, rng)
+            # ccs(X_i, Y_j) = x_i Y_j x_i^{-1}, i outer
+            expected = [nf_conjugate(right.publics[j], left.secrets[i])
+                        for i in range(k_left) for j in range(k_right)]
+            assert shared_conjugates(left, right.public) == expected
+            assert shared_conjugates(right, left.public) == expected
+
+    @pytest.mark.parametrize("side", list(SubgroupSide))
+    def test_same_side_pair_refused(self, params, side):
+        me = keygen(params, side, 2, rng_from(3130))
+        peer = keygen(params, side, 1, rng_from(3131))
+        with pytest.raises(ValueError, match="opposite"):
+            shared_conjugates(me, peer.public)
+
+    def test_encryption_is_agreement_with_a_fresh_right_key(self, params):
+        for kp in (cs_keygen(params, rng_from(3140)), twin_keygen(params, rng_from(3141))):
+            for i in range(3):
+                ct = encrypt(kp.public, b"agreed", rng_from(3150 + i))
+                eph = keygen(params, SubgroupSide.RIGHT, 1, rng_from(3150 + i))
+                assert ct.Y == eph.publics[0]
+                key = hash_elements(SCHEME_NAMES[kp.k], [ct.Y, *shared_conjugates(eph, kp.public)])
+                assert sym_decrypt(key, ct.box) == b"agreed"
 
 
 class TestCsScheme:

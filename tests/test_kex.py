@@ -32,7 +32,7 @@ from twincsp.kex import (
 )
 
 
-def loopback_channels(timeout: float | None = 5.0) -> tuple[StreamChannel, StreamChannel]:
+def loopback_channels(timeout: float = 5.0) -> tuple[StreamChannel, StreamChannel]:
     """Two connected channels over a socketpair."""
     a, b = socket.socketpair()
     return StreamChannel(a, timeout), StreamChannel(b, timeout)
@@ -53,9 +53,9 @@ class TestNike:
         rng = rng_from(90)
         alice = nike_keygen(params, SubgroupSide.LEFT, rng)
         bob = nike_keygen(params, SubgroupSide.RIGHT, rng)
-        from twincsp.kex import _four_shared
+        from twincsp.elgamal import shared_conjugates
 
-        shared = _four_shared(alice, bob.public)
+        shared = shared_conjugates(alice, bob.public)
         assert hash_elements("nike", shared) != hash_elements(
             "nike", list(reversed(shared))
         )

@@ -36,6 +36,14 @@ class TestSeededRng:
             for _ in range(30):
                 assert 0 <= rng.rand_below(m) < m
 
+    def test_rand_below_range_is_what_four_bytes_cover(self):
+        # m = 2**32 takes one 4-byte draw as it is; a larger m would reject
+        # every draw, so it is refused rather than looping forever
+        assert rng_from(9).rand_below(2**32) == int.from_bytes(rng_from(9).rand_bytes(4), "big")
+        for m in (0, -1, 2**32 + 1, 2**40):
+            with pytest.raises(ValueError):
+                rng_from(9).rand_below(m)
+
     def test_fork_streams_differ(self):
         rng = rng_from(7)
         assert rng.fork("a").rand_bytes(16) != rng.fork("b").rand_bytes(16)
