@@ -4,8 +4,10 @@ reduce-demo, inspect.
 Every randomized command honors --seed (64 hex chars; falls back to the
 TCSP_SEED environment variable, then to fresh OS entropy, printing the
 chosen seed to stderr so runs can be reproduced).  Exit codes: 0 success,
-1 usage, 2 I/O or parse failure, 3 cryptographic failure (authentication
-or confirmation mismatch).
+1 usage, 2 I/O or parse failure, 3 a failed authentication or
+key confirmation, or any ProtocolError of the key exchange (a transport
+failure or timeout, a truncated stream, a wrong frame type, a bad element
+payload).
 """
 
 from __future__ import annotations

@@ -97,9 +97,9 @@ def decode_key(data: bytes, role: int | None = None) -> PublicKey | KeyPair:
     try:
         params = GroupParams(l=l, r=rr, g=g, W=W)
     except ValueError as exc:
-        raise r.error(f"bad params: {exc}") from exc
+        raise r.error(f"bad params: {exc}", len(KEY_MAGIC) + 3) from exc
     if params.n != n:
-        raise r.error(f"params say n={n} but l+r={params.n}")
+        raise r.error(f"params say n={n} but l+r={params.n}", len(KEY_MAGIC) + 3)
     if role not in (None, found):
         raise r.error(f"expected a {ROLE_NAMES[role]} key file, "
                       f"found a {ROLE_NAMES[found]} key", 9)

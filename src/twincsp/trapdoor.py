@@ -1,56 +1,48 @@
 """The trapdoor test: decide twin-conjugacy queries without any secret
 conjugator.
 
-Setup hides a random pair (r, s) from the left subgroup inside a
-synthesized second public element
+Setup draws a hidden pair (r, s) from the left subgroup.  The whole test
+is one formula, the trapdoor's prediction of Z2 from (Y, Z1):
 
-    X2 = (s g s^{-1}) * (r X1 r^{-1})^{-1}
+    P(Y, Z1)  =  s Y (s^{-1} r) Z1^{-1} r^{-1}.
 
-and a query (Yhat, Z1hat, Z2hat) is accepted iff
-
-    Z2hat * r Z1hat r^{-1}  ==  s Yhat s^{-1}.
+Setup synthesizes the second public element X2 = P(g, X1), and a query
+(Yhat, Z1hat, Z2hat) is accepted iff Z2hat == P(Yhat, Z1hat).
 
 For an honest query (Yhat = y g y^{-1} with y from the right subgroup and
-Zihat the corresponding conjugates of X1, X2), both sides reduce to
-y (s g s^{-1}) y^{-1} because y commutes with everything drawn from the
-left subgroup, so acceptance is exact, never probabilistic.  If Z1hat is
-honest and Z2hat is not, the equation pins Z2hat to the unique honest
-value, so rejection is also exact.  A dishonest Z1hat is not always
-rejected: for any u != 1 from RB_r, (Yhat, u Z1hat, Z2hat u^{-1}) is
-dishonest in both components yet always accepted, because u commutes with
-r and cancels (the suite pins this, 50 of 50).  The suite claims no other
-soundness bound than its count of random queries passing (at most 1%).
+Zihat = y Xi y^{-1}), y commutes with r and s, so P(Yhat, Z1hat) =
+y P(g, X1) y^{-1} = Z2hat: acceptance is exact, never probabilistic.  If
+Z1hat is honest and Z2hat is not, P pins Z2hat to the honest value, so
+rejection is also exact.  A dishonest Z1hat is not always rejected: for
+any u != 1 from RB_r, (Yhat, u Z1hat, Z2hat u^{-1}) is dishonest in both
+components yet always accepted, because u commutes with r, so
+P(Yhat, u Z1hat) = P(Yhat, Z1hat) u^{-1} (the suite pins this, 50 of 50).
+The suite claims no other soundness bound than its count of random
+queries passing (at most 1%).
 
 Both r and s are drawn from LB_l: each must commute with the right-side
-ephemeral y for the acceptance equation to balance.  (Testable fact: with
-s from RB_r, honest queries fail, because s and y need not commute.)
+ephemeral y for honest queries to pass.  (Testable fact: with s from
+RB_r, honest queries fail, because s and y need not commute.)
 
-The check solves the equation for Z2hat and compares it with the
-trapdoor's prediction
-
-    Z2hat  ==  s Yhat (s^{-1} r) Z1hat^{-1} r^{-1},
-
-four products and an ``nf_invert`` (which left-weights nothing) where the
-equation as written takes five.  X2 is the prediction for (g, X1), so
-setup and check share one formula; setup computes s^{-1} r once for every
-later check.  The words r and s are normalized and inverted on first use
+In normal forms P costs four products and an ``nf_invert`` (which
+left-weights nothing); setup computes s^{-1} r once for every later check.
+The words r and s are normalized and inverted on first use
 (``BraidWord.form``).
 
-Before any normal-form work the check compares strand permutations.  The
-map B_n -> S_n, D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k, is a
-homomorphism, so when perm(Z2hat) perm(r) perm(Z1hat) perm(r)^{-1} differs
-from perm(s) perm(Yhat) perm(s)^{-1} the normal forms differ too and the
-query is rejected at once (the images of r, s and their inverses are
-computed on a trapdoor's first check and kept).  The filter never rejects
-a query that the equation accepts, so every verdict is the equation's.  It
+Before any normal-form work the check evaluates P on strand permutations.
+The map B_n -> S_n, D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k, is a
+homomorphism, so the image of P(Yhat, Z1hat) is P computed with
+``compose`` and ``inverse`` on images; when it differs from the image of
+Z2hat the normal forms differ too and the query is rejected at once.  The
+filter therefore changes no verdict.  (The images of P's constants s,
+s^{-1} r and r^{-1} are computed on a trapdoor's first check and kept.)  It
 rejects every z1-corrupted, z2-corrupted and random query of the suite's
 fixed seeds (32 of 32 each).  It cannot reject a query whose images agree:
-the shift above (perm(u) commutes with perm(r)), the pure-subgroup query
-(v, v, 1) and every honest query go on to the prediction.  At B_16 (Python
-3.11, one core of a 2-CPU x86-64 VM, median thread CPU time over 200
-checks) an honest query takes 1.06-1.21 ms.  A rejected one takes
-0.02-0.04 ms (medians of five alternating runs of 3,200 checks on 16
-trapdoors).
+the shift above, the pure-subgroup query (v, v, 1) and every honest query
+go on to the normal forms.  At B_16 (Python 3.11, one core of a 2-CPU
+x86-64 VM, median thread CPU time over 200 checks) an honest query takes
+1.06-1.21 ms.  A rejected one takes 0.02-0.04 ms (medians of five
+alternating runs of 3,200 checks on 16 trapdoors).
 """
 
 from __future__ import annotations
@@ -75,7 +67,7 @@ from .sampling import SeededRng, SubgroupSide, sample_subgroup
 @record
 class Trapdoor:
     """Hidden (r, s) plus the tied public pair (X1, X2), and the normal form
-    of s^{-1} r, which every check uses."""
+    of s^{-1} r, which every prediction uses."""
 
     r: BraidWord
     s: BraidWord
@@ -83,12 +75,16 @@ class Trapdoor:
     X2: CanonicalForm
     s_inv_r: CanonicalForm
 
+    @property
+    def _constants(self) -> tuple[CanonicalForm, CanonicalForm, CanonicalForm]:
+        """The prediction's constants s, s^-1 r and r^-1."""
+        return self.s.form, self.s_inv_r, self.r.inverse_form
+
     @cached_property
-    def _images(self) -> tuple[pm.Perm, pm.Perm, pm.Perm, pm.Perm]:
-        """The strand permutations of r, r^-1, s and s^-1, for every check's
-        filter; computed on the first check."""
-        r, s = _image(self.r.form), _image(self.s.form)
-        return r, pm.inverse(r), s, pm.inverse(s)
+    def _images(self) -> tuple[pm.Perm, pm.Perm, pm.Perm]:
+        """The constants' strand permutations, for every check's filter;
+        computed on the first check."""
+        return tuple(_image(c) for c in self._constants)
 
 
 @record
@@ -100,21 +96,21 @@ class DecisionQuery:
     Z2hat: CanonicalForm
 
 
-def _prediction(r: BraidWord, s: BraidWord, s_inv_r: CanonicalForm,
-                Y: CanonicalForm, Z1: CanonicalForm) -> CanonicalForm:
-    """s Y (s^{-1} r) Z1^{-1} r^{-1}, in four products: the Z2 that the
-    trapdoor (r, s) pairs with (Y, Z1)."""
-    return nf_multiply(nf_multiply(nf_multiply(nf_multiply(s.form, Y), s_inv_r), nf_invert(Z1)),
-                       r.inverse_form)
+def _prediction(mul, inv, s, s_inv_r, r_inv, Y, Z1):
+    """s Y (s^{-1} r) Z1^{-1} r^{-1} in the group that mul and inv act in
+    (normal forms or strand permutations): the Z2 that the trapdoor pairs
+    with (Y, Z1)."""
+    return mul(mul(mul(mul(s, Y), s_inv_r), inv(Z1)), r_inv)
 
 
 def trapdoor_from_secrets(
     params: GroupParams, X1: CanonicalForm, r: BraidWord, s: BraidWord
 ) -> Trapdoor:
     """Build the trapdoor for explicit (r, s); X2 is the prediction for
-    (g, X1), s g (s^{-1} r) X1^{-1} r^{-1} = (sgs^{-1})(rX1r^{-1})^{-1}."""
+    (g, X1)."""
     s_inv_r = nf_multiply(s.inverse_form, r.form)
-    return Trapdoor(r, s, X1, _prediction(r, s, s_inv_r, params.g.form, X1), s_inv_r)
+    X2 = _prediction(nf_multiply, nf_invert, s.form, s_inv_r, r.inverse_form, params.g.form, X1)
+    return Trapdoor(r, s, X1, X2, s_inv_r)
 
 
 def trapdoor_setup(params: GroupParams, X1: CanonicalForm, rng: SeededRng) -> Trapdoor:
@@ -133,22 +129,20 @@ def _image(x: CanonicalForm) -> pm.Perm:
 
 
 def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
-    """Accept iff Z2hat == s Yhat (s^{-1} r) Z1hat^{-1} r^{-1}, the trapdoor's
-    prediction (normal forms); that is Z2hat * r Z1hat r^{-1} == s Yhat s^{-1}.
-    X2 is the same formula's prediction for (g, X1).
+    """Accept iff Z2hat equals the trapdoor's prediction for (Yhat, Z1hat)
+    (see the module docstring).
 
     A component outside the trapdoor's B_n raises StrandMismatchError.  The
-    strand permutations of the two sides are compared first, and a query
-    whose images differ is rejected without any normal-form work (0.02-0.04 ms
-    at B_16); one that passes costs four products (1.06-1.21 ms)."""
+    prediction is evaluated on strand permutations first, and a query whose
+    Z2hat has another image is rejected without any normal-form work
+    (0.02-0.04 ms at B_16); one that passes costs four products
+    (1.06-1.21 ms)."""
     for x in (q.Yhat, q.Z1hat, q.Z2hat):
         _check_same_strands(x, td.r)
-    r, r_inv, s, s_inv = td._images
-    r_z1 = pm.compose(pm.compose(r, _image(q.Z1hat)), r_inv)
-    s_y = pm.compose(pm.compose(s, _image(q.Yhat)), s_inv)
-    if pm.compose(_image(q.Z2hat), r_z1) != s_y:
+    if _image(q.Z2hat) != _prediction(pm.compose, pm.inverse, *td._images,
+                                      _image(q.Yhat), _image(q.Z1hat)):
         return False
-    return q.Z2hat == _prediction(td.r, td.s, td.s_inv_r, q.Yhat, q.Z1hat)
+    return q.Z2hat == _prediction(nf_multiply, nf_invert, *td._constants, q.Yhat, q.Z1hat)
 
 
 def honest_query(td_publics: tuple[CanonicalForm, CanonicalForm],

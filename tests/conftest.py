@@ -16,16 +16,22 @@ from twincsp import (
     PermutationBraid,
     Role,
     SeededRng,
+    SubgroupSide,
+    Trapdoor,
     default_params,
     hash_elements,
     multiply,
     nf_conjugate,
+    nf_invert,
+    nf_multiply,
     normal_form,
     random_element,
+    sample_subgroup,
     sym_encrypt,
+    trapdoor_setup,
 )
 from twincsp import permutations as pm
-from twincsp.elgamal import SCHEME_CS, Ciphertext, decrypt
+from twincsp.elgamal import SCHEME_CS, Ciphertext, decrypt, keygen
 from twincsp.kex import StreamChannel, run_parties
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,6 +92,32 @@ def is_identity(cf: CanonicalForm) -> bool:
 def commutes(a: BraidWord, b: BraidWord) -> bool:
     """Whether ab = ba as group elements."""
     return normal_form(multiply(a, b)) == normal_form(multiply(b, a))
+
+
+def left_public(params: GroupParams, rng: SeededRng) -> CanonicalForm:
+    """X = x g x^-1 for a fresh x from the left subgroup."""
+    return keygen(params, SubgroupSide.LEFT, 1, rng).publics[0]
+
+
+def fresh_trapdoor(params: GroupParams, rng: SeededRng) -> Trapdoor:
+    """A trapdoor tied to a fresh X1 = left_public(params, rng); X1 and then
+    (r, s) are drawn from rng."""
+    return trapdoor_setup(params, left_public(params, rng), rng)
+
+
+def draw_shift(params: GroupParams, rng: SeededRng) -> CanonicalForm:
+    """A normal form u != 1 drawn from the right subgroup RB_r, for shift."""
+    u = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
+    assert not is_identity(u)
+    return u
+
+
+def shift(u: CanonicalForm, Z1: CanonicalForm,
+          Z2: CanonicalForm) -> tuple[CanonicalForm, CanonicalForm]:
+    """The right-subgroup shift (u Z1, Z2 u^-1): for u from RB_r, u commutes
+    with the trapdoor's r, so the test accepts the shifted pair exactly
+    when it accepts (Z1, Z2) (TestShiftAttack in tests/test_trapdoor.py)."""
+    return nf_multiply(u, Z1), nf_multiply(Z2, nf_invert(u))
 
 
 def oracle_leak_demo(

@@ -24,6 +24,7 @@ from twincsp import (
 )
 from twincsp.codec import CodecError, blob, serialize_canonical
 from twincsp.kex import (
+    MAX_FRAME,
     MSG_CONFIRM,
     MSG_INIT,
     MSG_RESP,
@@ -136,6 +137,12 @@ class TestFrames:
     def test_encode_matches_frame_layout(self):
         frame = encode_frame(MSG_CONFIRM, bytes(range(32)))
         assert frame == b"\x00\x00\x00\x21\x03" + bytes(range(32))
+
+    def test_encode_refuses_a_frame_over_max_frame(self):
+        # the type byte counts: a MAX_FRAME - 1 byte payload is the largest
+        assert len(encode_frame(MSG_INIT, bytes(MAX_FRAME - 1))) == 4 + MAX_FRAME
+        with pytest.raises(ProtocolError, match="frame too large: 1048577 bytes"):
+            encode_frame(MSG_INIT, bytes(MAX_FRAME))
 
 
 class TestInteractive:

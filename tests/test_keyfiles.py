@@ -133,6 +133,53 @@ class TestDiagnostics:
         # its kind byte follows "TCSP" and the version
         assert exc.value.offset == len(KEY_MAGIC) + 3 + 8 + 4 + 5
 
+    PARAMS_AT = len(KEY_MAGIC) + 3  # magic, version, scheme, role
+
+    @pytest.mark.parametrize("field, value, message", [
+        (0, 17, "params say n=17 but l+r=16"),
+        (1, 1, "bad params: both subgroups must be nontrivial"),
+        (3, 0, "bad params: sample length W must be >= 1"),
+    ], ids=["n", "l", "W"])
+    def test_bad_params_name_the_params_block(self, twin_material, field, value, message):
+        """The n:2 l:2 r:2 W:2 block starts at offset 10; the reader has
+        passed g's blob by the time the params are checked."""
+        kp, _ = twin_material
+        data = bytearray(encode_public_key(kp.public))
+        struct.pack_into(">H", data, self.PARAMS_AT + 2 * field, value)
+        with pytest.raises(CodecError, match=re.escape(message)) as exc:
+            decode_public_key(bytes(data))
+        assert exc.value.offset == self.PARAMS_AT == 10
+
+    def test_secret_letter_out_of_range(self, params, twin_material, tmp_path, capsys):
+        """A letter outside 1..n-1 is refused at the start of the word's
+        letter table, and the CLI exits 2."""
+        kp, _ = twin_material
+        data = bytearray(encode_keypair(kp))
+        table = material_offset(params) + 4 + 12  # blob length, word header
+        struct.pack_into(">h", data, table, params.n)
+        message = "bad first secret word: letter 16 out of range for 16 strands (at offset 82)"
+        with pytest.raises(CodecError, match=re.escape(message)) as exc:
+            decode_keypair(bytes(data))
+        assert exc.value.offset == table == 82
+        path = tmp_path / "bad.sec"
+        path.write_bytes(bytes(data))
+        assert dispatch(["inspect", "--in", str(path)]) == EXIT_IO
+        assert message in capsys.readouterr().err
+
+    def test_short_tag(self, twin_material, tmp_path, capsys):
+        """A tag blob of 31 bytes is refused at the tag's first byte, and the
+        CLI exits 2."""
+        _, ct = twin_material
+        data = encode_ciphertext(ct)
+        data = data[: -4 - 32] + blob(ct.box.tag[:31])
+        with pytest.raises(CodecError, match="tag must be 32 bytes") as exc:
+            decode_ciphertext(data)
+        assert exc.value.offset == len(data) - 31
+        path = tmp_path / "short.ct"
+        path.write_bytes(data)
+        assert dispatch(["inspect", "--in", str(path)]) == EXIT_IO
+        assert f"tag must be 32 bytes (at offset {len(data) - 31})" in capsys.readouterr().err
+
     def test_role_mixups_rejected(self, twin_material):
         kp, _ = twin_material
         with pytest.raises(CodecError, match="secret"):

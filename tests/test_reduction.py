@@ -3,11 +3,12 @@
 import pytest
 
 from conftest import (
-    is_identity,
+    draw_shift,
     oracle_leak_demo,
     perfect_adversary,
     random_adversary,
     rng_from,
+    shift,
 )
 from twincsp import (
     SubgroupSide,
@@ -16,8 +17,6 @@ from twincsp import (
     make_ccs_instance,
     multiply,
     nf_conjugate,
-    nf_invert,
-    nf_multiply,
     normal_form,
     probing_adversary,
     random_element,
@@ -129,13 +128,11 @@ class TestFalseSuccess:
         for i in range(20):
             rng = rng_from(900 + i)
             inst = make_ccs_instance(params, rng)
-            u = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
-            assert not is_identity(u)
+            u = draw_shift(params, rng)
             honest = perfect_adversary(inst.witness_y)
 
             def shifted(X1, X2, Y, oracle, honest=honest, u=u):
-                Z1, Z2 = honest(X1, X2, Y, oracle)
-                return nf_multiply(u, Z1), nf_multiply(Z2, nf_invert(u))
+                return shift(u, *honest(X1, X2, Y, oracle))
 
             result = run_reduction(inst, shifted, rng)
             truth = nf_conjugate(inst.X, inst.witness_y)

@@ -11,10 +11,13 @@ import pytest
 
 from conftest import (
     CallCounter,
+    draw_shift,
     engine_work,
-    is_identity,
+    fresh_trapdoor,
+    left_public,
     permutation_of,
     rng_from,
+    shift,
     truth_2ccsp,
     word_of,
 )
@@ -47,35 +50,28 @@ from twincsp import (
 )
 from twincsp import braid, trapdoor
 from twincsp import permutations as pm
-from twincsp.elgamal import SCHEME_TWIN
+from twincsp.elgamal import SCHEME_TWIN, keygen
 from twincsp.trapdoor import _image, random_element_differing
-
-
-def fresh_X1(params, rng):
-    x = sample_subgroup(params, SubgroupSide.LEFT, rng)
-    return x, nf_conjugate(normal_form(params.g), x)
 
 
 class TestSetup:
     def test_defining_identity(self, params):
         for i in range(100):
             rng = rng_from(6000 + i)
-            _, X1 = fresh_X1(params, rng)
-            td = trapdoor_setup(params, X1, rng)
+            td = fresh_trapdoor(params, rng)
             lhs = nf_multiply(td.X2, nf_conjugate(td.X1, td.r))
             rhs = nf_conjugate(normal_form(params.g), td.s)
             assert lhs == rhs
 
     def test_degenerate_unit_conjugators(self, params):
         rng = rng_from(60)
-        _, X1 = fresh_X1(params, rng)
+        X1 = left_public(params, rng)
         eps = BraidWord(params.n, ())
         td = trapdoor_from_secrets(params, X1, eps, eps)
         assert td.X2 == nf_multiply(normal_form(params.g), nf_invert(X1))
 
     def test_X2_varies_with_seed(self, params):
-        rng = rng_from(61)
-        _, X1 = fresh_X1(params, rng)
+        X1 = left_public(params, rng_from(61))
         seen = set()
         for i in range(100):
             td = trapdoor_setup(params, X1, rng_from(7000 + i))
@@ -83,7 +79,7 @@ class TestSetup:
         assert len(seen) == 100
 
     def test_secrets_come_from_left_subgroup(self, params):
-        td = trapdoor_setup(params, fresh_X1(params, rng_from(62))[1], rng_from(63))
+        td = trapdoor_setup(params, left_public(params, rng_from(62)), rng_from(63))
         for word in (td.r, td.s):
             assert all(1 <= abs(v) <= params.l - 1 for v in word.letters)
 
@@ -97,24 +93,22 @@ class TestCheck:
     def test_completeness_exact(self, params):
         for i in range(200):
             rng = rng_from(8000 + i)
-            _, X1 = fresh_X1(params, rng)
-            td = trapdoor_setup(params, X1, rng)
+            td = fresh_trapdoor(params, rng)
             q, _y = honest_query((td.X1, td.X2), params, rng)
             assert trapdoor_check(td, q)
 
     def test_honest_query_matches_secret_side(self, params):
         # y'-built first component == x1-built first component
         rng = rng_from(65)
-        x1, X1 = fresh_X1(params, rng)
-        td = trapdoor_setup(params, X1, rng)
+        kp = keygen(params, SubgroupSide.LEFT, 1, rng)
+        td = trapdoor_setup(params, kp.publics[0], rng)
         q, _y = honest_query((td.X1, td.X2), params, rng)
-        assert q.Z1hat == nf_conjugate(q.Yhat, x1)
+        assert q.Z1hat == nf_conjugate(q.Yhat, kp.secrets[0])
 
     def test_half_dishonest_rejected_exactly(self, params):
         for i in range(200):
             rng = rng_from(9000 + i)
-            _, X1 = fresh_X1(params, rng)
-            td = trapdoor_setup(params, X1, rng)
+            td = fresh_trapdoor(params, rng)
             q, _y = honest_query((td.X1, td.X2), params, rng)
             corrupted = DecisionQuery(q.Yhat, q.Z1hat, random_element(params, rng))
             assert corrupted.Z2hat != q.Z2hat
@@ -125,8 +119,7 @@ class TestCheck:
         trials = 300
         for i in range(trials):
             rng = rng_from(10_000 + i)
-            _, X1 = fresh_X1(params, rng)
-            td = trapdoor_setup(params, X1, rng)
+            td = fresh_trapdoor(params, rng)
             q = DecisionQuery(
                 random_element(params, rng),
                 random_element(params, rng),
@@ -138,8 +131,7 @@ class TestCheck:
     def test_single_trapdoor_adaptive_batch(self, params):
         # the reduction reuses one (r, s) across every query it answers
         rng = rng_from(66)
-        _, X1 = fresh_X1(params, rng)
-        td = trapdoor_setup(params, X1, rng)
+        td = fresh_trapdoor(params, rng)
         for _ in range(100):
             q, _y = honest_query((td.X1, td.X2), params, rng)
             assert trapdoor_check(td, q)
@@ -149,48 +141,54 @@ class TestCheck:
 
     def test_identity_query_is_legal(self, params):
         rng = rng_from(67)
-        _, X1 = fresh_X1(params, rng)
-        td = trapdoor_setup(params, X1, rng)
+        td = fresh_trapdoor(params, rng)
         eps = normal_form(BraidWord(params.n, ()))
         assert isinstance(trapdoor_check(td, DecisionQuery(eps, eps, eps)), bool)
 
     def test_strand_mismatch(self, params):
         rng = rng_from(68)
-        td = trapdoor_setup(params, fresh_X1(params, rng)[1], rng)
+        td = fresh_trapdoor(params, rng)
         small = normal_form(BraidWord(4, (1,)))
         with pytest.raises(ValueError):
             trapdoor_check(td, DecisionQuery(small, small, small))
 
 
+class TestRandomElementDiffering:
+    def test_redraws_when_the_first_draw_is_avoided(self, params):
+        rng = rng_from(72)
+        first, second = random_element(params, rng), random_element(params, rng)
+        assert first != second
+        assert random_element_differing(params, rng_from(72), first) == second
+
+
 class TestShiftAttack:
     """A query dishonest in both Z components that the test accepts every
     time: for u != 1 from RB_r, (Yhat, u Z1hat, Z2hat u^-1) passes, because
-    u commutes with r, so r (u Z1hat) r^-1 = u (r Z1hat r^-1) and u cancels.
-    Pinned with its exact count; a repaired test must flip it."""
+    u commutes with r, so the prediction for (Yhat, u Z1hat) is the one for
+    (Yhat, Z1hat) times u^-1.  Pinned with its exact count; a repaired test
+    must flip it."""
 
     def test_right_subgroup_shift_is_accepted(self, params):
         accepted = 0
         for seed in range(100, 150):
             rng = rng_from(seed)
-            _, X1 = fresh_X1(params, rng)
-            td = trapdoor_setup(params, X1, rng)
+            td = fresh_trapdoor(params, rng)
             q, _y = honest_query((td.X1, td.X2), params, rng)
-            u = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
-            assert not is_identity(u)
-            shifted = DecisionQuery(q.Yhat, nf_multiply(u, q.Z1hat),
-                                    nf_multiply(q.Z2hat, nf_invert(u)))
+            shifted = DecisionQuery(q.Yhat, *shift(draw_shift(params, rng), q.Z1hat, q.Z2hat))
             assert shifted.Z1hat != q.Z1hat and shifted.Z2hat != q.Z2hat
             accepted += trapdoor_check(td, shifted)
         assert accepted == 50
 
 
 class TestPermutationFilter:
-    """trapdoor_check first compares the strand permutations of its two
-    sides.  D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k is a homomorphism
-    B_n -> S_n, so a query whose images differ fails the equation too and
-    is rejected before any normal form is computed.  Every verdict must
-    equal the equation computed here directly; a check that made no
-    ``_left_weight_pair`` call was decided by the filter."""
+    """trapdoor_check first evaluates the prediction on strand permutations.
+    D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k is a homomorphism
+    B_n -> S_n, so a Z2hat whose image differs from the prediction's fails
+    in normal forms too and is rejected before any normal form is
+    computed.  As a reference that shares no code with the check, every
+    verdict must equal Z2hat r Z1hat r^-1 == s Yhat s^-1 computed here
+    directly; a check that made no ``_left_weight_pair`` call was decided
+    by the filter."""
 
     def test_image_is_a_homomorphism(self, params):
         for i in range(50):
@@ -207,13 +205,11 @@ class TestPermutationFilter:
         for i in range(32):
             rng = rng_from(12_000 + i)
             inst = make_ccs_instance(params, rng)
-            u = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
-            assert not is_identity(u)
+            u = draw_shift(params, rng)
             answer = []
 
             def shifted(X1, X2, Y, oracle, u=u, wy=inst.witness_y):
-                Z1, Z2 = nf_multiply(u, nf_conjugate(X1, wy)), nf_multiply(nf_conjugate(X2, wy),
-                                                                           nf_invert(u))
+                Z1, Z2 = shift(u, nf_conjugate(X1, wy), nf_conjugate(X2, wy))
                 answer.append(DecisionQuery(Y, Z1, Z2))
                 return Z1, Z2
 
@@ -228,8 +224,7 @@ class TestPermutationFilter:
                 "z2": DecisionQuery(q.Yhat, q.Z1hat,
                                     random_element_differing(params, rng, q.Z2hat)),
                 "random": DecisionQuery(*(random_element(params, rng) for _ in range(3))),
-                "shifted": DecisionQuery(q.Yhat, nf_multiply(u, q.Z1hat),
-                                         nf_multiply(q.Z2hat, nf_invert(u))),
+                "shifted": DecisionQuery(q.Yhat, *shift(u, q.Z1hat, q.Z2hat)),
                 "false success": answer[0],
             }
             for kind, query in queries.items():
@@ -261,14 +256,13 @@ class TestProductCount:
         setup, passed, rejected = [], [], []
         for i in range(16):
             rng = rng_from(13_000 + i)
-            _, X1 = fresh_X1(params, rng)
+            X1 = left_public(params, rng)
             before = products.total
             td = trapdoor_setup(params, X1, rng)
             setup.append(products.total - before)
             q, _y = honest_query((td.X1, td.X2), params, rng)
-            u = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
-            passing = (q, DecisionQuery(q.Yhat, nf_multiply(u, q.Z1hat),
-                                        nf_multiply(q.Z2hat, nf_invert(u))),
+            u = draw_shift(params, rng)
+            passing = (q, DecisionQuery(q.Yhat, *shift(u, q.Z1hat, q.Z2hat)),
                        DecisionQuery(u, u, one))
             failing = (DecisionQuery(q.Yhat, random_element_differing(params, rng, q.Z1hat),
                                      q.Z2hat),
@@ -298,11 +292,10 @@ class TestSimulatedDecryption:
     def shifted_ciphertext(self, pk, rng):
         """The adversary's ciphertext and its hash queries."""
         y = sample_subgroup(pk.params, SubgroupSide.RIGHT, rng)
-        u = normal_form(sample_subgroup(pk.params, SubgroupSide.RIGHT, rng))
-        assert not is_identity(u)
+        u = draw_shift(pk.params, rng)
         Y = nf_conjugate(pk.params.g.form, y)
         Z1, Z2 = (nf_conjugate(X, y) for X in pk.elements)
-        q = DecisionQuery(Y, nf_multiply(u, Z1), nf_multiply(Z2, nf_invert(u)))
+        q = DecisionQuery(Y, *shift(u, Z1, Z2))
         assert q.Z1hat != Z1 and q.Z2hat != Z2
         key = hash_elements("twin", [q.Yhat, q.Z1hat, q.Z2hat])
         return Ciphertext(SCHEME_TWIN, Y, sym_encrypt(key, self.MESSAGE)), [q]
@@ -325,8 +318,7 @@ class TestSimulatedDecryption:
             kp = twin_keygen(params, rng_from(700 + i))
             ct, _ = self.shifted_ciphertext(kp.public, rng_from(800 + i))
             real += self.opens(lambda: twin_decrypt(kp, ct))
-            _, X1 = fresh_X1(params, rng_from(900 + i))
-            td = trapdoor_setup(params, X1, rng_from(1000 + i))
+            td = trapdoor_setup(params, left_public(params, rng_from(900 + i)), rng_from(1000 + i))
             sim_pk = PublicKey(params, SubgroupSide.LEFT, (td.X1, td.X2))
             ct, queries = self.shifted_ciphertext(sim_pk, rng_from(800 + i))
             simulated += self.opens(lambda: self.simulated_decrypt(td, queries, ct))
@@ -381,8 +373,7 @@ class TestPureSubgroupQuery:
         pure = real = 0
         for i in range(50):
             rng = rng_from(1100 + i)
-            _, X1 = fresh_X1(params, rng)
-            td = trapdoor_setup(params, X1, rng)
+            td = fresh_trapdoor(params, rng)
             v = normal_form(sample_subgroup(params, SubgroupSide.RIGHT, rng))
             assert v != one
             pure += trapdoor_check(td, DecisionQuery(v, v, one))
@@ -428,8 +419,7 @@ class TestDifferentialAgreement:
         dishonest_total = dishonest_agree = 0
         for i in range(300):
             rng = rng_from(11_000 + i)
-            _, X1 = fresh_X1(params, rng)
-            td = trapdoor_setup(params, X1, rng)
+            td = fresh_trapdoor(params, rng)
             q, _y = honest_query((td.X1, td.X2), params, rng)
             mode = rng.rand_below(3)
             if mode == 0:
@@ -463,7 +453,7 @@ class TestStrandAgreement:
     @pytest.mark.parametrize("slot", [0, 1, 2], ids=["Yhat", "Z1hat", "Z2hat"])
     def test_one_component_in_another_group(self, params, slot):
         rng = rng_from(69)
-        td = trapdoor_setup(params, fresh_X1(params, rng)[1], rng)
+        td = fresh_trapdoor(params, rng)
         q, _y = honest_query((td.X1, td.X2), params, rng)
         parts = [q.Yhat, q.Z1hat, q.Z2hat]
         parts[slot] = self.SMALL
@@ -482,7 +472,7 @@ class TestStrandAgreement:
 
     def test_secret_in_another_group(self, params):
         rng = rng_from(71)
-        _, X1 = fresh_X1(params, rng)
+        X1 = left_public(params, rng)
         s = sample_subgroup(params, SubgroupSide.LEFT, rng)
         with pytest.raises(ValueError):
             trapdoor_from_secrets(params, X1, BraidWord(4, (1,)), s)
