@@ -36,7 +36,6 @@ from .elgamal import (
     Ciphertext,
     KeyPair,
     PublicKey,
-    cs_keygen,
     decrypt,
     encrypt,
     keygen,
@@ -95,7 +94,6 @@ __all__ = [
     "SymKey",
     "Trapdoor",
     "conjugate",
-    "cs_keygen",
     "decrypt",
     "default_params",
     "encrypt",

@@ -20,7 +20,7 @@ import sys
 from . import keyfiles
 from .braid import default_params, nf_conjugate
 from .codec import AuthenticationError, CodecError
-from .elgamal import SCHEME_NAMES, KeyPair, cs_keygen, decrypt, encrypt, twin_keygen
+from .elgamal import SCHEME_NAMES, KeyPair, decrypt, encrypt, keygen
 from .kex import (
     KeyConfirmError,
     ProtocolError,
@@ -126,7 +126,8 @@ def _get_rng(args) -> SeededRng:
 def _cmd_keygen(args) -> int:
     rng = _get_rng(args)
     params = default_params(args.l, args.r, args.length)
-    kp = (cs_keygen if args.scheme == "cs" else twin_keygen)(params, rng)
+    scheme = {name: k for k, name in SCHEME_NAMES.items()}[args.scheme]
+    kp = keygen(params, SubgroupSide.LEFT, scheme, rng)
     with open(args.out + ".pub", "wb") as f:
         f.write(keyfiles.encode_public_key(kp.public))
     with open(args.out + ".sec", "wb") as f:

@@ -125,11 +125,6 @@ def decrypt(kp: KeyPair, ct: Ciphertext, k: int | None = None) -> bytes:
     return sym_decrypt(key, ct.box)
 
 
-def cs_keygen(params: GroupParams, rng: SeededRng) -> KeyPair:
-    """Secret conjugator x from LB_l; public key X = x g x^{-1}."""
-    return keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
-
-
 def twin_keygen(params: GroupParams, rng: SeededRng) -> KeyPair:
     """Two independent secret conjugators from LB_l."""
     return keygen(params, SubgroupSide.LEFT, SCHEME_TWIN, rng)

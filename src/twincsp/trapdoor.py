@@ -25,8 +25,8 @@ ephemeral y for honest queries to pass.  (Testable fact: with s from
 RB_r, honest queries fail, because s and y need not commute.)
 
 In normal forms P costs four products and an ``nf_invert`` (which
-left-weights nothing); setup computes s^{-1} r once for every later check.
-The words r and s are normalized and inverted on first use
+left-weights nothing); setup computes its constants s, s^{-1} r and r^{-1}
+once for every later check, normalizing and inverting the words r and s
 (``BraidWord.form``).
 
 Before any normal-form work the check evaluates P on strand permutations.
@@ -34,20 +34,17 @@ The map B_n -> S_n, D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k, is a
 homomorphism, so the image of P(Yhat, Z1hat) is P computed with
 ``compose`` and ``inverse`` on images; when it differs from the image of
 Z2hat the normal forms differ too and the query is rejected at once.  The
-filter therefore changes no verdict.  (The images of P's constants s,
-s^{-1} r and r^{-1} are computed on a trapdoor's first check and kept.)  It
-rejects every z1-corrupted, z2-corrupted and random query of the suite's
-fixed seeds (32 of 32 each).  It cannot reject a query whose images agree:
-the shift above, the pure-subgroup query (v, v, 1) and every honest query
-go on to the normal forms.  At B_16 (Python 3.11, one core of a 2-CPU
+filter therefore changes no verdict.  (Setup computes the constants'
+images too.)  It rejects every z1-corrupted, z2-corrupted and random query
+of the suite's fixed seeds (32 of 32 each).  It cannot reject a query whose
+images agree: the shift above, the pure-subgroup query (v, v, 1) and every
+honest query go on to the normal forms.  At B_16 (Python 3.11, one core of a 2-CPU
 x86-64 VM, median thread CPU time over 200 checks) an honest query takes
 1.06-1.21 ms.  A rejected one takes 0.02-0.04 ms (medians of five
 alternating runs of 3,200 checks on 16 trapdoors).
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from . import permutations as pm
 from ._record import record
@@ -66,25 +63,16 @@ from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
 @record
 class Trapdoor:
-    """Hidden (r, s) plus the tied public pair (X1, X2), and the normal form
-    of s^{-1} r, which every prediction uses."""
+    """Hidden (r, s) plus the tied public pair (X1, X2), the prediction's
+    constants (s, s^{-1} r, r^{-1}) in normal form and their strand
+    permutations, all computed at setup."""
 
     r: BraidWord
     s: BraidWord
     X1: CanonicalForm
     X2: CanonicalForm
-    s_inv_r: CanonicalForm
-
-    @property
-    def _constants(self) -> tuple[CanonicalForm, CanonicalForm, CanonicalForm]:
-        """The prediction's constants s, s^-1 r and r^-1."""
-        return self.s.form, self.s_inv_r, self.r.inverse_form
-
-    @cached_property
-    def _images(self) -> tuple[pm.Perm, pm.Perm, pm.Perm]:
-        """The constants' strand permutations, for every check's filter;
-        computed on the first check."""
-        return tuple(_image(c) for c in self._constants)
+    constants: tuple[CanonicalForm, CanonicalForm, CanonicalForm]
+    images: tuple[pm.Perm, pm.Perm, pm.Perm]
 
 
 @record
@@ -103,14 +91,28 @@ def _prediction(mul, inv, s, s_inv_r, r_inv, Y, Z1):
     return mul(mul(mul(mul(s, Y), s_inv_r), inv(Z1)), r_inv)
 
 
+def _image(x: CanonicalForm) -> pm.Perm:
+    """x's strand permutation: D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k."""
+    factors = x.factors
+    if x.delta_exp % 2:
+        img = pm.half_twist(x.n)
+    elif factors:
+        img, factors = factors[0].perm, factors[1:]
+    else:
+        return pm.identity(x.n)
+    for f in factors:
+        img = pm.compose(img, f.perm)
+    return img
+
+
 def trapdoor_from_secrets(
     params: GroupParams, X1: CanonicalForm, r: BraidWord, s: BraidWord
 ) -> Trapdoor:
     """Build the trapdoor for explicit (r, s); X2 is the prediction for
     (g, X1)."""
-    s_inv_r = nf_multiply(s.inverse_form, r.form)
-    X2 = _prediction(nf_multiply, nf_invert, s.form, s_inv_r, r.inverse_form, params.g.form, X1)
-    return Trapdoor(r, s, X1, X2, s_inv_r)
+    constants = (s.form, nf_multiply(s.inverse_form, r.form), r.inverse_form)
+    X2 = _prediction(nf_multiply, nf_invert, *constants, params.g.form, X1)
+    return Trapdoor(r, s, X1, X2, constants, tuple(_image(c) for c in constants))
 
 
 def trapdoor_setup(params: GroupParams, X1: CanonicalForm, rng: SeededRng) -> Trapdoor:
@@ -118,14 +120,6 @@ def trapdoor_setup(params: GroupParams, X1: CanonicalForm, rng: SeededRng) -> Tr
     r = sample_subgroup(params, SubgroupSide.LEFT, rng)
     s = sample_subgroup(params, SubgroupSide.LEFT, rng)
     return trapdoor_from_secrets(params, X1, r, s)
-
-
-def _image(x: CanonicalForm) -> pm.Perm:
-    """x's strand permutation: D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k."""
-    img = pm.half_twist(x.n) if x.delta_exp % 2 else pm.identity(x.n)
-    for f in x.factors:
-        img = pm.compose(img, f.perm)
-    return img
 
 
 def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
@@ -139,10 +133,10 @@ def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
     (1.06-1.21 ms)."""
     for x in (q.Yhat, q.Z1hat, q.Z2hat):
         _check_same_strands(x, td.r)
-    if _image(q.Z2hat) != _prediction(pm.compose, pm.inverse, *td._images,
+    if _image(q.Z2hat) != _prediction(pm.compose, pm.inverse, *td.images,
                                       _image(q.Yhat), _image(q.Z1hat)):
         return False
-    return q.Z2hat == _prediction(nf_multiply, nf_invert, *td._constants, q.Yhat, q.Z1hat)
+    return q.Z2hat == _prediction(nf_multiply, nf_invert, *td.constants, q.Yhat, q.Z1hat)
 
 
 def honest_query(td_publics: tuple[CanonicalForm, CanonicalForm],

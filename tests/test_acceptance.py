@@ -27,11 +27,11 @@ from twincsp import (
     Role,
     SubgroupSide,
     conjugate,
-    cs_keygen,
     decrypt,
     default_params,
     encrypt,
     invert,
+    keygen,
     loopback_run,
     make_ccs_instance,
     multiply,
@@ -153,7 +153,7 @@ def test_criterion_4_scheme_correctness():
     bad_round_trips = 0
     accepted_forgeries = 0
 
-    kp_cs = cs_keygen(PARAMS, rng)
+    kp_cs = keygen(PARAMS, SubgroupSide.LEFT, SCHEME_CS, rng)
     kp_twin = twin_keygen(PARAMS, rng)
     for i in range(100):
         msg = rng.rand_bytes(1 + rng.rand_below(128))
@@ -163,7 +163,7 @@ def test_criterion_4_scheme_correctness():
             bad_round_trips += 1
 
     # 100 cross-key trials + 100 tamper trials, all must be rejected
-    other_cs = cs_keygen(PARAMS, rng)
+    other_cs = keygen(PARAMS, SubgroupSide.LEFT, SCHEME_CS, rng)
     other_twin = twin_keygen(PARAMS, rng)
     for i in range(50):
         ct = encrypt(kp_cs.public, b"cross", rng, SCHEME_CS)
@@ -271,7 +271,7 @@ def test_criterion_6_reduction_simulation():
 
 def test_criterion_7_oracle_leak():
     rng = rng_from(207)
-    kp = cs_keygen(PARAMS, rng)
+    kp = keygen(PARAMS, SubgroupSide.LEFT, SCHEME_CS, rng)
     trials = 500
     disagreements = 0
     for _ in range(trials):

@@ -24,8 +24,9 @@ from twincsp import (
     sample_subgroup,
     serialize_canonical,
 )
+from twincsp import cli
 from twincsp.cli import EXIT_CRYPTO, EXIT_IO, EXIT_OK, EXIT_USAGE, dispatch
-from twincsp.kex import MSG_INIT, MSG_RESP, encode_frame
+from twincsp.kex import MSG_INIT, MSG_RESP, KeyConfirmError, encode_frame
 from twincsp.keyfiles import decode_keypair, encode_keypair, encode_public_key
 
 SEED = "42" * 32
@@ -307,6 +308,23 @@ class TestDemos:
     def test_kex_demo_loopback_without_confirmation(self, workdir, capsys):
         assert dispatch(["kex-demo", "--no-confirm", "--seed", SEED]) == EXIT_OK
         assert "agree" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["initiator", "responder"])
+    def test_kex_demo_loopback_party_failure_is_exit_3(self, workdir, capsys, monkeypatch, side):
+        """loopback_run returns a party's failure in place of its result; the
+        demo raises it, so a failed confirmation on either side is exit 3."""
+        real_run = cli.loopback_run
+
+        def one_side_fails(*args, **kwargs):
+            results = list(real_run(*args, **kwargs))
+            results[side] = KeyConfirmError("confirmation tag mismatch")
+            return tuple(results)
+
+        monkeypatch.setattr(cli, "loopback_run", one_side_fails)
+        assert dispatch(["kex-demo", "--seed", SEED]) == EXIT_CRYPTO
+        captured = capsys.readouterr()
+        assert "crypto failure: confirmation tag mismatch" in captured.err
+        assert "agree" not in captured.out
 
     def test_kex_demo_nike(self, workdir, capsys):
         assert dispatch(["kex-demo", "--mode", "nike", "--seed", SEED]) == EXIT_OK

@@ -14,10 +14,11 @@ import struct
 from conftest import rng_from
 from twincsp import (
     BraidWord,
-    cs_keygen,
+    SubgroupSide,
     default_params,
     encrypt,
     hash_elements,
+    keygen,
     loopback_run,
     nf_invert,
     nf_multiply,
@@ -52,7 +53,7 @@ def split_attack_opens(params, seed: int, trials: int = 20) -> int:
     opened = 0
     for i in range(trials):
         rng = rng_from(seed + i)
-        kp = cs_keygen(params, rng)
+        kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
         ct = encrypt(kp.public, b"split", rng, SCHEME_CS)
         Z = nf_multiply(nf_multiply(kp.publics[0], nf_invert(g_R)),
                         nf_multiply(nf_invert(g_L), ct.Y))

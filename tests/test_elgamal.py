@@ -15,7 +15,6 @@ from twincsp import (
     Ciphertext,
     SubgroupSide,
     conjugate,
-    cs_keygen,
     decrypt,
     encrypt,
     hash_elements,
@@ -89,7 +88,8 @@ class TestSharedConjugates:
             shared_conjugates(me, peer.public)
 
     def test_encryption_is_agreement_with_a_fresh_right_key(self, params):
-        for kp in (cs_keygen(params, rng_from(3140)), twin_keygen(params, rng_from(3141))):
+        for kp in (keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng_from(3140)),
+                   twin_keygen(params, rng_from(3141))):
             for i in range(3):
                 ct = encrypt(kp.public, b"agreed", rng_from(3150 + i))
                 eph = keygen(params, SubgroupSide.RIGHT, 1, rng_from(3150 + i))
@@ -100,21 +100,23 @@ class TestSharedConjugates:
 
 class TestCsScheme:
     def test_keypair_invariant(self, params):
-        kp = cs_keygen(params, rng_from(43))
+        kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng_from(43))
         assert kp.publics[0] == normal_form(conjugate(params.g, kp.secrets[0]))
         assert all(1 <= abs(v) <= params.l - 1 for v in kp.secrets[0].letters)
 
     def test_keygen_reproducible(self, params):
-        assert cs_keygen(params, rng_from(44)) == cs_keygen(params, rng_from(44))
+        same = [keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng_from(44)) for _ in range(2)]
+        assert same[0] == same[1]
 
     def test_public_key_moves_off_base(self, params):
         g_nf = normal_form(params.g)
-        hits = sum(cs_keygen(params, rng_from(1000 + i)).publics[0] == g_nf for i in range(100))
+        hits = sum(keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng_from(1000 + i)).publics[0]
+                   == g_nf for i in range(100))
         assert hits == 0
 
     def test_round_trips(self, params):
         rng = rng_from(45)
-        kp = cs_keygen(params, rng)
+        kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
         for i in range(20):
             msg = rng.rand_bytes(i * 7)
             assert decrypt(kp, encrypt(kp.public, msg, rng, SCHEME_CS), SCHEME_CS) == msg
@@ -124,7 +126,7 @@ class TestCsScheme:
         # for the single key and for both twin keys
         for i in range(100):
             rng = rng_from(4600 + i)
-            kp = cs_keygen(params, rng)
+            kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
             tkp = twin_keygen(params, rng)
             y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
             Y = normal_form(conjugate(params.g, y))
@@ -134,12 +136,12 @@ class TestCsScheme:
 
     def test_empty_message(self, params):
         rng = rng_from(47)
-        kp = cs_keygen(params, rng)
+        kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
         ct = encrypt(kp.public, b"", rng, SCHEME_CS)
         assert ct.box.ct == b"" and decrypt(kp, ct, SCHEME_CS) == b""
 
     def test_distinct_ephemerals(self, params):
-        kp = cs_keygen(params, rng_from(48))
+        kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng_from(48))
         seen = set()
         for i in range(100):
             ct = encrypt(kp.public, b"same message", rng_from(2000 + i), SCHEME_CS)
@@ -148,15 +150,15 @@ class TestCsScheme:
 
     def test_cross_key_rejection(self, params):
         rng = rng_from(49)
-        kp_a = cs_keygen(params, rng)
-        kp_b = cs_keygen(params, rng)
+        kp_a = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
+        kp_b = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
         ct = encrypt(kp_a.public, b"for A only", rng, SCHEME_CS)
         with pytest.raises(AuthenticationError):
             decrypt(kp_b, ct, SCHEME_CS)
 
     def test_tampered_header_rejection(self, params):
         rng = rng_from(50)
-        kp = cs_keygen(params, rng)
+        kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
         ct = encrypt(kp.public, b"message", rng, SCHEME_CS)
         y2 = sample_subgroup(params, SubgroupSide.RIGHT, rng)
         forged = Ciphertext(ct.scheme, normal_form(conjugate(params.g, y2)), ct.box)
@@ -202,7 +204,7 @@ class TestTwinScheme:
         # short-ciphertext shape: same header structure as the single scheme
         rng = rng_from(55)
         kp = twin_keygen(params, rng)
-        skp = cs_keygen(params, rng)
+        skp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
         twin_ct = twin_encrypt(kp.public, b"m", rng)
         cs_ct = encrypt(skp.public, b"m", rng, SCHEME_CS)
         assert isinstance(twin_ct.Y, type(cs_ct.Y))
@@ -224,7 +226,8 @@ class TestTwinScheme:
 class TestOneKeyType:
     def test_keys_of_the_wrong_size_or_side_are_refused(self, params):
         rng = rng_from(58)
-        cs_kp, twin_kp = cs_keygen(params, rng), twin_keygen(params, rng)
+        cs_kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
+        twin_kp = twin_keygen(params, rng)
         right = nike_keygen(params, SubgroupSide.RIGHT, rng)
         with pytest.raises(ValueError, match="does not fit"):
             encrypt(twin_kp.public, b"m", rng, SCHEME_CS)
@@ -240,7 +243,7 @@ class TestOneKeyType:
 
     def test_generic_path_takes_k_from_the_key(self, params):
         rng = rng_from(59)
-        for kp in (cs_keygen(params, rng), twin_keygen(params, rng)):
+        for kp in (keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng), twin_keygen(params, rng)):
             ct = encrypt(kp.public, b"either scheme", rng)
             assert ct.scheme == kp.k == len(kp.publics)
             assert decrypt(kp, ct) == b"either scheme"

@@ -12,9 +12,9 @@ from twincsp import (
     KeyPair,
     PublicKey,
     SubgroupSide,
-    cs_keygen,
     default_params,
     encrypt,
+    keygen,
     nike_keygen,
     normal_form,
     sample_subgroup,
@@ -40,7 +40,7 @@ from twincsp.keyfiles import (
 @pytest.fixture
 def cs_material(params):
     rng = rng_from(120)
-    kp = cs_keygen(params, rng)
+    kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
     return kp, encrypt(kp.public, b"cs file payload", rng, SCHEME_CS)
 
 

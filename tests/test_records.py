@@ -39,7 +39,7 @@ def make_all():
     kp = twin_keygen(params, rng_from(1))
     box = SealedBox(b"body", bytes(32))
     q = DecisionQuery(X, X, X)
-    td = Trapdoor(x, x, X, X, X)
+    td = Trapdoor(x, x, X, X, (X, X, X), (perm, perm, perm))
     return {
         BraidWord: x,
         PermutationBraid: PermutationBraid(perm),

@@ -13,7 +13,7 @@ from conftest import (
 from twincsp import (
     SubgroupSide,
     conjugate,
-    cs_keygen,
+    keygen,
     make_ccs_instance,
     multiply,
     nf_conjugate,
@@ -23,6 +23,7 @@ from twincsp import (
     run_reduction,
     sample_subgroup,
 )
+from twincsp.elgamal import SCHEME_CS
 from twincsp.reduction import QueryBudgetError
 
 
@@ -143,7 +144,7 @@ class TestFalseSuccess:
 class TestOracleLeak:
     def test_honest_guess_accepted(self, params):
         rng = rng_from(85)
-        kp = cs_keygen(params, rng)
+        kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
         y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
         Yhat = normal_form(conjugate(params.g, y))
         Zhat = nf_conjugate(kp.publics[0], y)
@@ -151,7 +152,7 @@ class TestOracleLeak:
 
     def test_random_guesses_rejected(self, params):
         rng = rng_from(86)
-        kp = cs_keygen(params, rng)
+        kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
         y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
         Yhat = normal_form(conjugate(params.g, y))
         honest = nf_conjugate(kp.publics[0], y)
@@ -162,7 +163,7 @@ class TestOracleLeak:
 
     def test_matches_direct_predicate_on_mixed_trials(self, params):
         rng = rng_from(87)
-        kp = cs_keygen(params, rng)
+        kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng)
         for i in range(100):
             y = sample_subgroup(params, SubgroupSide.RIGHT, rng)
             Yhat = normal_form(conjugate(params.g, y))

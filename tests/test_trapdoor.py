@@ -24,6 +24,7 @@ from conftest import (
 from twincsp import (
     AuthenticationError,
     BraidWord,
+    CanonicalForm,
     Ciphertext,
     DecisionQuery,
     PublicKey,
@@ -197,6 +198,14 @@ class TestPermutationFilter:
             assert _image(x) == permutation_of(word_of(x)).perm
             assert _image(nf_multiply(x, y)) == pm.compose(_image(x), _image(y))
             assert _image(nf_invert(x)) == pm.inverse(_image(x))
+        # the factor-free forms D^p: the half twist alone, or the identity
+        x = random_element(params, rng_from(12_550))
+        for p in range(-2, 3):
+            d = CanonicalForm(params.n, p)
+            assert _image(d) == permutation_of(word_of(d)).perm
+            assert _image(nf_multiply(d, x)) == pm.compose(_image(d), _image(x))
+            assert _image(nf_multiply(x, d)) == pm.compose(_image(x), _image(d))
+            assert _image(nf_invert(d)) == pm.inverse(_image(d))
 
     def test_verdicts_equal_the_equation(self, params):
         kinds = ("honest", "z1", "z2", "random", "shifted", "false success")
@@ -242,24 +251,37 @@ class TestPermutationFilter:
 
 
 class TestProductCount:
-    """Normal-form products per trapdoor operation on fixed seeds: five to
-    set up (s^-1 r, then the four of X2 = the prediction for (g, X1)), four
-    to check a query that passes the strand-permutation filter and none for
-    a query it rejects."""
+    """Work per trapdoor operation on fixed seeds.  Normal-form products:
+    five to set up (s^-1 r, then the four of X2 = the prediction for
+    (g, X1)), four to check a query that passes the strand-permutation
+    filter and none for a query it rejects.  Permutation-helper calls, all
+    of ``twincsp.permutations`` (the engine's inside ``nf_invert`` too):
+    setup builds the images of the prediction's constants, so no check
+    does, and an image composes only the factors its form has."""
+
+    PM_HELPERS = ("identity", "is_permutation", "compose", "inverse", "transposition",
+                  "half_twist", "flip", "descents", "inversion_count")
 
     def test_products_per_setup_and_check(self, params, monkeypatch):
         products = CallCounter(braid.nf_multiply)
         # nf_conjugate calls braid's nf_multiply; the trapdoor calls its own import
         monkeypatch.setattr(braid, "nf_multiply", products)
         monkeypatch.setattr(trapdoor, "nf_multiply", products)
+        helpers = [CallCounter(getattr(pm, name)) for name in self.PM_HELPERS]
+        for name, helper in zip(self.PM_HELPERS, helpers):
+            monkeypatch.setattr(pm, name, helper)
+
+        def work() -> tuple[int, int]:
+            return products.total, sum(helper.total for helper in helpers)
+
         one = normal_form(BraidWord(params.n, ()))
         setup, passed, rejected = [], [], []
         for i in range(16):
             rng = rng_from(13_000 + i)
             X1 = left_public(params, rng)
-            before = products.total
+            before = work()
             td = trapdoor_setup(params, X1, rng)
-            setup.append(products.total - before)
+            setup.append(tuple(b - a for a, b in zip(before, work())))
             q, _y = honest_query((td.X1, td.X2), params, rng)
             u = draw_shift(params, rng)
             passing = (q, DecisionQuery(q.Yhat, *shift(u, q.Z1hat, q.Z2hat)),
@@ -271,12 +293,22 @@ class TestProductCount:
                        DecisionQuery(*(random_element(params, rng) for _ in range(3))))
             for queries, counts, verdict in ((passing, passed, True), (failing, rejected, False)):
                 for query in queries:
-                    before = products.total
+                    before = work()
                     assert trapdoor_check(td, query) is verdict
-                    counts.append(products.total - before)
-        assert setup == [5] * 16
-        assert passed == [4] * 48
-        assert rejected == [0] * 48
+                    counts.append(tuple(b - a for a, b in zip(before, work())))
+        assert [p for p, _ in setup] == [5] * 16
+        assert [p for p, _ in passed] == [4] * 48
+        assert [p for p, _ in rejected] == [0] * 48
+        assert [c for _, c in setup] == [
+            66, 74, 109, 84, 79, 109, 89, 107, 69, 75, 84, 64, 67, 109, 88, 79]
+        assert [c for _, c in passed] == [
+            56, 85, 43, 58, 66, 37, 79, 106, 32, 99, 99, 47, 85, 95, 40, 105,
+            119, 47, 91, 92, 43, 122, 122, 53, 81, 70, 23, 93, 88, 41, 144, 137,
+            27, 65, 66, 32, 77, 91, 28, 98, 105, 42, 86, 93, 43, 68, 68, 27]
+        assert [c for _, c in rejected] == [
+            32, 22, 21, 33, 21, 22, 49, 27, 21, 37, 28, 23, 31, 25, 16, 40,
+            33, 23, 47, 33, 23, 41, 29, 23, 40, 25, 20, 37, 30, 19, 54, 40,
+            23, 32, 20, 23, 41, 30, 20, 33, 29, 17, 36, 22, 25, 32, 19, 18]
 
 
 class TestSimulatedDecryption:

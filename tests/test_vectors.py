@@ -15,10 +15,10 @@ import hashlib
 from conftest import perfect_adversary, rng_from
 from twincsp import (
     SubgroupSide,
-    cs_keygen,
     default_params,
     encrypt,
     hash_elements,
+    keygen,
     loopback_run,
     make_ccs_instance,
     nf_conjugate,
@@ -58,7 +58,7 @@ def test_twin_key_files(params):
 
 
 def test_cs_key_files(params):
-    kp = cs_keygen(params, rng_from(9010))
+    kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng_from(9010))
     assert digest(encode_public_key(kp.public)) == (
         "16d16bae13665fcdf48bb06ae3f02732fe8ab7f05dd1a0cbb604b08418ad6546"
     )
@@ -94,7 +94,7 @@ def test_twin_encrypt(params):
 
 
 def test_cs_encrypt(params):
-    kp = cs_keygen(params, rng_from(9003))
+    kp = keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng_from(9003))
     ct = encrypt(kp.public, MESSAGE, rng_from(9004), SCHEME_CS)
     assert form_digest(ct.Y) == (
         "0fe8ad993da672980684b42bc7c81db973dc3065c9b610105e4f7907c5745cc0"
