@@ -7,8 +7,8 @@ may validate them or, through ``object.__setattr__``, normalize them.
 Two records are equal only when they are of the same class with equal
 fields, and equal records hash equal.  Assigning or deleting an attribute
 raises ``AttributeError``; ``functools.cached_property`` still works,
-since it writes the instance ``__dict__`` directly.  An ``__init__``,
-``__eq__`` or ``__repr__`` that the class body writes out itself is kept.
+since it writes the instance ``__dict__`` directly.  An ``__init__`` that
+the class body writes out (a fixed signature builds faster) is kept.
 
 It does for these classes what the standard library's frozen data classes
 did, without generating and compiling the source of each method, which
@@ -69,9 +69,8 @@ def record(cls):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: a {title} is frozen")
 
-    own = vars(cls).keys() & {"__init__", "__eq__", "__repr__"}
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
-        if method.__name__ not in own:
+        if method is not __init__ or "__init__" not in vars(cls):
             method.__qualname__ = f"{title}.{method.__name__}"
             setattr(cls, method.__name__, method)
     return cls

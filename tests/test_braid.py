@@ -25,6 +25,7 @@ from twincsp import (
     nf_multiply,
     normal_form,
 )
+from twincsp import permutations as pm
 
 
 def w(n, *letters):
@@ -113,6 +114,11 @@ class TestPermutationImage:
             pb = permutation_of(b).perm
             composed = tuple(pa[pb[i]] for i in range(7))
             assert permutation_of(multiply(a, b)).perm == composed
+
+    @pytest.mark.parametrize("i", [0, 3, -1])
+    def test_transposition_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match=f"generator index {i} out of range for 3 strands"):
+            pm.transposition(3, i)
 
 
 class TestDelta:

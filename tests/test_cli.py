@@ -119,6 +119,17 @@ class TestDeterminism:
         assert dispatch(["keygen", "--scheme", "twin", "--out", str(workdir / "envd")]) == EXIT_OK
         assert (workdir / "flagged.pub").read_bytes() == (workdir / "envd.pub").read_bytes()
 
+    def test_unseeded_run_prints_a_seed_that_reproduces_it(self, workdir, capsys):
+        """Without --seed or TCSP_SEED the seed comes from the OS; it is
+        printed to stderr, and passing it back gives the same key files."""
+        assert dispatch(["keygen", "--scheme", "twin", "--out", str(workdir / "fresh")]) == EXIT_OK
+        (line,) = capsys.readouterr().err.splitlines()
+        seed = line.removeprefix("seed: ")
+        assert line.startswith("seed: ") and len(bytes.fromhex(seed)) == 32
+        keygen(workdir, stem="again", seed=seed)
+        for ext in (".pub", ".sec"):
+            assert (workdir / f"fresh{ext}").read_bytes() == (workdir / f"again{ext}").read_bytes()
+
     def test_seeded_encrypt_deterministic(self, workdir):
         (workdir / "msg").write_bytes(b"same bytes in, same bytes out")
         keygen(workdir)

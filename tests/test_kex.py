@@ -3,6 +3,7 @@ protocol, confirmation, and tamper evidence."""
 
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from twincsp import (
     nike_shared_key,
     normal_form,
 )
+from twincsp import kex
 from twincsp.codec import CodecError, blob, serialize_canonical
 from twincsp.kex import (
     MAX_FRAME,
@@ -219,6 +221,36 @@ class TestInteractive:
             chan_a.send_bytes(b"into a closed pipe")
         assert isinstance(exc.value.__cause__, BrokenPipeError)
         chan_a.close()
+
+    def test_responder_still_running_after_the_join_is_a_protocol_error(self, params,
+                                                                          monkeypatch):
+        """run_parties waits LOOPBACK_TIMEOUT + 5 s for the responder's
+        thread; a responder that has not finished by then is reported as a
+        ProtocolError rather than left without an outcome."""
+        release = threading.Event()
+        threads = []
+        real_run = kex.kex_run
+
+        def stalled_responder(role, channel, *args, **kwargs):
+            if role is Role.RESPONDER:
+                threads.append(threading.current_thread())
+                release.wait(10)
+                raise ProtocolError("released")
+            return real_run(role, channel, *args, **kwargs)
+
+        monkeypatch.setattr(kex, "kex_run", stalled_responder)
+        monkeypatch.setattr(kex, "LOOPBACK_TIMEOUT", -5.0)  # the join gives up at once
+        sock_i, sock_r = socket.socketpair()
+        try:
+            out_i, out_r = kex.run_parties(params, StreamChannel(sock_i, 0.05),
+                                           StreamChannel(sock_r, 5.0), rng_from(107), rng_from(108))
+        finally:
+            release.set()
+            for t in threads:
+                t.join(10)
+        assert isinstance(out_i, ProtocolError)  # no reply came before its socket timed out
+        assert isinstance(out_r, ProtocolError) and str(out_r) == "responder did not finish"
+        assert not threads[0].is_alive()
 
     def test_truncated_stream(self, params):
         chan_i, chan_r = loopback_channels(timeout=2.0)

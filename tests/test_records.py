@@ -199,7 +199,9 @@ def test_import_loads_no_code_generator():
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     # -I -S: no environment, user or site-packages code runs before the script.
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+    # -B: -I ignores PYTHONDONTWRITEBYTECODE, so say it again; the run must
+    # leave no bytecode cache in src/.
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())

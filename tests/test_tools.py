@@ -1,7 +1,8 @@
 """The work counter that perf changes are judged by still runs, and the
 engine still does exactly the work recorded for seed 1.  A change that
 moves these counts re-pins them and says why.  The A/B pair tool's
-summary is checked on fixed runs."""
+summary is checked on fixed runs, and it refuses a checkout with a
+bytecode cache."""
 
 import json
 import shutil
@@ -127,3 +128,25 @@ def test_ab_pairs_summary_needs_matched_pairs():
     uneven = {"parent": [result_line(ops_per_s=1)] * 3, "change": [result_line(ops_per_s=1)] * 2}
     with pytest.raises(ValueError):
         ab.summarize(uneven, {"ops_per_s": "higher"})
+
+
+def test_ab_pairs_refuses_a_checkout_with_a_bytecode_cache(tmp_path):
+    """A side that imports from a bytecode cache sets up faster whatever the
+    change does, so the tool stops before starting any benchmark run."""
+    marker = tmp_path / "ran"
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "twincsp").mkdir(parents=True)
+        (tmp_path / side / "perfbench").mkdir()
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            f"open({str(marker)!r}, 'w').close()\n")
+    cache = tmp_path / "change" / "src" / "twincsp" / "__pycache__"
+    cache.mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_pairs.py"), "--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change"), "--workload", "pke-short", "--seed", "7",
+         "--pairs", "2", "--seconds", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert str(cache.resolve()) in proc.stderr
+    assert not marker.exists()

@@ -11,6 +11,11 @@ line: for each metric the runs report (the end-to-end metrics, or with
 its runs, change median over parent median, and the number of pairs in
 which the change read better, by the direction ``BENCHMARK.json`` gives.
 A run that exits non-zero or prints no result stops the tool.
+
+A checkout whose ``src/`` or ``perfbench/`` holds a ``__pycache__`` is
+refused before any run: every set-up re-imports the package, and a side
+with a bytecode cache imports it several times faster, which shows in its
+``setup_s`` whatever the change does.
 """
 
 from __future__ import annotations
@@ -29,6 +34,14 @@ def better_directions(checkout: Path) -> dict[str, str]:
     """Metric name -> "higher" or "lower", from the checkout's BENCHMARK.json."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def refuse_bytecode_cache(checkout: Path) -> None:
+    caches = sorted(str(p) for sub in ("src", "perfbench")
+                    for p in (checkout / sub).rglob("__pycache__"))
+    if caches:
+        raise SystemExit(f"bytecode cache in {', '.join(caches)}; remove it so that "
+                         "both sides import from source")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -88,6 +101,8 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 2")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for checkout in checkouts.values():
+        refuse_bytecode_cache(checkout)
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else reversed(SIDES):
