@@ -70,27 +70,32 @@ def _build_parser() -> _Parser:
     def add_seed(sp):
         sp.add_argument("--seed", help="64 hex chars; env TCSP_SEED is the fallback")
 
-    sp = sub.add_parser("keygen", help="generate a key pair")
+    def command(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        return sp
+
+    sp = command("keygen", _cmd_keygen, "generate a key pair")
     sp.add_argument("--scheme", choices=["cs", "twin"], default="twin")
     sp.add_argument("--out", required=True, help="path stem; writes OUT.pub and OUT.sec")
     add_params(sp)
     add_seed(sp)
 
-    sp = sub.add_parser("encrypt", help="encrypt a file to a public key")
+    sp = command("encrypt", _cmd_encrypt, "encrypt a file to a public key")
     sp.add_argument("--pk", required=True, help="public key file")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", required=True)
     add_seed(sp)
 
-    sp = sub.add_parser("decrypt", help="decrypt a ciphertext file")
+    sp = command("decrypt", _cmd_decrypt, "decrypt a ciphertext file")
     sp.add_argument("--sk", required=True, help="secret key file")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", help="plaintext destination (default: stdout)")
 
-    sp = sub.add_parser("inspect", help="pretty-print a key or ciphertext file")
+    sp = command("inspect", _cmd_inspect, "pretty-print a key or ciphertext file")
     sp.add_argument("--in", dest="infile", required=True)
 
-    sp = sub.add_parser("kex-demo", help="run a key exchange")
+    sp = command("kex-demo", _cmd_kex_demo, "run a key exchange")
     sp.add_argument("--mode", choices=["interactive", "nike"], default="interactive")
     peer = sp.add_mutually_exclusive_group()
     peer.add_argument("--listen", metavar="HOST:PORT", help="over a socket, as responder")
@@ -99,12 +104,12 @@ def _build_parser() -> _Parser:
     add_params(sp)
     add_seed(sp)
 
-    sp = sub.add_parser("trapdoor-demo", help="trapdoor test statistics")
+    sp = command("trapdoor-demo", _cmd_trapdoor_demo, "trapdoor test statistics")
     sp.add_argument("--trials", type=_count(1), default=1000)
     add_params(sp)
     add_seed(sp)
 
-    sp = sub.add_parser("reduce-demo", help="simulate the reduction once")
+    sp = command("reduce-demo", _cmd_reduce_demo, "simulate the reduction once")
     sp.add_argument("--queries", type=_count(0), default=50)
     add_params(sp)
     add_seed(sp)
@@ -207,10 +212,15 @@ def _fingerprint(key) -> str:
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
-    host, _, digits = text.rpartition(":")
-    port = int(digits)
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port must be in 0..65535, got {port}")
+    host, sep, digits = text.rpartition(":")
+    try:
+        port = int(digits) if sep else None
+    except ValueError:
+        port = None
+    if port is None:
+        raise ValueError(f"expected HOST:PORT, got {text!r}")
+    if not 1 <= port <= 65535:
+        raise ValueError(f"port must be in 1..65535, got {port}")
     return host or "127.0.0.1", port
 
 
@@ -289,17 +299,6 @@ def _cmd_reduce_demo(args) -> int:
     return EXIT_OK if matched else EXIT_CRYPTO
 
 
-_COMMANDS = {
-    "keygen": _cmd_keygen,
-    "encrypt": _cmd_encrypt,
-    "decrypt": _cmd_decrypt,
-    "inspect": _cmd_inspect,
-    "kex-demo": _cmd_kex_demo,
-    "trapdoor-demo": _cmd_trapdoor_demo,
-    "reduce-demo": _cmd_reduce_demo,
-}
-
-
 def dispatch(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -307,7 +306,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (AuthenticationError, KeyConfirmError, ProtocolError) as exc:
         print(f"twincsp: crypto failure: {exc}", file=sys.stderr)
         return EXIT_CRYPTO

@@ -410,11 +410,16 @@ class TestDemos:
         assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--listen", "--connect"])
-    @pytest.mark.parametrize("port", ["70000", "-5"])
+    @pytest.mark.parametrize("port", ["70000", "-5", "0", None, "http"])
     def test_kex_demo_port_out_of_range_is_exit_1(self, workdir, capsys, flag, port):
-        argv = ["kex-demo", flag, f"127.0.0.1:{port}", "--seed", SEED]
+        """Port 0 would listen where no peer can reach it; a missing or
+        non-integer port is named, not reported as an int() error."""
+        address = "127.0.0.1" if port is None else f"127.0.0.1:{port}"
+        argv = ["kex-demo", flag, address, "--seed", SEED]
         assert dispatch(argv) == EXIT_USAGE
-        assert f"port must be in 0..65535, got {port}" in capsys.readouterr().err
+        expected = (f"port must be in 1..65535, got {port}" if port in ("70000", "-5", "0")
+                    else f"expected HOST:PORT, got {address!r}")
+        assert expected in capsys.readouterr().err
 
     def test_kex_demo_nike_refuses_an_address(self, workdir, capsys):
         argv = ["kex-demo", "--mode", "nike", "--listen", "127.0.0.1:9", "--seed", SEED]

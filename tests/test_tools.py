@@ -1,8 +1,8 @@
 """The work counter that perf changes are judged by still runs, and the
 engine still does exactly the work recorded for seed 1.  A change that
 moves these counts re-pins them and says why.  The A/B pair tool's
-summary is checked on fixed runs, and it refuses a checkout with a
-bytecode cache."""
+summary and its verdicts are checked on fixed runs, and it refuses a
+checkout with a bytecode cache."""
 
 import json
 import shutil
@@ -128,6 +128,42 @@ def test_ab_pairs_summary_needs_matched_pairs():
     uneven = {"parent": [result_line(ops_per_s=1)] * 3, "change": [result_line(ops_per_s=1)] * 2}
     with pytest.raises(ValueError):
         ab.summarize(uneven, {"ops_per_s": "higher"})
+
+
+PARENT = [100 + i for i in range(10)]  # median 104.5, quartiles 101.75 and 107.25
+WIDE = [50, 150] * 5  # median 100, quartiles 50 and 150: wider than 0.25 x 100
+
+
+@pytest.mark.parametrize("better, parent, change, expected", [
+    ("higher", PARENT, [p + 20 for p in PARENT], "better"),
+    ("higher", PARENT, [99] + [p + 20 for p in PARENT[1:]], "better"),  # 9 of 10 pairs
+    ("higher", PARENT, [99, 100] + [p + 20 for p in PARENT[2:]], "same"),  # 8 of 10
+    ("higher", PARENT, [p + 1 for p in PARENT], "same"),  # 10 of 10, inside the IQR
+    ("higher", PARENT, [p - 27 for p in PARENT], "worse"),  # 27 > 0.25 x 104.5
+    ("higher", PARENT, [p - 26 for p in PARENT], "same"),
+    ("lower", PARENT, [p + 27 for p in PARENT], "worse"),
+    ("lower", PARENT, [p - 20 for p in PARENT], "better"),
+    ("higher", WIDE, WIDE, "unresolved"),
+    ("higher", WIDE, [p - 60 for p in WIDE], "unresolved"),  # before "worse"
+    ("higher", WIDE, [151] * 10, "same"),  # beats every parent run, by less than the IQR
+], ids=["better", "better-9-of-10", "same-8-of-10", "same-inside-iqr", "worse",
+        "same-at-bound", "worse-lower", "better-lower", "unresolved", "unresolved-not-worse",
+        "same-beats-every-run"])
+def test_ab_pairs_verdict_on_fixed_runs(better, parent, change, expected):
+    ab = load_tool("ab_pairs")
+    runs = {"parent": [result_line(m=v, layer=v) for v in parent],
+            "change": [result_line(m=v, layer=v) for v in change]}
+    out = ab.summarize(runs, {"m": better, "layer": better}, {"m": 0.25})
+    assert out["metrics"]["m"]["verdict"] == expected
+    assert "verdict" not in out["metrics"]["layer"]  # a per-layer metric has no bound
+
+
+def test_ab_pairs_bounds_are_the_end_to_end_metrics():
+    ab = load_tool("ab_pairs")
+    better, bounds = ab.metric_rules(ROOT)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert bounds == {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    assert len(better) == len(spec["end_to_end"]) + len(spec["per_layer"])
 
 
 def test_ab_pairs_refuses_a_checkout_with_a_bytecode_cache(tmp_path):

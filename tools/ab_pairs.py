@@ -10,6 +10,8 @@ line: for each metric the runs report (the end-to-end metrics, or with
 ``--trace 1`` the per-layer ones), each side's median and quartiles over
 its runs, change median over parent median, and the number of pairs in
 which the change read better, by the direction ``BENCHMARK.json`` gives.
+Each metric with a ``bound`` there (the end-to-end ones) also gets a
+``verdict``: better, unresolved, worse or same (see ``verdict``).
 A run that exits non-zero or prints no result stops the tool.
 
 A checkout whose ``src/`` or ``perfbench/`` holds a ``__pycache__`` is
@@ -30,10 +32,12 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def better_directions(checkout: Path) -> dict[str, str]:
-    """Metric name -> "higher" or "lower", from the checkout's BENCHMARK.json."""
+def metric_rules(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """From the checkout's BENCHMARK.json: metric name -> "higher" or
+    "lower" for every metric, and name -> bound for the end-to-end ones."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def refuse_bytecode_cache(checkout: Path) -> None:
@@ -61,10 +65,34 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def verdict(values: dict[str, list[float]], summary: dict, sign: int, bound: float) -> str:
+    """The acceptance rules for one end-to-end metric, applied in order
+    (sign is 1 when higher is better, -1 when lower is):
+    - "better": the change won at least 9 of every 10 pairs, and its median
+      beats the parent's by more than the parent's interquartile range;
+    - "unresolved": that range exceeds bound x the parent median, unless
+      every change run beats every parent run;
+    - "worse": the change median is worse than the parent's by more than
+      bound x the parent median;
+    - "same": otherwise."""
+    parent, change = summary["parent"], summary["change"]
+    gain = sign * (change["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    limit = bound * abs(parent["median"])
+    if 10 * summary["change_won"] >= 9 * len(values["parent"]) and gain > spread:
+        return "better"
+    if spread > limit and not all(sign * (c - p) > 0
+                                  for c in values["change"] for p in values["parent"]):
+        return "unresolved"
+    return "worse" if -gain > limit else "same"
+
+
+def summarize(runs: dict[str, list[dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """runs["parent"][i] and runs["change"][i] are the result lines of pair i.
     Each metric gets both sides' median and quartiles, the ratio of the
-    medians and the pairs the change won (a tie wins nothing)."""
+    medians and the pairs the change won (a tie wins nothing); each metric
+    in bounds also gets its verdict."""
     parent, change = runs["parent"], runs["change"]
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need at least two pairs, with one run per side in each")
@@ -77,6 +105,8 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
         base = summary["parent"]["median"]
         summary["change_over_parent"] = summary["change"]["median"] / base if base else None
         summary["change_won"] = won
+        if bounds and name in bounds:
+            summary["verdict"] = verdict(values, summary, sign, bounds[name])
         metrics[name] = summary
     return {
         "pairs": len(parent),
@@ -110,7 +140,7 @@ def main(argv=None) -> int:
                                        args.seconds, args.trace))
     out = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
            "trace": args.trace}
-    out.update(summarize(runs, better_directions(checkouts["change"])))
+    out.update(summarize(runs, *metric_rules(checkouts["change"])))
     print(json.dumps(out))
     return 0
 
