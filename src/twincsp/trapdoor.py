@@ -1,13 +1,15 @@
 """The trapdoor test: decide twin-conjugacy queries without any secret
 conjugator.
 
-Setup draws a hidden pair (r, s) from the left subgroup.  The whole test
-is one formula, the trapdoor's prediction of Z2 from (Y, Z1):
+Setup draws a hidden pair (r, s) from the left subgroup.  The trapdoor
+predicts Z2 from (Y, Z1) as
 
     P(Y, Z1)  =  s Y (s^{-1} r) Z1^{-1} r^{-1}.
 
 Setup synthesizes the second public element X2 = P(g, X1), and a query
-(Yhat, Z1hat, Z2hat) is accepted iff Z2hat == P(Yhat, Z1hat).
+(Yhat, Z1hat, Z2hat) is accepted iff Z2hat == P(Yhat, Z1hat), checked as
+the balance s^{-1} Z2hat r == Yhat (s^{-1} r) Z1hat^{-1} (the same
+equation times s^{-1} on the left and r on the right).
 
 For an honest query (Yhat = y g y^{-1} with y from the right subgroup and
 Zihat = y Xi y^{-1}), y commutes with r and s, so P(Yhat, Z1hat) =
@@ -24,24 +26,26 @@ Both r and s are drawn from LB_l: each must commute with the right-side
 ephemeral y for honest queries to pass.  (Testable fact: with s from
 RB_r, honest queries fail, because s and y need not commute.)
 
-In normal forms P costs four products and an ``nf_invert`` (which
-left-weights nothing); setup computes its constants s, s^{-1} r and r^{-1}
+In normal forms the balance costs four products, two per side (about
+20% fewer crossings than computing P whole), and an ``nf_invert`` (which
+left-weights nothing); setup computes its constants s^{-1}, s^{-1} r and r
 once for every later check, normalizing and inverting the words r and s
 (``BraidWord.form``).
 
-Before any normal-form work the check evaluates P on strand permutations.
-The map B_n -> S_n, D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k, is a
-homomorphism, so the image of P(Yhat, Z1hat) is P computed with
-``compose`` and ``inverse`` on images; when it differs from the image of
-Z2hat the normal forms differ too and the query is rejected at once.  The
-filter therefore changes no verdict.  (Setup computes the constants'
-images too.)  It rejects every z1-corrupted, z2-corrupted and random query
-of the suite's fixed seeds (32 of 32 each).  It cannot reject a query whose
-images agree: the shift above, the pure-subgroup query (v, v, 1) and every
-honest query go on to the normal forms.  At B_16 (Python 3.11, one core of a 2-CPU
-x86-64 VM, median thread CPU time over 200 checks) an honest query takes
-1.06-1.21 ms.  A rejected one takes 0.02-0.04 ms (medians of five
-alternating runs of 3,200 checks on 16 trapdoors).
+Before any normal-form work the check compares the sides on strand
+permutations.  The map B_n -> S_n, D^p A_1 .. A_k -> rev^(p mod 2) .
+A_1 .. A_k, is a homomorphism, so when the sides' images differ at a
+strand the normal forms differ too and the query is rejected there: the
+filter changes no verdict.  Setup computes the constants' images, and a
+query's strand is followed through its factors without building its
+image.  The filter rejects every z1-corrupted, z2-corrupted and random
+query of the suite's fixed seeds (32 of 32 each), nearly always at the
+first strand.  It cannot reject a query whose images agree: the shift
+above, the pure-subgroup query (v, v, 1) and every honest query go on to
+the normal forms.  At B_16 (Python 3.11, one core of a 2-CPU x86-64 VM,
+median thread CPU time in five runs of 256 honest and 3,264 rejected
+checks on 16 trapdoors) an honest query takes 1.16-1.66 ms and a rejected
+one 0.0027-0.0047 ms.
 """
 
 from __future__ import annotations
@@ -63,8 +67,8 @@ from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
 @record
 class Trapdoor:
-    """Hidden (r, s) plus the tied public pair (X1, X2), the prediction's
-    constants (s, s^{-1} r, r^{-1}) in normal form and their strand
+    """Hidden (r, s) plus the tied public pair (X1, X2), the balance's
+    constants (s^{-1}, s^{-1} r, r) in normal form and their strand
     permutations, all computed at setup."""
 
     r: BraidWord
@@ -84,13 +88,6 @@ class DecisionQuery:
     Z2hat: CanonicalForm
 
 
-def _prediction(mul, inv, s, s_inv_r, r_inv, Y, Z1):
-    """s Y (s^{-1} r) Z1^{-1} r^{-1} in the group that mul and inv act in
-    (normal forms or strand permutations): the Z2 that the trapdoor pairs
-    with (Y, Z1)."""
-    return mul(mul(mul(mul(s, Y), s_inv_r), inv(Z1)), r_inv)
-
-
 def _image(x: CanonicalForm) -> pm.Perm:
     """x's strand permutation: D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k."""
     factors = x.factors
@@ -105,13 +102,31 @@ def _image(x: CanonicalForm) -> pm.Perm:
     return img
 
 
+def _strand(x: CanonicalForm, i: int) -> int:
+    """_image(x)[i]: x's factors from right to left, then the reversal."""
+    for f in reversed(x.factors):
+        i = f.perm[i]
+    return x.n - 1 - i if x.delta_exp % 2 else i
+
+
+def _strand_back(x: CanonicalForm, i: int) -> int:
+    """pm.inverse(_image(x))[i]: the reversal, then the factors in order."""
+    if x.delta_exp % 2:
+        i = x.n - 1 - i
+    for f in x.factors:
+        i = f.perm.index(i)
+    return i
+
+
 def trapdoor_from_secrets(
     params: GroupParams, X1: CanonicalForm, r: BraidWord, s: BraidWord
 ) -> Trapdoor:
-    """Build the trapdoor for explicit (r, s); X2 is the prediction for
-    (g, X1)."""
-    constants = (s.form, nf_multiply(s.inverse_form, r.form), r.inverse_form)
-    X2 = _prediction(nf_multiply, nf_invert, *constants, params.g.form, X1)
+    """Build the trapdoor for explicit (r, s); X2 is the prediction P(g, X1),
+    grouped as (s g (s^{-1} r)) (X1^{-1} r^{-1}), which moves fewest crossings."""
+    s_inv_r = nf_multiply(s.inverse_form, r.form)
+    X2 = nf_multiply(nf_multiply(nf_multiply(s.form, params.g.form), s_inv_r),
+                     nf_multiply(nf_invert(X1), r.inverse_form))
+    constants = (s.inverse_form, s_inv_r, r.form)
     return Trapdoor(r, s, X1, X2, constants, tuple(_image(c) for c in constants))
 
 
@@ -123,20 +138,24 @@ def trapdoor_setup(params: GroupParams, X1: CanonicalForm, rng: SeededRng) -> Tr
 
 
 def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
-    """Accept iff Z2hat equals the trapdoor's prediction for (Yhat, Z1hat)
-    (see the module docstring).
+    """Accept iff s^{-1} Z2hat r == Yhat (s^{-1} r) Z1hat^{-1}, that is iff
+    Z2hat is the prediction for (Yhat, Z1hat) (see the module docstring).
 
-    A component outside the trapdoor's B_n raises StrandMismatchError.  The
-    prediction is evaluated on strand permutations first, and a query whose
-    Z2hat has another image is rejected without any normal-form work
-    (0.02-0.04 ms at B_16); one that passes costs four products
-    (1.06-1.21 ms)."""
-    for x in (q.Yhat, q.Z1hat, q.Z2hat):
+    A component outside the trapdoor's B_n raises StrandMismatchError
+    before any strand is read.  The sides' strand images are compared one
+    strand at a time, and the first strand that differs rejects the query
+    with no normal-form work (0.003 ms at B_16); a query whose images agree
+    costs four products (1.2-1.7 ms)."""
+    Y, Z1, Z2 = q.Yhat, q.Z1hat, q.Z2hat
+    for x in (Y, Z1, Z2):
         _check_same_strands(x, td.r)
-    if _image(q.Z2hat) != _prediction(pm.compose, pm.inverse, *td.images,
-                                      _image(q.Yhat), _image(q.Z1hat)):
-        return False
-    return q.Z2hat == _prediction(nf_multiply, nf_invert, *td.constants, q.Yhat, q.Z1hat)
+    s_inv, s_inv_r, r = td.images
+    for i, j in enumerate(r):
+        if s_inv[_strand(Z2, j)] != _strand(Y, s_inv_r[_strand_back(Z1, i)]):
+            return False
+    s_inv, s_inv_r, r = td.constants
+    return (nf_multiply(nf_multiply(s_inv, Z2), r)
+            == nf_multiply(nf_multiply(Y, s_inv_r), nf_invert(Z1)))
 
 
 def honest_query(td_publics: tuple[CanonicalForm, CanonicalForm],

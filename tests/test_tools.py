@@ -66,9 +66,9 @@ def test_pair_work_counts_kex_b32_meets():
 
 def test_pair_work_counts_reduce_b16():
     counts = pair_work("reduce-b16")
-    assert counts["pair_calls_per_op"] == 358.56640625
+    assert counts["pair_calls_per_op"] == 363.88671875
     assert counts["d_right_pair_calls_per_op"] == 0.0
-    assert counts["loop_crossings_per_op"] == 14835.296875
+    assert counts["loop_crossings_per_op"] == 14145.77734375
     assert counts["meets_per_op"] == 0
     assert counts["normal_form_pair_calls_per_op"] == 73.83203125
     assert counts["normal_form_crossings_per_op"] == 2919.73046875

@@ -52,7 +52,7 @@ from twincsp import (
 from twincsp import braid, trapdoor
 from twincsp import permutations as pm
 from twincsp.elgamal import SCHEME_TWIN, keygen
-from twincsp.trapdoor import _image, random_element_differing
+from twincsp.trapdoor import _image, _strand, _strand_back, random_element_differing
 
 
 class TestSetup:
@@ -182,20 +182,33 @@ class TestShiftAttack:
 
 
 class TestPermutationFilter:
-    """trapdoor_check first evaluates the prediction on strand permutations.
-    D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k is a homomorphism
-    B_n -> S_n, so a Z2hat whose image differs from the prediction's fails
-    in normal forms too and is rejected before any normal form is
-    computed.  As a reference that shares no code with the check, every
+    """trapdoor_check first compares the two sides of its balance,
+    s^-1 Z2hat r and Yhat (s^-1 r) Z1hat^-1, on strand permutations, one
+    strand at a time.  D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k is a
+    homomorphism B_n -> S_n, so sides whose images differ at some strand
+    differ in normal forms too, and the query is rejected at that strand
+    before any normal form is computed.  The strand helpers walk a form's
+    factors instead of composing its image; they must agree with the image
+    at every strand, the identity and odd powers of D included.  As a
+    reference that shares no code with the check, every
     verdict must equal Z2hat r Z1hat r^-1 == s Yhat s^-1 computed here
     directly; a check that made no ``_left_weight_pair`` call was decided
     by the filter."""
+
+    @staticmethod
+    def assert_strands_match_the_image(x):
+        image = _image(x)
+        back = pm.inverse(image)
+        for i in range(x.n):
+            assert _strand(x, i) == image[i]
+            assert _strand_back(x, i) == back[i]
 
     def test_image_is_a_homomorphism(self, params):
         for i in range(50):
             rng = rng_from(12_500 + i)
             x, y = random_element(params, rng), random_element(params, rng)
             assert _image(x) == permutation_of(word_of(x)).perm
+            self.assert_strands_match_the_image(x)
             assert _image(nf_multiply(x, y)) == pm.compose(_image(x), _image(y))
             assert _image(nf_invert(x)) == pm.inverse(_image(x))
         # the factor-free forms D^p: the half twist alone, or the identity
@@ -203,6 +216,7 @@ class TestPermutationFilter:
         for p in range(-2, 3):
             d = CanonicalForm(params.n, p)
             assert _image(d) == permutation_of(word_of(d)).perm
+            self.assert_strands_match_the_image(d)
             assert _image(nf_multiply(d, x)) == pm.compose(_image(d), _image(x))
             assert _image(nf_multiply(x, d)) == pm.compose(_image(x), _image(d))
             assert _image(nf_invert(d)) == pm.inverse(_image(d))
@@ -254,10 +268,14 @@ class TestProductCount:
     """Work per trapdoor operation on fixed seeds.  Normal-form products:
     five to set up (s^-1 r, then the four of X2 = the prediction for
     (g, X1)), four to check a query that passes the strand-permutation
-    filter and none for a query it rejects.  Permutation-helper calls, all
-    of ``twincsp.permutations`` (the engine's inside ``nf_invert`` too):
-    setup builds the images of the prediction's constants, so no check
-    does, and an image composes only the factors its form has."""
+    filter (two per side of the balance) and none for a query it rejects.
+    Permutation-helper calls, all of ``twincsp.permutations`` (the
+    engine's inside ``nf_invert`` too): setup builds the images of the
+    balance's constants, and the filter reads strands without any helper,
+    so a rejected check calls none.  Strands read, counted by the point
+    helper ``_strand`` (two calls per strand): a passing check reads all
+    16, and a rejected one stops at the first strand where the sides
+    differ."""
 
     PM_HELPERS = ("identity", "is_permutation", "compose", "inverse", "transposition",
                   "half_twist", "flip", "descents", "inversion_count")
@@ -270,9 +288,11 @@ class TestProductCount:
         helpers = [CallCounter(getattr(pm, name)) for name in self.PM_HELPERS]
         for name, helper in zip(self.PM_HELPERS, helpers):
             monkeypatch.setattr(pm, name, helper)
+        point = CallCounter(trapdoor._strand)
+        monkeypatch.setattr(trapdoor, "_strand", point)
 
-        def work() -> tuple[int, int]:
-            return products.total, sum(helper.total for helper in helpers)
+        def work() -> tuple[int, int, float]:
+            return products.total, sum(helper.total for helper in helpers), point.total / 2
 
         one = normal_form(BraidWord(params.n, ()))
         setup, passed, rejected = [], [], []
@@ -296,19 +316,22 @@ class TestProductCount:
                     before = work()
                     assert trapdoor_check(td, query) is verdict
                     counts.append(tuple(b - a for a, b in zip(before, work())))
-        assert [p for p, _ in setup] == [5] * 16
-        assert [p for p, _ in passed] == [4] * 48
-        assert [p for p, _ in rejected] == [0] * 48
-        assert [c for _, c in setup] == [
-            66, 74, 109, 84, 79, 109, 89, 107, 69, 75, 84, 64, 67, 109, 88, 79]
-        assert [c for _, c in passed] == [
-            56, 85, 43, 58, 66, 37, 79, 106, 32, 99, 99, 47, 85, 95, 40, 105,
-            119, 47, 91, 92, 43, 122, 122, 53, 81, 70, 23, 93, 88, 41, 144, 137,
-            27, 65, 66, 32, 77, 91, 28, 98, 105, 42, 86, 93, 43, 68, 68, 27]
-        assert [c for _, c in rejected] == [
-            32, 22, 21, 33, 21, 22, 49, 27, 21, 37, 28, 23, 31, 25, 16, 40,
-            33, 23, 47, 33, 23, 41, 29, 23, 40, 25, 20, 37, 30, 19, 54, 40,
-            23, 32, 20, 23, 41, 30, 20, 33, 29, 17, 36, 22, 25, 32, 19, 18]
+        assert [p for p, _, _ in setup] == [5] * 16
+        assert [p for p, _, _ in passed] == [4] * 48
+        assert [p for p, _, _ in rejected] == [0] * 48
+        assert [s for _, _, s in setup] == [0] * 16
+        assert [s for _, _, s in passed] == [16] * 48
+        assert [s for _, _, s in rejected] == [
+            1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 1, 1,
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1,
+            2, 1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+        assert [c for _, c, _ in setup] == [
+            56, 66, 109, 82, 78, 111, 107, 99, 84, 69, 86, 64, 65, 103, 87, 82]
+        assert [c for _, c, _ in passed] == [
+            21, 42, 25, 38, 45, 28, 54, 73, 24, 31, 31, 19, 51, 59, 22, 55,
+            63, 24, 67, 69, 28, 70, 68, 34, 32, 26, 16, 62, 57, 25, 80, 69,
+            15, 46, 48, 21, 36, 46, 15, 48, 53, 20, 31, 36, 22, 33, 33, 19]
+        assert [c for _, c, _ in rejected] == [0] * 48
 
 
 class TestSimulatedDecryption:
@@ -478,9 +501,12 @@ class TestDifferentialAgreement:
 
 class TestStrandAgreement:
     """Each query component, and each secret, must live in the trapdoor's
-    B_n; one in B_4 is refused before any answer."""
+    B_n; one in B_4 is refused before any answer, and one in B_32 before
+    any strand is read (a walk over its strands would read past the
+    trapdoor's 16, or compare only the first 16)."""
 
     SMALL = normal_form(BraidWord(4, (1,)))
+    LARGE = normal_form(BraidWord(32, (20,)))
 
     @pytest.mark.parametrize("slot", [0, 1, 2], ids=["Yhat", "Z1hat", "Z2hat"])
     def test_one_component_in_another_group(self, params, slot):
@@ -491,6 +517,20 @@ class TestStrandAgreement:
         parts[slot] = self.SMALL
         with pytest.raises(StrandMismatchError):
             trapdoor_check(td, DecisionQuery(*parts))
+
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["Yhat", "Z1hat", "Z2hat"])
+    def test_one_component_in_a_larger_group(self, params, slot, monkeypatch):
+        rng = rng_from(69)
+        td = fresh_trapdoor(params, rng)
+        q, _y = honest_query((td.X1, td.X2), params, rng)
+        parts = [q.Yhat, q.Z1hat, q.Z2hat]
+        parts[slot] = self.LARGE
+        walks = [CallCounter(trapdoor._strand), CallCounter(trapdoor._strand_back)]
+        monkeypatch.setattr(trapdoor, "_strand", walks[0])
+        monkeypatch.setattr(trapdoor, "_strand_back", walks[1])
+        with pytest.raises(StrandMismatchError):
+            trapdoor_check(td, DecisionQuery(*parts))
+        assert [walk.total for walk in walks] == [0, 0]
 
     def test_reduction_refuses_an_answer_in_another_group(self, params):
         rng = rng_from(70)
