@@ -36,21 +36,24 @@ Before any normal-form work the check compares the sides on strand
 permutations.  The map B_n -> S_n, D^p A_1 .. A_k -> rev^(p mod 2) .
 A_1 .. A_k, is a homomorphism, so when the sides' images differ at a
 strand the normal forms differ too and the query is rejected there: the
-filter changes no verdict.  Setup computes the constants' images, and a
-query's strand is followed through its factors without building its
-image.  The filter rejects every z1-corrupted, z2-corrupted and random
-query of the suite's fixed seeds (32 of 32 each), nearly always at the
-first strand.  It cannot reject a query whose images agree: the shift
-above, the pure-subgroup query (v, v, 1) and every honest query go on to
-the normal forms.  At B_16 (Python 3.11, one core of a 2-CPU x86-64 VM,
-median thread CPU time in five runs of 256 honest and 3,264 rejected
-checks on 16 trapdoors) an honest query takes 1.16-1.66 ms and a rejected
-one 0.0027-0.0047 ms.
+filter changes no verdict.  It compares the balance times Z1hat on the
+right, s^{-1} Z2hat r Z1hat against Yhat (s^{-1} r), whose images agree
+exactly when the balance's do, so each strand is followed forward through
+one form after another and no image is built; setup reads the constants'
+images the same way.  The normal-form check keeps Z1hat^{-1}: moving
+Z1hat to the left side costs about 16% more crossings.  The filter
+rejects every z1-corrupted, z2-corrupted and random query of the suite's
+fixed seeds (32 of 32 each), nearly always at the first strand.  It
+cannot reject a query whose images agree: the shift above, the
+pure-subgroup query (v, v, 1) and every honest query go on to the normal
+forms.  At B_16 (Python 3.11, one core of a 2-CPU x86-64 VM, median
+thread CPU time in five runs of 256 honest and 3,264 rejected checks on
+16 trapdoors) an honest query takes 0.97-1.11 ms and a rejected one
+0.0032-0.0039 ms.
 """
 
 from __future__ import annotations
 
-from . import permutations as pm
 from ._record import record
 from .braid import (
     BraidWord,
@@ -62,6 +65,7 @@ from .braid import (
     normal_form,
 )
 from .elgamal import PublicKey, keygen, shared_conjugates
+from .permutations import Perm
 from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
 
@@ -76,7 +80,7 @@ class Trapdoor:
     X1: CanonicalForm
     X2: CanonicalForm
     constants: tuple[CanonicalForm, CanonicalForm, CanonicalForm]
-    images: tuple[pm.Perm, pm.Perm, pm.Perm]
+    images: tuple[Perm, Perm, Perm]
 
 
 @record
@@ -88,34 +92,12 @@ class DecisionQuery:
     Z2hat: CanonicalForm
 
 
-def _image(x: CanonicalForm) -> pm.Perm:
-    """x's strand permutation: D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k."""
-    factors = x.factors
-    if x.delta_exp % 2:
-        img = pm.half_twist(x.n)
-    elif factors:
-        img, factors = factors[0].perm, factors[1:]
-    else:
-        return pm.identity(x.n)
-    for f in factors:
-        img = pm.compose(img, f.perm)
-    return img
-
-
 def _strand(x: CanonicalForm, i: int) -> int:
-    """_image(x)[i]: x's factors from right to left, then the reversal."""
+    """x's strand permutation at i: its factors from right to left, then the
+    reversal when D's exponent is odd."""
     for f in reversed(x.factors):
         i = f.perm[i]
     return x.n - 1 - i if x.delta_exp % 2 else i
-
-
-def _strand_back(x: CanonicalForm, i: int) -> int:
-    """pm.inverse(_image(x))[i]: the reversal, then the factors in order."""
-    if x.delta_exp % 2:
-        i = x.n - 1 - i
-    for f in x.factors:
-        i = f.perm.index(i)
-    return i
 
 
 def trapdoor_from_secrets(
@@ -127,7 +109,8 @@ def trapdoor_from_secrets(
     X2 = nf_multiply(nf_multiply(nf_multiply(s.form, params.g.form), s_inv_r),
                      nf_multiply(nf_invert(X1), r.inverse_form))
     constants = (s.inverse_form, s_inv_r, r.form)
-    return Trapdoor(r, s, X1, X2, constants, tuple(_image(c) for c in constants))
+    images = tuple(tuple(_strand(c, i) for i in range(params.n)) for c in constants)
+    return Trapdoor(r, s, X1, X2, constants, images)
 
 
 def trapdoor_setup(params: GroupParams, X1: CanonicalForm, rng: SeededRng) -> Trapdoor:
@@ -142,16 +125,17 @@ def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
     Z2hat is the prediction for (Yhat, Z1hat) (see the module docstring).
 
     A component outside the trapdoor's B_n raises StrandMismatchError
-    before any strand is read.  The sides' strand images are compared one
-    strand at a time, and the first strand that differs rejects the query
-    with no normal-form work (0.003 ms at B_16); a query whose images agree
-    costs four products (1.2-1.7 ms)."""
+    before any strand is read.  The strand images of s^{-1} Z2hat r Z1hat
+    and Yhat (s^{-1} r), the balance times Z1hat on the right, are compared
+    one strand at a time, and the first strand that differs rejects the
+    query with no normal-form work (0.003-0.004 ms at B_16); a query whose
+    images agree costs four products (1.0-1.1 ms)."""
     Y, Z1, Z2 = q.Yhat, q.Z1hat, q.Z2hat
     for x in (Y, Z1, Z2):
         _check_same_strands(x, td.r)
     s_inv, s_inv_r, r = td.images
-    for i, j in enumerate(r):
-        if s_inv[_strand(Z2, j)] != _strand(Y, s_inv_r[_strand_back(Z1, i)]):
+    for i, j in enumerate(s_inv_r):
+        if s_inv[_strand(Z2, r[_strand(Z1, i)])] != _strand(Y, j):
             return False
     s_inv, s_inv_r, r = td.constants
     return (nf_multiply(nf_multiply(s_inv, Z2), r)

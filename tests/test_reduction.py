@@ -141,6 +141,47 @@ class TestFalseSuccess:
         assert wrong == 20
 
 
+def exponent_sum(x) -> int:
+    """The exponent sum of a normal form D^p A_1 .. A_k: p n(n-1)/2 for the
+    half twists plus each factor's crossings, its permutation's inversions."""
+    n = x.n
+    return x.delta_exp * n * (n - 1) // 2 + sum(
+        f.perm[i] > f.perm[j] for f in x.factors for i in range(n) for j in range(i + 1, n))
+
+
+def plain_reduction(inst, adversary, rng):
+    """Claim (a)'s reduction, which needs no decision oracle: draw x2, hand
+    the twin solver (X, x2 g x2^-1, Y), a correctly distributed key, with
+    no oracle, and report its Z1 (None when it declines)."""
+    X2 = keygen(inst.params, SubgroupSide.LEFT, 1, rng).publics[0]
+    output = adversary(inst.X, X2, inst.Y, None)
+    return None if output is None else output[0]
+
+
+class TestPlainReduction:
+    """An adversary that answers only when X2 keeps g's exponent sum is
+    perfect on real keys and useless inside run_reduction, whose
+    X2 = (s g s^-1)(r X1 r^-1)^-1 has exponent sum 0.  The plain reduction
+    for claim (a) hands it a real key, so it succeeds every time.  Pinned;
+    a trapdoor whose X2 keeps g's invariants must flip the second count."""
+
+    def test_x2_checking_adversary(self, params):
+        g_sum = exponent_sum(normal_form(params.g))
+        assert g_sum == sum(1 if v > 0 else -1 for v in params.g.letters)
+        plain = simulated = 0
+        for i in range(20):
+            inst = make_ccs_instance(params, rng_from(3000 + i))
+            honest = perfect_adversary(inst.witness_y)
+
+            def checking(X1, X2, Y, oracle, honest=honest):
+                return honest(X1, X2, Y, oracle) if exponent_sum(X2) == g_sum else None
+
+            truth = nf_conjugate(inst.X, inst.witness_y)
+            plain += plain_reduction(inst, checking, rng_from(5000 + i)) == truth
+            simulated += run_reduction(inst, checking, rng_from(4000 + i)).value == truth
+        assert (plain, simulated) == (20, 0)
+
+
 class TestOracleLeak:
     def test_honest_guess_accepted(self, params):
         rng = rng_from(85)

@@ -1,8 +1,8 @@
 """The work counter that perf changes are judged by still runs, and the
 engine still does exactly the work recorded for seed 1.  A change that
 moves these counts re-pins them and says why.  The A/B pair tool's
-summary and its verdicts are checked on fixed runs, and it refuses a
-checkout with a bytecode cache."""
+summary and its verdicts are checked on fixed runs; it refuses a checkout
+with a bytecode cache, and stops at a run that reports incorrect outputs."""
 
 import json
 import shutil
@@ -186,3 +186,24 @@ def test_ab_pairs_refuses_a_checkout_with_a_bytecode_cache(tmp_path):
     assert proc.returncode != 0 and proc.stdout == ""
     assert str(cache.resolve()) in proc.stderr
     assert not marker.exists()
+
+
+def test_ab_pairs_stops_at_a_run_with_incorrect_outputs(tmp_path):
+    """A run whose outputs are wrong is refused, whatever its metrics read,
+    so the tool prints no summary and names the checkout and workload."""
+    for side, correct in (("parent", True), ("change", False)):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        line = json.dumps({"correct": correct, "attempted": 1, "failed": 0,
+                           "metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"}}})
+        (tmp_path / side / "perfbench" / "run.py").write_text(f"print({line!r})\n")
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / side)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_pairs.py"), "--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change"), "--workload", "pke-short", "--seed", "7",
+         "--pairs", "2", "--seconds", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert str((tmp_path / "change").resolve()) in proc.stderr
+    assert str((tmp_path / "parent").resolve()) not in proc.stderr
+    assert "pke-short" in proc.stderr and "incorrect outputs" in proc.stderr

@@ -31,6 +31,7 @@ from twincsp import (
     StrandMismatchError,
     SubgroupSide,
     conjugate,
+    default_params,
     hash_elements,
     honest_query,
     make_ccs_instance,
@@ -52,7 +53,7 @@ from twincsp import (
 from twincsp import braid, trapdoor
 from twincsp import permutations as pm
 from twincsp.elgamal import SCHEME_TWIN, keygen
-from twincsp.trapdoor import _image, _strand, _strand_back, random_element_differing
+from twincsp.trapdoor import _strand, random_element_differing
 
 
 class TestSetup:
@@ -182,50 +183,49 @@ class TestShiftAttack:
 
 
 class TestPermutationFilter:
-    """trapdoor_check first compares the two sides of its balance,
-    s^-1 Z2hat r and Yhat (s^-1 r) Z1hat^-1, on strand permutations, one
-    strand at a time.  D^p A_1 .. A_k -> rev^(p mod 2) . A_1 .. A_k is a
-    homomorphism B_n -> S_n, so sides whose images differ at some strand
-    differ in normal forms too, and the query is rejected at that strand
-    before any normal form is computed.  The strand helpers walk a form's
-    factors instead of composing its image; they must agree with the image
-    at every strand, the identity and odd powers of D included.  As a
-    reference that shares no code with the check, every
-    verdict must equal Z2hat r Z1hat r^-1 == s Yhat s^-1 computed here
-    directly; a check that made no ``_left_weight_pair`` call was decided
-    by the filter."""
+    """trapdoor_check first compares the two sides of its balance times
+    Z1hat on the right, s^-1 Z2hat r Z1hat and Yhat (s^-1 r), on strand
+    permutations, one strand at a time.  D^p A_1 .. A_k -> rev^(p mod 2) .
+    A_1 .. A_k is a homomorphism B_n -> S_n, so sides whose images differ
+    at some strand differ in normal forms too, and the query is rejected at
+    that strand before any normal form is computed.  The one strand
+    helper walks a form's factors instead of composing its image; the image
+    it reads strand by strand must be the homomorphism's, the identity and
+    odd powers of D included.  As a reference that shares no code with the
+    check, every verdict must equal Z2hat r Z1hat r^-1 == s Yhat s^-1
+    computed here directly; a check that made no ``_left_weight_pair``
+    call was decided by the filter."""
 
     @staticmethod
-    def assert_strands_match_the_image(x):
-        image = _image(x)
-        back = pm.inverse(image)
-        for i in range(x.n):
-            assert _strand(x, i) == image[i]
-            assert _strand_back(x, i) == back[i]
+    def image(x):
+        """x's strand permutation, read by the check's helper."""
+        return tuple(_strand(x, i) for i in range(x.n))
 
     def test_image_is_a_homomorphism(self, params):
+        image = self.image
         for i in range(50):
             rng = rng_from(12_500 + i)
             x, y = random_element(params, rng), random_element(params, rng)
-            assert _image(x) == permutation_of(word_of(x)).perm
-            self.assert_strands_match_the_image(x)
-            assert _image(nf_multiply(x, y)) == pm.compose(_image(x), _image(y))
-            assert _image(nf_invert(x)) == pm.inverse(_image(x))
+            assert image(x) == permutation_of(word_of(x)).perm
+            assert image(nf_multiply(x, y)) == pm.compose(image(x), image(y))
+            assert image(nf_invert(x)) == pm.inverse(image(x))
         # the factor-free forms D^p: the half twist alone, or the identity
         x = random_element(params, rng_from(12_550))
         for p in range(-2, 3):
             d = CanonicalForm(params.n, p)
-            assert _image(d) == permutation_of(word_of(d)).perm
-            self.assert_strands_match_the_image(d)
-            assert _image(nf_multiply(d, x)) == pm.compose(_image(d), _image(x))
-            assert _image(nf_multiply(x, d)) == pm.compose(_image(x), _image(d))
-            assert _image(nf_invert(d)) == pm.inverse(_image(d))
+            assert image(d) == permutation_of(word_of(d)).perm
+            assert image(nf_multiply(d, x)) == pm.compose(image(d), image(x))
+            assert image(nf_multiply(x, d)) == pm.compose(image(x), image(d))
+            assert image(nf_invert(d)) == pm.inverse(image(d))
 
-    def test_verdicts_equal_the_equation(self, params):
+    @staticmethod
+    def verdict_counts(params, seeds) -> tuple[dict, dict]:
+        """Per query kind, over one reduction's trapdoor per seed: the
+        queries accepted and the queries the filter decided."""
         kinds = ("honest", "z1", "z2", "random", "shifted", "false success")
         accepted = dict.fromkeys(kinds, 0)
         filtered = dict.fromkeys(kinds, 0)
-        for i in range(32):
+        for i in seeds:
             rng = rng_from(12_000 + i)
             inst = make_ccs_instance(params, rng)
             u = draw_shift(params, rng)
@@ -258,9 +258,26 @@ class TestPermutationFilter:
                             == nf_conjugate(query.Yhat, td.s))
                 assert verdict == equation, kind
                 accepted[kind] += verdict
+        return accepted, filtered
+
+    def test_verdicts_equal_the_equation(self, params):
+        accepted, filtered = self.verdict_counts(params, range(32))
         assert accepted == {"honest": 32, "z1": 0, "z2": 0, "random": 0,
                             "shifted": 32, "false success": 32}
         assert filtered == {"honest": 0, "z1": 32, "z2": 32, "random": 32,
+                            "shifted": 0, "false success": 0}
+
+    @pytest.mark.parametrize("split", [(5, 6, 16), (12, 13, 24)], ids=["B_11", "B_25"])
+    def test_verdicts_at_odd_strand_counts(self, split):
+        """The same kinds where the reversal rev fixes the middle strand;
+        g has a letter +-l at both splits, so it does not split into
+        commuting halves."""
+        params = default_params(*split)
+        assert any(abs(v) == params.l for v in params.g.letters)
+        accepted, filtered = self.verdict_counts(params, range(8))
+        assert accepted == {"honest": 8, "z1": 0, "z2": 0, "random": 0,
+                            "shifted": 8, "false success": 8}
+        assert filtered == {"honest": 0, "z1": 8, "z2": 8, "random": 8,
                             "shifted": 0, "false success": 0}
 
 
@@ -270,12 +287,13 @@ class TestProductCount:
     (g, X1)), four to check a query that passes the strand-permutation
     filter (two per side of the balance) and none for a query it rejects.
     Permutation-helper calls, all of ``twincsp.permutations`` (the
-    engine's inside ``nf_invert`` too): setup builds the images of the
-    balance's constants, and the filter reads strands without any helper,
-    so a rejected check calls none.  Strands read, counted by the point
-    helper ``_strand`` (two calls per strand): a passing check reads all
-    16, and a rejected one stops at the first strand where the sides
-    differ."""
+    engine's inside ``nf_invert`` too): setup's are the engine's, since it
+    reads the images of the balance's constants strand by strand, and the
+    filter reads strands without any helper, so a rejected check calls
+    none.  Strands read, counted by the strand helper ``_strand`` (three
+    calls per strand, one per constant at setup): setup and a passing
+    check read all 16, and a rejected check stops at the first strand
+    where the sides differ."""
 
     PM_HELPERS = ("identity", "is_permutation", "compose", "inverse", "transposition",
                   "half_twist", "flip", "descents", "inversion_count")
@@ -292,7 +310,7 @@ class TestProductCount:
         monkeypatch.setattr(trapdoor, "_strand", point)
 
         def work() -> tuple[int, int, float]:
-            return products.total, sum(helper.total for helper in helpers), point.total / 2
+            return products.total, sum(helper.total for helper in helpers), point.total / 3
 
         one = normal_form(BraidWord(params.n, ()))
         setup, passed, rejected = [], [], []
@@ -319,14 +337,14 @@ class TestProductCount:
         assert [p for p, _, _ in setup] == [5] * 16
         assert [p for p, _, _ in passed] == [4] * 48
         assert [p for p, _, _ in rejected] == [0] * 48
-        assert [s for _, _, s in setup] == [0] * 16
+        assert [s for _, _, s in setup] == [16] * 16
         assert [s for _, _, s in passed] == [16] * 48
         assert [s for _, _, s in rejected] == [
-            1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 1, 1,
-            1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1,
-            2, 1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+            2, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 2, 1, 2]
         assert [c for _, c, _ in setup] == [
-            56, 66, 109, 82, 78, 111, 107, 99, 84, 69, 86, 64, 65, 103, 87, 82]
+            44, 50, 85, 73, 69, 88, 86, 80, 69, 55, 70, 54, 51, 85, 72, 68]
         assert [c for _, c, _ in passed] == [
             21, 42, 25, 38, 45, 28, 54, 73, 24, 31, 31, 19, 51, 59, 22, 55,
             63, 24, 67, 69, 28, 70, 68, 34, 32, 26, 16, 62, 57, 25, 80, 69,
@@ -525,12 +543,11 @@ class TestStrandAgreement:
         q, _y = honest_query((td.X1, td.X2), params, rng)
         parts = [q.Yhat, q.Z1hat, q.Z2hat]
         parts[slot] = self.LARGE
-        walks = [CallCounter(trapdoor._strand), CallCounter(trapdoor._strand_back)]
-        monkeypatch.setattr(trapdoor, "_strand", walks[0])
-        monkeypatch.setattr(trapdoor, "_strand_back", walks[1])
+        walk = CallCounter(trapdoor._strand)
+        monkeypatch.setattr(trapdoor, "_strand", walk)
         with pytest.raises(StrandMismatchError):
             trapdoor_check(td, DecisionQuery(*parts))
-        assert [walk.total for walk in walks] == [0, 0]
+        assert walk.total == 0
 
     def test_reduction_refuses_an_answer_in_another_group(self, params):
         rng = rng_from(70)

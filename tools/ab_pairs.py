@@ -12,7 +12,8 @@ its runs, change median over parent median, and the number of pairs in
 which the change read better, by the direction ``BENCHMARK.json`` gives.
 Each metric with a ``bound`` there (the end-to-end ones) also gets a
 ``verdict``: better, unresolved, worse or same (see ``verdict``).
-A run that exits non-zero or prints no result stops the tool.
+A run that exits non-zero, prints no result or reports incorrect outputs
+(``"correct": false``) stops the tool, naming its checkout and workload.
 
 A checkout whose ``src/`` or ``perfbench/`` holds a ``__pycache__`` is
 refused before any run: every set-up re-imports the package, and a side
@@ -56,8 +57,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     )
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"run in {checkout} failed (exit {proc.returncode}):\n{proc.stderr}")
-    return json.loads(lines[-1])
+        raise SystemExit(f"{workload} run in {checkout} failed "
+                         f"(exit {proc.returncode}):\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{workload} run in {checkout} reported incorrect outputs:\n{lines[-1]}")
+    return result
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
