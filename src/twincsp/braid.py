@@ -17,16 +17,9 @@ left-weighted iff S(B) is a subset of F(A), where the starting set S and
 finishing set F are the descent sets of the inverse permutation and the
 permutation respectively.  Left-weighting a pair moves the meet
 M = dA ^ B of B and the right complement dA = A^{-1} D from B to A:
-A <- A M, B <- M^{-1} B.  The engine moves M in one of two ways, which end
-at the same pair.  One insertion pass moves it crossing by crossing (A
-gains a final s_i, B loses a leading s_i), pops and re-inserts each entry
-that moves, and never re-checks a neighbour it has passed; most pairs move
-a few crossings.  A heavy pair of B_n with n >= MEET_FROM = 27 (typically
-a near-empty factor followed by a near-D one, the shape that conjugation
-by a subgroup secret produces) switches after n crossings to computing the
-rest of M at once from bitsets of inverted value pairs (Epstein et al.,
-Word Processing in Groups, ch. 9).  At B_32 the meet finishes over a
-third of a key exchange's pair calls and does 90% of their crossings.
+A <- A M, B <- M^{-1} B.  One insertion pass moves it crossing by
+crossing (A gains a final s_i, B loses a leading s_i), pops and re-inserts
+each entry that moves, and never re-checks a neighbour it has passed.
 
 A normal form is built by Thurston's right-multiplication algorithm
 (Epstein et al., ch. 9): factors are appended one at a time to a sequence
@@ -37,15 +30,23 @@ factor can end as the identity (it is dropped).  A factor that is or
 becomes D leaves at once for the front: A_1 .. A_j D = D tau(A_1) ..
 tau(A_j), so the factors to its left are flipped, the half-twist power
 grows by one and the percolation stops, with no pair call (a pair (A, D)
-would only compute (D, tau A)).  ``nf_multiply(x, y)`` appends y's factors
-to x's, which are never re-checked.  ``normal_form`` first gathers the
-letters into runs of one sign, each a simple braid P or the inverse Q^{-1}
-of one: a letter joins the latest run of its sign that stays simple with
-it, passing back only runs whose letters commute with it, and otherwise
-starts a run.  It appends one factor per run: Q^{-1} = D^{-1} (D Q^{-1}),
-and D powers move to the front through the flip automorphism
-tau(s_i) = s_{n-i}, of order two.  A secret word of B_32 becomes about a
-third as many factors as it has letters.
+would only compute (D, tau A)).  A factor f near D, the shape that every
+negative letter (s_i^{-1} = D^{-1} (D s_i^{-1})) and every inverse form
+brings, is not percolated at all: f = D c^{-1} with c = f^{-1} D small,
+so its D goes to the front and c^{-1} is divided out of the prefix from
+the right, one left lcm per factor, computed letter by letter on c's
+reduced word (Dehornoy et al., Foundations of Garside Theory, EMS 2015).
+The first domino rule makes the result left-weighted, so no pair is
+checked, and the crossings moved fall from the near-D factor's to its
+complement's.  ``nf_multiply(x, y)`` appends y's factors to x's, which
+are never re-checked.  ``normal_form`` first gathers the letters into runs
+of one sign, each a simple braid P or the inverse Q^{-1} of one: a letter
+joins the latest run of its sign that stays simple with it, passing back
+only runs whose letters commute with it, and otherwise starts a run.  It
+appends one factor per run: Q^{-1} = D^{-1} (D Q^{-1}), and D powers move
+to the front through the flip automorphism tau(s_i) = s_{n-i}, of order
+two.  A secret word of B_32 becomes about a third as many factors as it
+has letters.
 ``nf_invert`` left-weights nothing: the inverse of D^p A_1 .. A_k is
 D^{-p-k} followed by the complements of A_k .. A_1, flipped alternately,
 and that sequence is already a normal form.
@@ -66,6 +67,7 @@ All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import sub
 
 from . import permutations as pm
 from ._record import _set, record
@@ -228,21 +230,10 @@ def conjugate(a: BraidWord, t: BraidWord) -> BraidWord:
 # The normal-form engine
 # ---------------------------------------------------------------------------
 
-# A pair of B_n with n >= MEET_FROM that has moved n crossings ends with one
-# meet.  Insertion + meet over insertion-only time on seed-1 key exchange pairs
-# (W = 32; Python 3.11, one core of a 2-CPU x86-64 VM; two runs of
-# ``tools/pair_work.py --replay``, 2026-10-19): 1.55-1.58 at n = 16 (1.43-1.49
-# on twin encryption pairs), 1.21 at 20, 1.05-1.06 at 24, 1.01-1.04 at 25,
-# 0.98-0.99 at 26, 0.94-0.95 at 27, 0.89-0.91 at 28, 0.81-0.83 at 32.  At
-# n = 32, a meet after n/2 or 2n crossings instead of n was 4% and 5% slower.
-MEET_FROM = 27
-
-
 def _left_weight_pair(a: list[int], b: list[int], n: int) -> int:
     """Transfer crossings from the head of b to the tail of a (in place)
-    until S(b) is a subset of F(a).  Returns the number of crossings the
-    insertion pass moved: 0 exactly when the pair was left-weighted, at
-    least n when a meet finished it (the meet's crossings not included).
+    until S(b) is a subset of F(a).  Returns the number of crossings
+    moved: 0 exactly when the pair was left-weighted.
 
     i is in S(b) iff value i-1 sits after value i in b, i.e. the inverse
     table binv has a descent at i; i is in F(a) iff a[i-1] > a[i].  One
@@ -251,15 +242,11 @@ def _left_weight_pair(a: list[int], b: list[int], n: int) -> int:
     a[j] < a[i], each step one crossing, and is popped from both lists and
     re-inserted, which builds no temporary list.  The entries left of i
     never hold such a neighbouring pair, so none is checked twice; b is
-    rebuilt from binv once at the end.  A heavy pair (n crossings moved,
-    n >= MEET_FROM) moves all the rest at once: M = da ^ b from ``_meet``,
-    then a <- a.M and b <- M^-1.b.  Both ways end at the same left-weighted
-    pair, so the result is the same.
+    rebuilt from binv once at the end.
     """
     binv = [0] * n
     for pos, v in enumerate(b):
         binv[v] = pos
-    budget = n if n >= MEET_FROM else n * n  # n * n: more than any pair moves
     moved = 0
     for i in range(1, n):
         y = binv[i]
@@ -274,59 +261,67 @@ def _left_weight_pair(a: list[int], b: list[int], n: int) -> int:
         a.insert(j, a.pop(i))
         binv.insert(j, binv.pop(i))
         moved += i - j
-        if moved >= budget:
-            m = _meet(a, binv, n)
-            a[:] = [a[x] for x in m]
-            binv = [binv[x] for x in m]
-            break
     if moved:
         for v, pos in enumerate(binv):
             b[pos] = v
     return moved
 
 
-def _meet(a: list[int], binv: list[int], n: int) -> list[int]:
-    """The meet da ^ b of the right complement da = a^-1.D and b, as a
-    permutation; b is given by its inverse table binv.
+def _complement_word(f: list[int]) -> list[int]:
+    """The reduced word of c = f^-1 D, last letter first: the generators
+    whose adjacent swaps insertion-sort perm(c), in the order made."""
+    c = [0] * len(f)
+    for x, v in enumerate(f):
+        c[-1 - v] = x
+    word = []
+    for i in range(1, len(c)):
+        v, k = c[i], i
+        while k and c[k - 1] > v:
+            c[k] = c[k - 1]
+            word.append(k)
+            k -= 1
+        c[k] = v
+    return word
 
-    A simple braid is a prefix of another iff its inverted value pairs are
-    a subset of the other's.  The pairs u < v the meet leaves uninverted
-    (u before v) are the transitive closure of those uninverted in da or
-    in b; u < v is uninverted in da iff a[u] > a[v], and in b iff
-    binv[u] < binv[v].  up[u] is the bitset of the closure's v > u, built
-    for u = n-1 down to 0: the direct edges, plus up[v] for each edge v
-    that no lower edge already reaches.  Among the values >= u, u comes
-    after the (n-1-u) - |up[u]| it does not precede, so inserting u at
-    that index of the order built so far lays out the meet.
+
+def _divide(a: list[int], word: list[int]) -> list[int]:
+    """Rewrite A . c^-1 as c'^-1 . A' in place, where c'.A = A'.c is the
+    left lcm of A and c.  word is c's reduced word, last letter first, and
+    c' is returned the same way.
+
+    The letters j of the word are taken in turn, each rewriting A s_j^-1
+    as w^-1 A' with w.A = A'.s_j their left lcm; the words w, in that
+    order, make up the word returned:
+    - A[j-1] > A[j]: A ends with s_j, so w is empty, and A' is A with
+      positions j-1 and j swapped;
+    - A[j] = A[j-1] + 1: A' = A and w = s_v with v = A[j];
+    - otherwise, with p = A[j-1] and q = A[j], w relabels the values
+      p .. q: those at positions >= j take the lowest and those left of j
+      the highest, each keeping its order.  A' is the relabelled A with
+      positions j-1 and j swapped, and w's word, last letter first, moves
+      each value from position j on, lowest first, down past the values
+      left of j below it.
     """
-    ainv = [0] * n
-    for x, v in enumerate(a):
-        ainv[v] = x
-    b = [0] * n
-    for v, pos in enumerate(binv):
-        b[pos] = v
-    below = [0] * n  # below[k]: positions of a holding a value < k
-    acc = 0
-    for k in range(n):
-        below[k] = acc
-        acc |= 1 << ainv[k]
-    later = [0] * n  # later[j]: values of b at positions > j
-    acc = 0
-    for j in range(n - 1, -1, -1):
-        later[j] = acc
-        acc |= 1 << b[j]
-    up = [0] * n
-    order: list[int] = []
-    for u in range(n - 1, -1, -1):
-        r = todo = (below[a[u]] | later[binv[u]]) & -(2 << u)
-        while todo:
-            low = todo & -todo
-            rv = up[low.bit_length() - 1]
-            r |= rv
-            todo = (todo & ~rv) ^ low
-        up[u] = r
-        order.insert(n - 1 - u - r.bit_count(), u)
-    return order
+    out: list[int] = []
+    for j in word:
+        p, q = a[j - 1], a[j]
+        if p > q:
+            a[j - 1], a[j] = q, p
+        elif q == p + 1:
+            out.append(q)
+        else:
+            mid = [a.index(v) for v in range(p + 1, q)]
+            left = 1
+            for s, x in enumerate(mid, p + 1):
+                if x < j:
+                    left += 1
+                else:
+                    out.extend(range(s, s - left, -1))
+            out.extend(range(q, q - left, -1))
+            for v, x in enumerate([x for x in mid if x > j] + [j - 1, j]
+                                  + [x for x in mid if x < j], p):
+                a[x] = v
+    return out
 
 
 def _form(n: int, dexp: int, prefix: list[list[int]], tail) -> CanonicalForm:
@@ -334,10 +329,44 @@ def _form(n: int, dexp: int, prefix: list[list[int]], tail) -> CanonicalForm:
     no identity or D factor, and is extended in place; each tail factor (a
     list) is appended and percolated leftward until a pair does not move.
     A factor that is or becomes D leaves at once for the front, flipping
-    the factors to its left: A_1 .. A_j D = D tau(A_1) .. tau(A_j)."""
+    the factors to its left: A_1 .. A_j D = D tau(A_1) .. tau(A_j).
+
+    A tail factor f near D is not percolated.  With c = f^-1 D, its small
+    complement, prefix . f = D tau(prefix) c^-1: the D joins the power,
+    the flipped prefix is divided by c from the right, one factor at a
+    time from the last (``_divide``), and a word c' left over after the
+    first factor becomes the front factor D c'^-1, giving the D back.  The
+    result is left-weighted (the first domino rule of Garside theory), so
+    no pair is checked; identity factors can only end it, and are dropped.
+    Which factors take this way changes the speed, never the form."""
     ident, rev, top = list(range(n)), list(range(n - 1, -1, -1)), n - 1
+    # f is near D when f[0] - f[-1] > top // 2 and its footrule distance
+    # from D, between c's crossing count and twice it, is under `near`.
+    # Percolating f costs about n^2/2 crossings for each factor it passes,
+    # dividing by c about c's letters for each.  Timed both ways from the
+    # same states of the benchmark's reduce-b16 and kex-b32 (Python 3.11,
+    # one core of a 2-CPU x86-64 VM), they broke even near n^2/16 at B_16
+    # and at B_32.  Below B_16 the bound stays n.
+    near = max(n, n * n // 16)
     facs = prefix
     for f in tail:
+        if f[0] - f[-1] > top // 2 and sum(map(abs, map(sub, f, rev))) < near:
+            facs[:] = [[top - v for v in reversed(g)] for g in facs]
+            word = _complement_word(f)
+            for a in reversed(facs):
+                if not word:
+                    break
+                word = _divide(a, word)
+            if word:
+                front = rev[:]
+                for j in word:
+                    front[j - 1], front[j] = front[j], front[j - 1]
+                facs.insert(0, front)
+            else:
+                dexp += 1
+            while facs and facs[-1] == ident:
+                facs.pop()
+            continue
         facs.append(f)
         i = len(facs) - 1
         while facs[i] != rev and i and _left_weight_pair(facs[i - 1], facs[i], n):

@@ -254,10 +254,19 @@ def _tag(key: SymKey, ct: bytes) -> bytes:
     return mac.digest()
 
 
+# XOR as big integers one chunk at a time: converting a whole 1 MiB message,
+# its keystream and their XOR to ints raised pke-bulk's peak memory by
+# 2.6 MiB (BENCH_31.json).
+_XOR_CHUNK = 1 << 16
+
+
 def _xor_keystream(key: SymKey, data: bytes) -> bytes:
-    stream = _keystream(key, len(data))
-    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    return mixed.to_bytes(len(data), "big")
+    data, stream = memoryview(data), memoryview(_keystream(key, len(data)))
+    out = []
+    for k in range(0, len(data), _XOR_CHUNK):
+        d, s = data[k:k + _XOR_CHUNK], stream[k:k + _XOR_CHUNK]
+        out.append((int.from_bytes(d, "big") ^ int.from_bytes(s, "big")).to_bytes(len(d), "big"))
+    return b"".join(out)
 
 
 def sym_encrypt(key: SymKey, message: bytes) -> SealedBox:

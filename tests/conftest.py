@@ -45,7 +45,7 @@ def load_tool(name: str):
     return module
 
 
-# The one counter of the engine's work (pair calls, crossings, meets),
+# The one counter of the engine's work (pair calls, crossings, near-D divisions),
 # shared with tools/pair_work.py: ``with engine_work(braid) as work:``.
 engine_work = load_tool("pair_work").engine_work
 

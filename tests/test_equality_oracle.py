@@ -11,7 +11,7 @@ empty word: a handle-free word is empty, s-positive or s-negative.
 
 The property checked is that the normal forms of a and b agree iff
 handle_reduce(a . b^-1) is empty, on words whose normal forms take heavy
-pairs, half-twist exits and (for n >= MEET_FROM) meets.
+pairs, half-twist exits and near-D factors divided out of a prefix.
 """
 
 import pytest
@@ -74,7 +74,7 @@ def test_oracle_on_known_facts():
 def cases(n: int, tag: int):
     """Seeded conjugates x g x^-1 of a word g by secrets x sampled from
     both subgroups: their normal forms take heavy pairs, factors that
-    become D and (for n >= MEET_FROM) meets."""
+    become D and near-D factors divided out of a prefix."""
     params = default_params(n // 2, n - n // 2, W=n)
     rng = rng_from(tag)
     g = random_word(n, n, rng)
@@ -109,8 +109,8 @@ def test_equality_agrees_with_handle_reduction(n):
         for tag in range(3):
             check_cases(n, 7500 + 10 * n + tag)
     assert work.d_made, "no factor became D"
-    if n >= braid.MEET_FROM:
-        assert work.meets, "no pair reached the meet"
+    assert work.crossed, "no near-D factor was divided out of a prefix"
+    assert work.divide_crossings == work.letters
 
 
 @settings(max_examples=12, deadline=None)

@@ -98,8 +98,7 @@ def reference_invert(x: CanonicalForm) -> CanonicalForm:
 
 def cases(n: int, tag: int):
     """Seeded words: uniform ones, and a conjugate t g t^-1 with t from the
-    left half, the shape that makes heavy pairs (and, for n >= MEET_FROM,
-    meets)."""
+    left half, the shape that makes heavy pairs and near-D factors."""
     rng = rng_from(tag)
     for length in (0, 1, 2, n, 3 * n):
         yield random_word(n, length, rng)
@@ -120,8 +119,8 @@ def test_engine_equals_reference(n):
             for y in forms[::3]:
                 assert nf_multiply(x, y) == reference_multiply(x, y)
                 assert nf_multiply(x, nf_invert(y)) == reference_multiply(x, reference_invert(y))
-    if n >= braid.MEET_FROM:
-        assert work.meets, "no pair reached the meet"
+    if n >= 4:
+        assert work.crossed, "no near-D factor was divided out of a prefix"
 
 
 @pytest.mark.parametrize("n", (4, 16, 32))
@@ -173,15 +172,29 @@ def test_no_pair_call_meets_a_half_twist(run):
     with engine_work(braid) as work:
         run()
     assert work.pair_calls > 100
-    assert work.d_made > 0, "no factor became D: the exit was not exercised"
     assert work.d_right == 0
+    assert work.crossed > 0, "no near-D factor was divided out of a prefix"
+    if run is _b32_exchange:
+        assert work.d_made > 0, "no factor became D: the exit was not exercised"
 
 
 def d_cases(n: int, tag: int):
     """Seeded (x, y) whose product makes factors D: a positive x times
     x^-1 D^k (x's k factors all become D, inner ones mid-percolation),
-    alone and followed by a random word."""
+    alone and followed by a random word; and a uniform factor A times its
+    complement A^-1 D, which is far from D, so the pair is formed and
+    makes D."""
     rng = rng_from(tag)
+    for _ in range(3):
+        p = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = rng.rand_below(i + 1)
+            p[i], p[j] = p[j], p[i]
+        a = tuple(p)
+        if a not in (pm.identity(n), pm.half_twist(n)):
+            c = pm.compose(pm.inverse(a), pm.half_twist(n))
+            yield (CanonicalForm(n, 0, (PermutationBraid(a),)),
+                   CanonicalForm(n, 0, (PermutationBraid(c),)))
     for length in (n, 3 * n):
         x = normal_form(BraidWord(n, tuple(abs(v) for v in random_word(n, length, rng).letters)))
         k = len(x.factors) or 1
@@ -258,11 +271,48 @@ def test_run_gathering_equals_reference(n):
 def test_normal_form_pair_calls_on_b32_secrets():
     """The exact pair calls of normal_form over 32 seeded B_32 subgroup
     secrets (976 letters, 156 factors in their forms): 2,374 when every
-    letter was its own factor, 814 with runs."""
+    letter was its own factor, 814 with runs, and 360 once the 162 near-D
+    runs are divided out of the prefix, their words moving 1,796 letters
+    across 454 factors instead of being percolated."""
     p = default_params(16, 16, 32)
     secrets = [sample_subgroup(p, side, rng_from(7600 + k))
                for k in range(16) for side in SubgroupSide]
     with engine_work(braid) as work:
         forms = [normal_form(w) for w in secrets]
-    assert work.pair_calls == 814
+    assert work.pair_calls == 360
+    assert (work.near_d, work.crossed, work.letters) == (162, 454, 1796)
+    assert work.divide_crossings == work.letters
     assert forms == [reference_normal_form(w) for w in secrets]
+
+
+def division_cases(n: int, tag: int):
+    """Seeded conjugates t g t^-1 with t from the left half, from the
+    right half and from all of B_n: the negative letters of t^-1 make the
+    near-D runs that are divided out of a prefix."""
+    rng = rng_from(tag)
+    g = random_word(n, n, rng)
+    for indices in (range(1, max(2, n // 2)), range(n // 2, n), range(1, n)):
+        t = random_word(n, n, rng, indices=indices)
+        yield BraidWord(n, t.letters + g.letters + tuple(-v for v in reversed(t.letters)))
+
+
+def test_near_d_division_is_left_weighted_at_every_n():
+    """At every n from 4 to 64, normal forms and products that divide
+    near-D factors out of a prefix need no pair moved when each adjacent
+    pair is left-weighted again, equal the reference, and pass only
+    reduced words between factors."""
+    for n in range(4, 65):
+        words = list(division_cases(n, 7700 + n))
+        with engine_work(braid) as work:
+            forms = [normal_form(w) for w in words]
+            forms += [nf_multiply(forms[0], nf_invert(forms[1])),
+                      nf_multiply(forms[2], forms[1])]
+        assert work.crossed > 0 and work.letters > 0, n
+        assert work.divide_crossings == work.letters, n
+        for x in forms:
+            facs = [list(f.perm) for f in x.factors]
+            for a, b in zip(facs, facs[1:]):
+                assert braid._left_weight_pair(list(a), list(b), n) == 0, (n, x)
+        assert forms[:3] == [reference_normal_form(w) for w in words], n
+        assert forms[3] == reference_multiply(forms[0], reference_invert(forms[1])), n
+        assert forms[4] == reference_multiply(forms[2], forms[1]), n

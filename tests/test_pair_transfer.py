@@ -1,8 +1,7 @@
 """The factor-pair kernel against a reference that moves one crossing at a
-time, on synthetic pairs on both sides of the crossover at which heavy
-pairs finish with a meet and on pairs recorded from the schemes, and where
-in the schemes that meet engages.  The kernel must end at the reference's
-pair and move as many crossings: its return value plus its meet's."""
+time, on synthetic pairs and on pairs recorded from the schemes, and where
+in the schemes near-D factors are divided out instead of percolated.  The
+kernel must end at the reference's pair and move as many crossings."""
 
 import random
 
@@ -55,45 +54,43 @@ def pairs(n, rnd):
         yield near(range(n), swaps, rnd), near(range(n - 1, -1, -1), swaps, rnd)
 
 
-def kernel_transfer(work, a, b, n):
-    """The kernel on copies of (a, b), run inside ``engine_work``: the
-    crossings it moved, its loop's and its meet's, with the pair."""
+def kernel_transfer(a, b, n):
+    """The kernel on copies of (a, b): the crossings it moved, with the pair."""
     a, b = list(a), list(b)
-    meets, meet_crossings = sum(work.meets.values()), work.meet_crossings
     moved = braid._left_weight_pair(a, b, n)
-    if sum(work.meets.values()) > meets:
-        assert moved >= n, "a meet finished a pair that moved fewer than n crossings"
-    return moved + work.meet_crossings - meet_crossings, a, b
+    return moved, a, b
 
 
 def test_kernel_matches_reference():
     rnd = random.Random(5150)
-    with engine_work(braid) as work:
-        for n in range(2, 65):
-            for a, b in pairs(n, rnd):
-                assert kernel_transfer(work, a, b, n) == reference_transfer(a, b), (n, a, b)
-    # Below the crossover the loop did all the work; above it, heavy pairs
-    # finished with a meet at every n.
-    assert sorted(work.meets) == list(range(braid.MEET_FROM, 65))
+    for n in range(2, 65):
+        for a, b in pairs(n, rnd):
+            assert kernel_transfer(a, b, n) == reference_transfer(a, b), (n, a, b)
 
 
-def test_meet_engages_at_b32_and_never_at_b16():
+def test_near_d_division_runs_at_b16_and_b32():
+    """Near-D factors are divided out of a prefix instead of percolated in a
+    B_16 exchange, a B_16 twin round trip and a B_32 exchange, and every
+    word passed between factors is reduced: its letters are its braid's
+    crossings."""
     p16 = default_params()
     with engine_work(braid) as work:
         loopback_run(p16, rng_from(5151), rng_from(5152))
         kp = twin_keygen(p16, rng_from(5153))
         assert twin_decrypt(kp, twin_encrypt(kp.public, b"m", rng_from(5154))) == b"m"
-        assert not work.meets
+    assert work.near_d > 0 and work.crossed > 0 and work.letters > 0
+    assert work.divide_crossings == work.letters
+    with engine_work(braid) as work:
         res_i, res_r = loopback_run(default_params(16, 16, 32), rng_from(5155), rng_from(5156))
     assert res_i.key == res_r.key
-    assert set(work.meets) == {32}
+    assert work.near_d > 0 and work.crossed > 0 and work.letters > 0
+    assert work.divide_crossings == work.letters
 
 
 def insertion_paths(a, b):
-    """The paths that the kernel's insertion pass takes on (a, b) when no
-    meet cuts it short: "blocked by a" for an entry whose left neighbour
-    lets it pass in b but not in a, "to front" for an entry that travels
-    all the way to position 0."""
+    """The paths that the kernel's insertion pass takes on (a, b): "blocked
+    by a" for an entry whose left neighbour lets it pass in b but not in a,
+    "to front" for an entry that travels all the way to position 0."""
     n = len(a)
     a, binv = list(a), [0] * n
     for pos, v in enumerate(b):
@@ -152,10 +149,8 @@ def scheme_pairs(monkeypatch):
 def test_kernel_matches_reference_on_scheme_pairs(monkeypatch):
     recorded = scheme_pairs(monkeypatch)
     paths = set()
-    with engine_work(braid) as work:
-        for a, b, n in recorded:
-            if n < braid.MEET_FROM:
-                paths |= insertion_paths(a, b)
-            assert kernel_transfer(work, a, b, n) == reference_transfer(a, b), (n, a, b)
+    for a, b, n in recorded:
+        paths |= insertion_paths(a, b)
+        assert kernel_transfer(a, b, n) == reference_transfer(a, b), (n, a, b)
     assert paths == {"blocked by a", "to front"}
-    assert 32 in work.meets
+    assert {n for _a, _b, n in recorded} == {16, 32}

@@ -31,47 +31,58 @@ def pair_work(workload: str) -> dict:
 
 def test_pair_work_counts_pke_short():
     counts = pair_work("pke-short")
-    for key in ("pair_calls_per_op", "loop_crossings_per_op", "meets_per_op",
-                "meet_crossings_per_op", "normal_form_pair_calls_per_op",
-                "normal_form_crossings_per_op"):
+    for key in ("pair_calls_per_op", "loop_crossings_per_op", "near_d_divisions_per_op",
+                "factors_crossed_per_op", "letters_moved_per_op", "crossings_per_op",
+                "normal_form_pair_calls_per_op", "normal_form_crossings_per_op"):
         assert key in counts
-    assert counts["pair_calls_per_op"] == 222.40625
+    assert counts["pair_calls_per_op"] == 118.171875
     assert counts["d_right_pair_calls_per_op"] == 0.0
-    assert counts["loop_crossings_per_op"] == 9245.4140625
-    assert counts["meets_per_op"] == 0  # B_16 is below braid.MEET_FROM
-    assert counts["normal_form_pair_calls_per_op"] == 13.16796875
-    assert counts["normal_form_crossings_per_op"] == 519.671875
+    assert counts["loop_crossings_per_op"] == 2210.84375
+    assert counts["near_d_divisions_per_op"] == 22.59375
+    assert counts["factors_crossed_per_op"] == 106.8125
+    assert counts["letters_moved_per_op"] == 677.9609375
+    assert counts["crossings_per_op"] == 2888.8046875  # loop crossings + letters moved
+    assert counts["normal_form_pair_calls_per_op"] == 5.953125
+    assert counts["normal_form_crossings_per_op"] == 24.98828125
 
 
 def test_pair_work_counts_pke_bulk():
     counts = pair_work("pke-bulk")
-    assert counts["pair_calls_per_op"] == 172.5625
+    assert counts["pair_calls_per_op"] == 88.25
     assert counts["d_right_pair_calls_per_op"] == 0.0
-    assert counts["loop_crossings_per_op"] == 6281.0625
-    assert counts["meets_per_op"] == 0
-    assert counts["normal_form_pair_calls_per_op"] == 12.875
-    assert counts["normal_form_crossings_per_op"] == 549.0625
+    assert counts["loop_crossings_per_op"] == 1038.0
+    assert counts["near_d_divisions_per_op"] == 21.0625
+    assert counts["factors_crossed_per_op"] == 86.375
+    assert counts["letters_moved_per_op"] == 472.0
+    assert counts["crossings_per_op"] == 1510.0
+    assert counts["normal_form_pair_calls_per_op"] == 5.1875
+    assert counts["normal_form_crossings_per_op"] == 23.0625
 
 
-def test_pair_work_counts_kex_b32_meets():
+def test_pair_work_counts_kex_b32():
     counts = pair_work("kex-b32")
-    assert counts["pair_calls_per_op"] == 599.84375
+    assert counts["pair_calls_per_op"] == 304.3125
     assert counts["d_right_pair_calls_per_op"] == 0.0
-    assert counts["loop_crossings_per_op"] == 9671.875
-    assert counts["meets_per_op"] == 217.96875  # B_32 is at or above braid.MEET_FROM
-    assert counts["meet_crossings_per_op"] == 88009.125
-    assert counts["normal_form_pair_calls_per_op"] == 94.5
-    assert counts["normal_form_crossings_per_op"] == 14846.8125
+    assert counts["loop_crossings_per_op"] == 4622.125
+    assert counts["near_d_divisions_per_op"] == 73.3125
+    assert counts["factors_crossed_per_op"] == 306.34375
+    assert counts["letters_moved_per_op"] == 3261.9375
+    assert counts["crossings_per_op"] == 7884.0625
+    assert counts["normal_form_pair_calls_per_op"] == 42.5625
+    assert counts["normal_form_crossings_per_op"] == 273.75
 
 
 def test_pair_work_counts_reduce_b16():
     counts = pair_work("reduce-b16")
-    assert counts["pair_calls_per_op"] == 363.88671875
+    assert counts["pair_calls_per_op"] == 227.6796875
     assert counts["d_right_pair_calls_per_op"] == 0.0
-    assert counts["loop_crossings_per_op"] == 14145.77734375
-    assert counts["meets_per_op"] == 0
-    assert counts["normal_form_pair_calls_per_op"] == 73.83203125
-    assert counts["normal_form_crossings_per_op"] == 2919.73046875
+    assert counts["loop_crossings_per_op"] == 4390.6953125
+    assert counts["near_d_divisions_per_op"] == 31.74609375
+    assert counts["factors_crossed_per_op"] == 147.7109375
+    assert counts["letters_moved_per_op"] == 1025.5078125
+    assert counts["crossings_per_op"] == 5416.203125
+    assert counts["normal_form_pair_calls_per_op"] == 32.88671875
+    assert counts["normal_form_crossings_per_op"] == 254.51953125
 
 
 def test_pair_work_refuses_a_kernel_that_returns_a_bool(tmp_path):

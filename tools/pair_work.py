@@ -7,23 +7,22 @@ Runs one round of a ``perfbench`` workload against the package in
 ``CHECKOUT/src`` and prints one JSON line of counts per op, all taken by
 ``engine_work``: factor-pair calls, and among them those whose right
 factor is the half twist D; crossings moved one at a time, which
-``_left_weight_pair`` returns; meets taken, and the crossings each meet
-moves (the inversions of its permutation); and the pair calls and
-crossings (moved either way) made inside ``normal_form``.  Counts are
-exact and repeat between runs; nothing is timed.  A checkout whose pair
-kernel returns a bool instead of its crossings is refused.
+``_left_weight_pair`` returns; near-D factors divided out of a prefix
+instead of percolated, the factors that division crossed and the letters
+it moved across them; the crossings of the whole engine, the pair
+kernel's plus the division's; and the pair calls and crossings made
+inside ``normal_form``.  Counts are exact and repeat between runs;
+nothing is timed.  A checkout whose pair kernel returns a bool instead of
+its crossings is refused.
 
 ``engine_work`` is also the one engine counter of the test suite, which
 loads this file by path.
 
 ``--replay`` times the pair kernel instead.  It records the inputs of
 every ``_left_weight_pair`` call in the round and replays them through
-the checkout's kernel as it is, with the meet taken after n crossings at
-every n (``braid.MEET_FROM`` patched to 2) and with the meet turned off
-(``MEET_FROM`` patched above n); each figure is the median, over 9
-repetitions, of thread CPU microseconds per pair call.  ``--strands N`` runs
-kex-b32's exchanges at B_N (l = N // 2) instead, which is how the
-``MEET_FROM`` crossover figures are measured at n other than 32.
+the checkout's kernel; the figure is the median, over 9 repetitions, of
+thread CPU microseconds per pair call.  ``--strands N`` runs kex-b32's
+exchanges at B_N (l = N // 2) instead.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import statistics
 import sys
 import threading
 import time
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -47,24 +45,31 @@ ROOT = Path(__file__).resolve().parent.parent
 def engine_work(braid):
     """Count the engine's work while the block runs, on every thread.
 
-    Wraps ``braid._left_weight_pair``, ``braid._meet`` and ``normal_form``
-    in every ``twincsp`` module that imported it, yields the counts and
-    puts the originals back on exit:
+    Wraps ``braid._left_weight_pair``, ``braid._complement_word``,
+    ``braid._divide`` and ``normal_form`` in every ``twincsp`` module that
+    imported it, yields the counts and puts the originals back on exit:
 
     - ``pair_calls``; ``d_right``, the pairs whose right factor is D on
       entry; ``d_made``, the pairs whose left factor is D on exit;
     - ``loop_crossings``, the sum of the kernel's return values;
-    - ``meets``, a Counter by strand count, and ``meet_crossings``;
-    - ``nf_pair_calls`` and ``nf_crossings`` (loop and meet), made inside
-      ``normal_form``.
+    - ``near_d``, the tail factors divided out of a prefix instead of
+      percolated; ``crossed``, the ``_divide`` calls, one per factor a
+      word crossed; ``letters``, the letters of those words; and
+      ``divide_crossings``, the crossings of their braids by
+      ``permutations.inversion_count``, equal to ``letters`` exactly when
+      every word is reduced;
+    - ``nf_pair_calls`` and ``nf_crossings`` (the kernel's and the
+      division's), made inside ``normal_form``.
     """
     from twincsp.permutations import inversion_count
 
-    work = SimpleNamespace(pair_calls=0, d_right=0, d_made=0, loop_crossings=0,
-                           meets=Counter(), meet_crossings=0, nf_pair_calls=0, nf_crossings=0)
+    work = SimpleNamespace(pair_calls=0, d_right=0, d_made=0, loop_crossings=0, near_d=0,
+                           crossed=0, letters=0, divide_crossings=0, nf_pair_calls=0,
+                           nf_crossings=0)
     lock = threading.Lock()  # the key exchange runs its responder in a thread
     local = threading.local()  # local.depth: normal_form calls open on this thread
-    pair, meet, normal_form = braid._left_weight_pair, braid._meet, braid.normal_form
+    pair, complement, divide = braid._left_weight_pair, braid._complement_word, braid._divide
+    normal_form = braid.normal_form
 
     def counted_pair(a, b, n):
         d = list(range(n - 1, -1, -1))
@@ -80,15 +85,23 @@ def engine_work(braid):
             work.nf_crossings += moved * inside
         return moved
 
-    def counted_meet(a, binv, n):
-        m = meet(a, binv, n)
-        moved = inversion_count(m)
+    def counted_complement(f):
+        with lock:
+            work.near_d += 1
+        return complement(f)
+
+    def counted_divide(a, word):
+        p = list(range(len(a)))  # the word's braid: its last letter is word[0]
+        for j in reversed(word):
+            p[j - 1], p[j] = p[j], p[j - 1]
+        moved = inversion_count(tuple(p))
         inside = getattr(local, "depth", 0) > 0
         with lock:
-            work.meets[n] += 1
-            work.meet_crossings += moved
+            work.crossed += 1
+            work.letters += len(word)
+            work.divide_crossings += moved
             work.nf_crossings += moved * inside
-        return m
+        return divide(a, word)
 
     def counted_normal_form(word):
         local.depth = getattr(local, "depth", 0) + 1
@@ -100,13 +113,14 @@ def engine_work(braid):
     importers = [m for name, m in sys.modules.items()  # braid and every module importing it
                  if name.split(".")[0] == "twincsp"
                  and getattr(m, "normal_form", None) is normal_form]
-    braid._left_weight_pair, braid._meet = counted_pair, counted_meet
+    braid._left_weight_pair, braid._complement_word, braid._divide = (
+        counted_pair, counted_complement, counted_divide)
     for mod in importers:
         mod.normal_form = counted_normal_form
     try:
         yield work
     finally:
-        braid._left_weight_pair, braid._meet = pair, meet
+        braid._left_weight_pair, braid._complement_word, braid._divide = pair, complement, divide
         for mod in importers:
             mod.normal_form = normal_form
 
@@ -119,8 +133,10 @@ def count_work(braid, workload) -> dict:
         "pair_calls_per_op": work.pair_calls / ops,
         "d_right_pair_calls_per_op": work.d_right / ops,
         "loop_crossings_per_op": work.loop_crossings / ops,
-        "meets_per_op": sum(work.meets.values()) / ops,
-        "meet_crossings_per_op": work.meet_crossings / ops,
+        "near_d_divisions_per_op": work.near_d / ops,
+        "factors_crossed_per_op": work.crossed / ops,
+        "letters_moved_per_op": work.letters / ops,
+        "crossings_per_op": (work.loop_crossings + work.divide_crossings) / ops,
         "normal_form_pair_calls_per_op": work.nf_pair_calls / ops,
         "normal_form_crossings_per_op": work.nf_crossings / ops,
     }
@@ -143,36 +159,22 @@ def replay(braid, workload, reps: int = 9) -> dict:
     run_round(workload)
     braid._left_weight_pair = pair
 
-    meet_from, top = braid.MEET_FROM, max(n for _a, _b, n in recorded)
-    variants = {  # name: MEET_FROM in force
-        "us_per_call": meet_from,
-        "us_per_call_meet_after_n": 2,
-        "us_per_call_no_meet": top + 1,
-    }
-    # The machine's speed drifts within a second, so the variants take
-    # turns on chunks of 500 pairs, in rotating order.
+    # The kernel changes its arguments in place, so each chunk of 500 pairs
+    # is copied afresh outside the timed loop.
     chunks = [recorded[k:k + 500] for k in range(0, len(recorded), 500)]
-    names = list(variants)
-    times: dict = {name: [] for name in names}
-    gc.disable()  # the replay makes no cycles; a collection would land in one variant
+    times = []
+    gc.disable()  # the replay makes no cycles
     for _ in range(reps):
-        total = dict.fromkeys(names, 0)
-        for c, chunk in enumerate(chunks):
-            for name in names[c % len(names):] + names[:c % len(names)]:
-                braid.MEET_FROM = variants[name]
-                args = [(list(a), list(b), n) for a, b, n in chunk]
-                t0 = time.thread_time_ns()
-                for a, b, n in args:
-                    pair(a, b, n)
-                total[name] += time.thread_time_ns() - t0
-        for name in names:
-            times[name].append(total[name] / 1e3 / len(recorded))
+        total = 0
+        for chunk in chunks:
+            args = [(list(a), list(b), n) for a, b, n in chunk]
+            t0 = time.thread_time_ns()
+            for a, b, n in args:
+                pair(a, b, n)
+            total += time.thread_time_ns() - t0
+        times.append(total / 1e3 / len(recorded))
     gc.enable()
-    braid.MEET_FROM = meet_from
-    out = {"pairs": len(recorded), "reps": reps, "meet_from": meet_from}
-    out.update((name, statistics.median(t)) for name, t in times.items())
-    out["meet_over_no_meet"] = out["us_per_call_meet_after_n"] / out["us_per_call_no_meet"]
-    return out
+    return {"pairs": len(recorded), "reps": reps, "us_per_call": statistics.median(times)}
 
 
 def main(argv=None) -> int:
