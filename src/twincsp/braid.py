@@ -26,36 +26,46 @@ A normal form is built by Thurston's right-multiplication algorithm
 that is already left-weighted, and each new factor percolates leftward,
 left-weighting the pair it ends, until a pair does not move; the pairs to
 its left are untouched, so they stay left-weighted.  Only the appended
-factor can end as the identity (it is dropped).  A factor that is or
-becomes D leaves at once for the front: A_1 .. A_j D = D tau(A_1) ..
-tau(A_j), so the factors to its left are flipped, the half-twist power
-grows by one and the percolation stops, with no pair call (a pair (A, D)
+factor can end as the identity (it is dropped).  D powers move to the
+front through the flip automorphism tau(s_i) = s_{n-i}, of order two:
+A D = D tau(A).  The pass keeps its factors flipped by tau when a parity
+bit is set instead of flipping them, and flips the result once at the
+end.  A factor that is or becomes D leaves at once for the front: the
+power grows by one, the parity toggles, only the factors to its right are
+flipped and the percolation stops, with no pair call (a pair (A, D)
 would only compute (D, tau A)).  A factor f near D, the shape that every
 negative letter (s_i^{-1} = D^{-1} (D s_i^{-1})) and every inverse form
 brings, is not percolated at all: f = D c^{-1} with c = f^{-1} D small,
-so its D goes to the front and c^{-1} is divided out of the prefix from
-the right, one left lcm per factor, computed letter by letter on c's
-reduced word (Dehornoy et al., Foundations of Garside Theory, EMS 2015).
-The first domino rule makes the result left-weighted, so no pair is
-checked, and the crossings moved fall from the near-D factor's to its
-complement's.  ``nf_multiply(x, y)`` appends y's factors to x's, which
-are never re-checked.  ``normal_form`` first gathers the letters into runs
-of one sign, each a simple braid P or the inverse Q^{-1} of one: a letter
-joins the latest run of its sign that stays simple with it, passing back
-only runs whose letters commute with it, and otherwise starts a run.  It
-appends one factor per run: Q^{-1} = D^{-1} (D Q^{-1}), and D powers move
-to the front through the flip automorphism tau(s_i) = s_{n-i}, of order
-two.  A secret word of B_32 becomes about a third as many factors as it
-has letters.
+so its D goes to the front (toggling the parity) and c^{-1} is divided
+out of the prefix from the right, one left lcm per factor, computed
+letter by letter on c's reduced word (Dehornoy et al., Foundations of
+Garside Theory, EMS 2015).  The first domino rule makes the result
+left-weighted, so no pair is checked, and the crossings moved fall from
+the near-D factor's to its complement's.
+
+``nf_multiply(x, y, ...)`` takes any number of forms and computes their
+product in one pass: x's factors are the prefix, never re-checked, and
+every later form's D power toggles the parity before its factors are
+appended, so t x t^{-1} builds no intermediate form.  ``normal_form``
+feeds the same pass.  It first gathers the letters into runs of one
+sign, each a simple braid P or the inverse Q^{-1} = D^{-1} (D Q^{-1}) of
+one: a letter joins the latest run of its sign that stays simple with
+it, passing back only runs whose letters commute with it, and otherwise
+starts a run.  Each run is one factor of the pass, so a secret word of
+B_32 becomes about a third as many factors as it has letters.
 ``nf_invert`` left-weights nothing: the inverse of D^p A_1 .. A_k is
 D^{-p-k} followed by the complements of A_k .. A_1, flipped alternately,
 and that sequence is already a normal form.
 
-Conjugation by t needs the normal forms of both t and t^{-1}.  A
-BraidWord keeps both, computed on first use (``form`` and
-``inverse_form``), so a secret, an ephemeral or the base element g that
-conjugates or is conjugated several times is normalized and inverted only
-once; ``nf_conjugate`` takes the word itself.
+Some state is computed lazily and kept.  Conjugation by t needs the
+normal forms of both t and t^{-1}; a BraidWord keeps both, computed on
+first use (``form`` and ``inverse_form``), so a secret, an ephemeral or
+the base element g that conjugates or is conjugated several times is
+normalized and inverted only once; ``nf_conjugate`` takes the word
+itself.  A CanonicalForm keeps its tail steps, computed the first time
+it is a tail operand of a product (``_tail_steps``): for each factor its
+near-D complement word or its factor list, in both tau frames.  A public
+key, g or an inverse secret that recurs as a tail computes none again.
 
 Factors the engine builds are permutations by construction, and outside
 bytes are checked once, where they are read (``codec.read_canonical``),
@@ -139,6 +149,8 @@ class CanonicalForm:
     n: int
     delta_exp: int
     factors: tuple[PermutationBraid, ...] = ()
+
+    _steps = None  # not a field: set by _tail_steps on first use as a tail
 
 
 @record
@@ -324,59 +336,96 @@ def _divide(a: list[int], word: list[int]) -> list[int]:
     return out
 
 
-def _form(n: int, dexp: int, prefix: list[list[int]], tail) -> CanonicalForm:
-    """D^dexp . prefix . tail in normal form.  prefix is left-weighted, with
-    no identity or D factor, and is extended in place; each tail factor (a
-    list) is appended and percolated leftward until a pair does not move.
-    A factor that is or becomes D leaves at once for the front, flipping
-    the factors to its left: A_1 .. A_j D = D tau(A_1) .. tau(A_j).
-
-    A tail factor f near D is not percolated.  With c = f^-1 D, its small
-    complement, prefix . f = D tau(prefix) c^-1: the D joins the power,
-    the flipped prefix is divided by c from the right, one factor at a
-    time from the last (``_divide``), and a word c' left over after the
-    first factor becomes the front factor D c'^-1, giving the D back.  The
-    result is left-weighted (the first domino rule of Garside theory), so
-    no pair is checked; identity factors can only end it, and are dropped.
-    Which factors take this way changes the speed, never the form."""
-    ident, rev, top = list(range(n)), list(range(n - 1, -1, -1)), n - 1
-    # f is near D when f[0] - f[-1] > top // 2 and its footrule distance
-    # from D, between c's crossing count and twice it, is under `near`.
-    # Percolating f costs about n^2/2 crossings for each factor it passes,
-    # dividing by c about c's letters for each.  Timed both ways from the
-    # same states of the benchmark's reduce-b16 and kex-b32 (Python 3.11,
-    # one core of a 2-CPU x86-64 VM), they broke even near n^2/16 at B_16
-    # and at B_32.  Below B_16 the bound stays n.
+def _steps(n: int, facs: list[list[int]]) -> tuple:
+    """Each factor's tail step, (near, frame0, frame1): for a factor f near
+    D, near is True and the frames are c's reduced word (``_complement_word``)
+    and tau(c)'s, the same letters i mapped to n - i; otherwise they are f
+    and tau(f).  f is near D when f[0] - f[-1] > (n-1) // 2 and its footrule
+    distance from D, between c's crossing count and twice it, is under
+    max(n, n^2/16); both tests read f and tau(f) alike.  Percolating f
+    costs about n^2/2 crossings for each factor it passes, dividing by c
+    about c's letters for each.  Timed both ways from the same states of
+    the benchmark's reduce-b16 and kex-b32 (Python 3.11, one core of a
+    2-CPU x86-64 VM), they broke even near n^2/16 at B_16 and at B_32.
+    Below B_16 the bound stays n."""
+    top, rev = n - 1, range(n - 1, -1, -1)
     near = max(n, n * n // 16)
-    facs = prefix
-    for f in tail:
+    out = []
+    for f in facs:
         if f[0] - f[-1] > top // 2 and sum(map(abs, map(sub, f, rev))) < near:
-            facs[:] = [[top - v for v in reversed(g)] for g in facs]
             word = _complement_word(f)
-            for a in reversed(facs):
-                if not word:
-                    break
-                word = _divide(a, word)
-            if word:
-                front = rev[:]
-                for j in word:
-                    front[j - 1], front[j] = front[j], front[j - 1]
-                facs.insert(0, front)
-            else:
+            out.append((True, word, [n - j for j in word]))
+        else:
+            out.append((False, f, [top - v for v in reversed(f)]))
+    return tuple(out)
+
+
+def _tail_steps(y: CanonicalForm) -> tuple:
+    """y's ``_steps``, kept on y by the first product that takes it as a
+    tail operand.  Written to the instance directly: a cached_property
+    would take one lock shared by every form, on every thread.  Two threads
+    may both compute it; their steps are equal."""
+    steps = y._steps
+    if steps is None:
+        steps = _steps(y.n, [list(f.perm) for f in y.factors])
+        _set(y, "_steps", steps)
+    return steps
+
+
+def _divide_out(facs: list[list[int]], word: list[int], rev: list[int]) -> int:
+    """Divide c^-1 out of facs from the right, one factor at a time from the
+    last (``_divide``), where word is c's reduced word in facs' frame.  A
+    word c' left over after the first factor becomes the front factor
+    D c'^-1.  Returns the D powers that join the front: 1 when the word was
+    used up, 0 when the front factor keeps its D."""
+    for a in reversed(facs):
+        if not word:
+            break
+        word = _divide(a, word)
+    if not word:
+        return 1
+    front = rev[:]
+    for j in word:
+        front[j - 1], front[j] = front[j], front[j - 1]
+    facs.insert(0, front)
+    return 0
+
+
+def _form(n: int, dexp: int, facs: list[list[int]], tails) -> CanonicalForm:
+    """D^dexp . facs . D^q_1 T_1 . D^q_2 T_2 ... in normal form, for tails
+    (q_i, the ``_steps`` of T_i's factors), by the pass the module
+    docstring describes.  facs is left-weighted, with no identity or D
+    factor; it is extended in place, stored flipped by tau while odd is
+    set.  A tail factor f near D is not percolated: with c = f^-1 D,
+    prefix . f = D tau(prefix) c^-1, and dividing c^-1 out of the prefix
+    (``_divide_out``) leaves it left-weighted (the first domino rule of
+    Garside theory).  Which factors take this way changes the speed, never
+    the form."""
+    ident, rev, top = list(range(n)), list(range(n - 1, -1, -1)), n - 1
+    odd = 0
+    for q, steps in tails:
+        dexp += q
+        odd ^= q & 1
+        for near, f0, f1 in steps:
+            if near:
+                odd ^= 1
+                dexp += _divide_out(facs, f1 if odd else f0, rev)
+                while facs and facs[-1] == ident:
+                    facs.pop()
+                continue
+            facs.append((f1 if odd else f0)[:])
+            i = len(facs) - 1
+            while facs[i] != rev and i and _left_weight_pair(facs[i - 1], facs[i], n):
+                i -= 1
+            if facs[i] == rev:
+                del facs[i]
+                facs[i:] = [[top - v for v in reversed(g)] for g in facs[i:]]
                 dexp += 1
-            while facs and facs[-1] == ident:
+                odd ^= 1
+            if facs and facs[-1] == ident:
                 facs.pop()
-            continue
-        facs.append(f)
-        i = len(facs) - 1
-        while facs[i] != rev and i and _left_weight_pair(facs[i - 1], facs[i], n):
-            i -= 1
-        if facs[i] == rev:
-            facs[:i] = [[top - v for v in reversed(g)] for g in facs[:i]]
-            del facs[i]
-            dexp += 1
-        if facs and facs[-1] == ident:
-            facs.pop()
+    if odd:
+        facs = [[top - v for v in reversed(f)] for f in facs]
     return CanonicalForm(n, dexp, tuple(PermutationBraid(tuple(f)) for f in facs))
 
 
@@ -388,9 +437,8 @@ def normal_form(a: BraidWord) -> CanonicalForm:
     the bitset of the generator indices it uses.  A letter +-i joins the
     latest run of its sign with p[i-1] < p[i] (P s_i, or s_i Q, is still
     simple), passing back only runs that use none of i-1, i, i+1, whose
-    letters commute with s_i; otherwise it starts a run.  Q^-1 = D^-1 C
-    with perm(C) = rev . p, and a run's factor is flipped by tau iff an odd
-    number of negative runs, each bringing a D^-1 to the front, follow it.
+    letters commute with s_i; otherwise it starts a run.  Each run is one
+    tail of ``_form``: P, or Q^-1 = D^-1 C with perm(C) = rev . p.
     """
     n, top = a.n, a.n - 1
     runs: list[list] = []
@@ -409,23 +457,18 @@ def normal_form(a: BraidWord) -> CanonicalForm:
         p = join[1]
         p[i - 1], p[i] = p[i], p[i - 1]
         join[2] |= 1 << i
-    tail: list[list[int]] = []
-    neg = 0
-    for negative, p, _ in reversed(runs):
-        f = [top - v for v in p] if negative else p
-        tail.append([top - v for v in reversed(f)] if neg % 2 else f)
-        neg += negative
-    tail.reverse()
-    return _form(n, -neg, [], tail)
+    steps = _steps(n, [[top - v for v in p] if negative else p for negative, p, _ in runs])
+    return _form(n, 0, [], [(-run[0], (step,)) for run, step in zip(runs, steps)])
 
 
-def nf_multiply(x: CanonicalForm, y: CanonicalForm) -> CanonicalForm:
-    """Product of two canonical forms: y's factors percolate into x's, which
-    move past D^q (flipped by tau iff q is odd) and are not re-checked."""
-    _check_same_strands(x, y)
-    odd = y.delta_exp % 2
-    prefix = [list(pm.flip(f.perm) if odd else f.perm) for f in x.factors]
-    return _form(x.n, x.delta_exp + y.delta_exp, prefix, [list(f.perm) for f in y.factors])
+def nf_multiply(x: CanonicalForm, *ys: CanonicalForm) -> CanonicalForm:
+    """Product of any number of canonical forms in one pass: x's factors
+    are the prefix, never re-checked, and each later form's factors
+    percolate into it, their steps kept on the form (``_tail_steps``)."""
+    for y in ys:
+        _check_same_strands(x, y)
+    return _form(x.n, x.delta_exp, [list(f.perm) for f in x.factors],
+                 [(y.delta_exp, _tail_steps(y)) for y in ys])
 
 
 def nf_invert(x: CanonicalForm) -> CanonicalForm:
@@ -442,6 +485,6 @@ def nf_invert(x: CanonicalForm) -> CanonicalForm:
 
 
 def nf_conjugate(x: CanonicalForm, t: BraidWord) -> CanonicalForm:
-    """normal_form(t * x * t^{-1}) computed without leaving canonical forms,
-    from the forms of t and t^{-1} that the word keeps."""
-    return nf_multiply(nf_multiply(t.form, x), t.inverse_form)
+    """normal_form(t * x * t^{-1}) in one pass, from the forms of t and
+    t^{-1} that the word keeps."""
+    return nf_multiply(t.form, x, t.inverse_form)

@@ -12,7 +12,7 @@ swaps positions i-1 and i), matching the Artin indexing of braid words.
 
 Every helper stays even with no caller in the package: perfbench/tracing.py
 wraps each one by name to count calls, and ``inversion_count`` is how
-tools/pair_work.py counts the crossings of each meet.
+tools/pair_work.py counts the crossings of each near-D division's word.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ Both r and s are drawn from LB_l: each must commute with the right-side
 ephemeral y for honest queries to pass.  (Testable fact: with s from
 RB_r, honest queries fail, because s and y need not commute.)
 
-In normal forms the balance costs four products, two per side (about
-20% fewer crossings than computing P whole), and an ``nf_invert`` (which
+In normal forms the balance costs two passes of ``nf_multiply``, one
+three-form product per side (four two-form products' crossings, about
+20% fewer than computing P whole), and an ``nf_invert`` (which
 left-weights nothing); setup computes its constants s^{-1}, s^{-1} r and r
 once for every later check, normalizing and inverting the words r and s
 (``BraidWord.form``).
@@ -48,7 +49,7 @@ cannot reject a query whose images agree: the shift above, the
 pure-subgroup query (v, v, 1) and every honest query go on to the normal
 forms.  At B_16 (Python 3.11, one core of a 2-CPU x86-64 VM, median
 thread CPU time in five runs of 256 honest and 3,264 rejected checks on
-16 trapdoors) an honest query takes 0.97-1.11 ms and a rejected one
+16 trapdoors) an honest query takes 0.81-0.83 ms and a rejected one
 0.0032-0.0039 ms.
 """
 
@@ -106,7 +107,7 @@ def trapdoor_from_secrets(
     """Build the trapdoor for explicit (r, s); X2 is the prediction P(g, X1),
     grouped as (s g (s^{-1} r)) (X1^{-1} r^{-1}), which moves fewest crossings."""
     s_inv_r = nf_multiply(s.inverse_form, r.form)
-    X2 = nf_multiply(nf_multiply(nf_multiply(s.form, params.g.form), s_inv_r),
+    X2 = nf_multiply(nf_multiply(s.form, params.g.form, s_inv_r),
                      nf_multiply(nf_invert(X1), r.inverse_form))
     constants = (s.inverse_form, s_inv_r, r.form)
     images = tuple(tuple(_strand(c, i) for i in range(params.n)) for c in constants)
@@ -129,7 +130,7 @@ def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
     and Yhat (s^{-1} r), the balance times Z1hat on the right, are compared
     one strand at a time, and the first strand that differs rejects the
     query with no normal-form work (0.003-0.004 ms at B_16); a query whose
-    images agree costs four products (1.0-1.1 ms)."""
+    images agree costs two passes, one per side (0.8 ms)."""
     Y, Z1, Z2 = q.Yhat, q.Z1hat, q.Z2hat
     for x in (Y, Z1, Z2):
         _check_same_strands(x, td.r)
@@ -138,8 +139,7 @@ def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
         if s_inv[_strand(Z2, r[_strand(Z1, i)])] != _strand(Y, j):
             return False
     s_inv, s_inv_r, r = td.constants
-    return (nf_multiply(nf_multiply(s_inv, Z2), r)
-            == nf_multiply(nf_multiply(Y, s_inv_r), nf_invert(Z1)))
+    return nf_multiply(s_inv, Z2, r) == nf_multiply(Y, s_inv_r, nf_invert(Z1))
 
 
 def honest_query(td_publics: tuple[CanonicalForm, CanonicalForm],

@@ -1,5 +1,9 @@
 """Braid words, permutation braids, and the left-greedy normal form."""
 
+import copy
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +23,15 @@ from twincsp import (
     CanonicalForm,
     StrandMismatchError,
     conjugate,
+    default_params,
     invert,
     multiply,
+    nf_conjugate,
     nf_invert,
     nf_multiply,
     normal_form,
 )
+from twincsp import braid
 from twincsp import permutations as pm
 
 
@@ -233,6 +240,55 @@ class TestAssociativityAndGroupLaws:
         for _ in range(60):
             a = random_word(6, 12, rng)
             assert nf_invert(normal_form(a)) == normal_form(invert(a))
+
+
+class TestKeptSteps:
+    """A form keeps its tail steps (``braid._tail_steps``) from its first
+    use as a tail operand; a product copies every kept list it appends."""
+
+    def test_steps_unchanged_by_two_uses(self):
+        rng = rng_from(20)
+        t = random_word(16, 16, rng, indices=range(1, 8))
+        xw = random_word(16, 16, rng)
+        x, y = normal_form(xw), t.inverse_form
+        first = braid._tail_steps(y)
+        assert {near for near, _, _ in first} == {True, False}
+        kept = copy.deepcopy(first)
+        products = [nf_multiply(x, y), nf_multiply(t.form, x, y, y)]
+        assert braid._tail_steps(y) is first and first == kept
+        assert products == [nf_multiply(x, y), nf_multiply(nf_multiply(t.form, x, y), y)]
+        assert products[1] == normal_form(BraidWord(16, t.letters + xw.letters
+                                                    + invert(t).letters * 2))
+
+    def test_two_threads_conjugate_one_form(self):
+        """Two threads that conjugate the same fresh g.form by different
+        words at once, switching often, so that both may compute its steps,
+        get the forms one thread gets."""
+        params = default_params()
+        rng = rng_from(21)
+        words = [[random_word(16, 16, rng) for _ in range(24)] for _ in range(2)]
+        alone = BraidWord(16, params.g.letters)
+        expected = [[nf_conjugate(alone.form, t) for t in ts] for ts in words]
+        shared = BraidWord(16, params.g.letters)
+        start = threading.Barrier(2, timeout=30)
+        got = [None, None]
+
+        def conjugate_all(k):
+            start.wait()
+            got[k] = [nf_conjugate(shared.form, t) for t in words[k]]
+
+        threads = [threading.Thread(target=conjugate_all, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
 
 
 letters_strategy = st.lists(

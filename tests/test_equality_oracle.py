@@ -11,15 +11,28 @@ empty word: a handle-free word is empty, s-positive or s-negative.
 
 The property checked is that the normal forms of a and b agree iff
 handle_reduce(a . b^-1) is empty, on words whose normal forms take heavy
-pairs, half-twist exits and near-D factors divided out of a prefix.
+pairs, half-twist exits and near-D factors divided out of a prefix; and
+that a product of several forms in one pass is the element their words
+make.
 """
+
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import delta, engine_work, random_word, rewrite_equivalent, rng_from, word_of
-from twincsp import BraidWord, braid, default_params, normal_form, sample_subgroup
+from twincsp import (
+    BraidWord,
+    CanonicalForm,
+    braid,
+    default_params,
+    nf_invert,
+    nf_multiply,
+    normal_form,
+    sample_subgroup,
+)
 from twincsp.sampling import SubgroupSide
 
 
@@ -128,3 +141,33 @@ def test_subgroups_commute_through_the_oracle(n):
     u = sample_subgroup(params, SubgroupSide.RIGHT, rng)
     xu, ux = BraidWord(n, x.letters + u.letters), BraidWord(n, u.letters + x.letters)
     assert normal_form(xu) == normal_form(ux) and agree(xu, ux)
+
+
+def product_operands(n: int, tag: int) -> list[CanonicalForm]:
+    """Seeded forms with odd and even D powers: the conjugates of ``cases``,
+    their inverses, a short random word and a negative one (whose factors
+    are near D), each shifted by D^-1 .. D^1 (a D power in front of a
+    normal form leaves it a normal form)."""
+    rng = rng_from(tag)
+    forms = [normal_form(w) for w in cases(n, tag)]
+    forms += [nf_invert(x) for x in forms] + [normal_form(random_word(n, n, rng))]
+    negative = tuple(-abs(v) for v in random_word(n, n, rng).letters)
+    forms.append(normal_form(BraidWord(n, negative)))
+    return [CanonicalForm(n, x.delta_exp + rng.rand_below(3) - 1, x.factors) for x in forms]
+
+
+@pytest.mark.parametrize("n", (4, 5, 16, 32))
+def test_product_of_several_forms_in_one_pass(n):
+    """nf_multiply of 3 and of 5 forms equals the left fold of two-form
+    products, and handle reduction finds it the product of their words."""
+    operands = product_operands(n, 7800 + n)
+    assert {x.delta_exp % 2 for x in operands} == {0, 1}
+    rng = rng_from(7900 + n)
+    with engine_work(braid) as work:
+        for k in (3, 5) * (4 if n < 16 else 2):
+            forms = [rng.choice(operands) for _ in range(k)]
+            product = nf_multiply(*forms)
+            assert product == reduce(nf_multiply, forms)
+            letters = sum((word_of(x).letters for x in forms), ())
+            assert handle_reduce(letters + inverse_letters(word_of(product))) == ()
+    assert work.crossed, "no near-D factor was divided out of a prefix"

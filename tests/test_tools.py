@@ -1,8 +1,10 @@
 """The work counter that perf changes are judged by still runs, and the
-engine still does exactly the work recorded for seed 1.  A change that
-moves these counts re-pins them and says why.  The A/B pair tool's
-summary and its verdicts are checked on fixed runs; it refuses a checkout
-with a bytecode cache, and stops at a run that reports incorrect outputs."""
+engine still does exactly the work recorded for seed 1, complement words
+computed included (a form keeps its steps, so a recurring tail operand
+computes none).  A change that moves these counts re-pins them and says
+why.  The A/B pair tool's summary and its verdicts are checked on fixed
+runs; it refuses a checkout with a bytecode cache, and stops at a run
+that reports incorrect outputs."""
 
 import json
 import shutil
@@ -32,13 +34,15 @@ def pair_work(workload: str) -> dict:
 def test_pair_work_counts_pke_short():
     counts = pair_work("pke-short")
     for key in ("pair_calls_per_op", "loop_crossings_per_op", "near_d_divisions_per_op",
-                "factors_crossed_per_op", "letters_moved_per_op", "crossings_per_op",
-                "normal_form_pair_calls_per_op", "normal_form_crossings_per_op"):
+                "complement_words_per_op", "factors_crossed_per_op", "letters_moved_per_op",
+                "crossings_per_op", "normal_form_pair_calls_per_op",
+                "normal_form_crossings_per_op"):
         assert key in counts
     assert counts["pair_calls_per_op"] == 118.171875
     assert counts["d_right_pair_calls_per_op"] == 0.0
     assert counts["loop_crossings_per_op"] == 2210.84375
     assert counts["near_d_divisions_per_op"] == 22.59375
+    assert counts["complement_words_per_op"] == 7.9765625
     assert counts["factors_crossed_per_op"] == 106.8125
     assert counts["letters_moved_per_op"] == 677.9609375
     assert counts["crossings_per_op"] == 2888.8046875  # loop crossings + letters moved
@@ -52,6 +56,7 @@ def test_pair_work_counts_pke_bulk():
     assert counts["d_right_pair_calls_per_op"] == 0.0
     assert counts["loop_crossings_per_op"] == 1038.0
     assert counts["near_d_divisions_per_op"] == 21.0625
+    assert counts["complement_words_per_op"] == 7.9375
     assert counts["factors_crossed_per_op"] == 86.375
     assert counts["letters_moved_per_op"] == 472.0
     assert counts["crossings_per_op"] == 1510.0
@@ -65,6 +70,7 @@ def test_pair_work_counts_kex_b32():
     assert counts["d_right_pair_calls_per_op"] == 0.0
     assert counts["loop_crossings_per_op"] == 4622.125
     assert counts["near_d_divisions_per_op"] == 73.3125
+    assert counts["complement_words_per_op"] == 39.21875
     assert counts["factors_crossed_per_op"] == 306.34375
     assert counts["letters_moved_per_op"] == 3261.9375
     assert counts["crossings_per_op"] == 7884.0625
@@ -78,6 +84,7 @@ def test_pair_work_counts_reduce_b16():
     assert counts["d_right_pair_calls_per_op"] == 0.0
     assert counts["loop_crossings_per_op"] == 4390.6953125
     assert counts["near_d_divisions_per_op"] == 31.74609375
+    assert counts["complement_words_per_op"] == 20.875
     assert counts["factors_crossed_per_op"] == 147.7109375
     assert counts["letters_moved_per_op"] == 1025.5078125
     assert counts["crossings_per_op"] == 5416.203125
@@ -218,3 +225,15 @@ def test_ab_pairs_stops_at_a_run_with_incorrect_outputs(tmp_path):
     assert str((tmp_path / "change").resolve()) in proc.stderr
     assert str((tmp_path / "parent").resolve()) not in proc.stderr
     assert "pke-short" in proc.stderr and "incorrect outputs" in proc.stderr
+
+
+def test_readme_performance_table_is_current():
+    """README "Performance" holds the table that tools/bench_table.py
+    renders from the newest BENCH_<n>.json, one row per benchmark
+    workload; only files are read, no benchmark runs."""
+    table = load_tool("bench_table")
+    readme = (ROOT / "README.md").read_text()
+    rendered = table.render(table.newest(ROOT))
+    assert table.splice(readme, rendered) == readme
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert all(f"\n| {w['name']} |" in rendered for w in spec["workloads"])

@@ -282,12 +282,16 @@ class TestPermutationFilter:
 
 
 class TestProductCount:
-    """Work per trapdoor operation on fixed seeds.  Normal-form products:
-    five to set up (s^-1 r, then the four of X2 = the prediction for
-    (g, X1)), four to check a query that passes the strand-permutation
-    filter (two per side of the balance) and none for a query it rejects.
-    Permutation-helper calls, all of ``twincsp.permutations`` (the
-    engine's inside ``nf_invert`` too): setup's are the engine's, since it
+    """Work per trapdoor operation on fixed seeds.  Normal-form products,
+    each ``nf_multiply`` call counting as its operands less one: five to
+    set up (s^-1 r, then the four of X2 = the prediction for (g, X1)),
+    four to check a query that passes the strand-permutation filter (two
+    per side of the balance) and none for a query it rejects.  Passes,
+    one per call: four to set up (s^-1 r, s g (s^-1 r), X1^-1 r^-1 and
+    their product), two to check a passing query (one per side) and none
+    for a rejected one.
+    Permutation-helper calls, all of ``twincsp.permutations``: only
+    ``nf_invert`` calls them (a product flips its factors itself), setup
     reads the images of the balance's constants strand by strand, and the
     filter reads strands without any helper, so a rejected check calls
     none.  Strands read, counted by the strand helper ``_strand`` (three
@@ -299,18 +303,26 @@ class TestProductCount:
                   "half_twist", "flip", "descents", "inversion_count")
 
     def test_products_per_setup_and_check(self, params, monkeypatch):
-        products = CallCounter(braid.nf_multiply)
+        passes = CallCounter(braid.nf_multiply)
+        products = 0
+
+        def multiply(*forms):
+            nonlocal products
+            products += len(forms) - 1
+            return passes(*forms)
+
         # nf_conjugate calls braid's nf_multiply; the trapdoor calls its own import
-        monkeypatch.setattr(braid, "nf_multiply", products)
-        monkeypatch.setattr(trapdoor, "nf_multiply", products)
+        monkeypatch.setattr(braid, "nf_multiply", multiply)
+        monkeypatch.setattr(trapdoor, "nf_multiply", multiply)
         helpers = [CallCounter(getattr(pm, name)) for name in self.PM_HELPERS]
         for name, helper in zip(self.PM_HELPERS, helpers):
             monkeypatch.setattr(pm, name, helper)
         point = CallCounter(trapdoor._strand)
         monkeypatch.setattr(trapdoor, "_strand", point)
 
-        def work() -> tuple[int, int, float]:
-            return products.total, sum(helper.total for helper in helpers), point.total / 3
+        def work() -> tuple[int, int, float, int]:
+            return (products, sum(helper.total for helper in helpers), point.total / 3,
+                    passes.total)
 
         one = normal_form(BraidWord(params.n, ()))
         setup, passed, rejected = [], [], []
@@ -334,22 +346,25 @@ class TestProductCount:
                     before = work()
                     assert trapdoor_check(td, query) is verdict
                     counts.append(tuple(b - a for a, b in zip(before, work())))
-        assert [p for p, _, _ in setup] == [5] * 16
-        assert [p for p, _, _ in passed] == [4] * 48
-        assert [p for p, _, _ in rejected] == [0] * 48
-        assert [s for _, _, s in setup] == [16] * 16
-        assert [s for _, _, s in passed] == [16] * 48
-        assert [s for _, _, s in rejected] == [
+        assert [p for p, _, _, _ in setup] == [5] * 16
+        assert [p for p, _, _, _ in passed] == [4] * 48
+        assert [p for p, _, _, _ in rejected] == [0] * 48
+        assert [k for _, _, _, k in setup] == [4] * 16
+        assert [k for _, _, _, k in passed] == [2] * 48
+        assert [k for _, _, _, k in rejected] == [0] * 48
+        assert [s for _, _, s, _ in setup] == [16] * 16
+        assert [s for _, _, s, _ in passed] == [16] * 48
+        assert [s for _, _, s, _ in rejected] == [
             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
             1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
             2, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 2, 1, 2]
-        assert [c for _, c, _ in setup] == [
-            44, 50, 85, 73, 69, 88, 86, 80, 69, 55, 70, 54, 51, 85, 72, 68]
-        assert [c for _, c, _ in passed] == [
-            21, 42, 25, 38, 45, 28, 54, 73, 24, 31, 31, 19, 51, 59, 22, 55,
-            63, 24, 67, 69, 28, 70, 68, 34, 32, 26, 16, 62, 57, 25, 80, 69,
-            15, 46, 48, 21, 36, 46, 15, 48, 53, 20, 31, 36, 22, 33, 33, 19]
-        assert [c for _, c, _ in rejected] == [0] * 48
+        assert [c for _, c, _, _ in setup] == [
+            40, 36, 54, 48, 44, 60, 56, 53, 48, 43, 63, 39, 41, 53, 45, 41]
+        assert [c for _, c, _, _ in passed] == [
+            21, 33, 18, 19, 26, 13, 21, 26, 6, 31, 31, 19, 29, 31, 11, 33,
+            41, 11, 29, 31, 11, 31, 39, 21, 23, 26, 8, 26, 31, 11, 43, 49,
+            11, 21, 23, 13, 26, 36, 11, 26, 31, 14, 21, 26, 16, 19, 19, 8]
+        assert [c for _, c, _, _ in rejected] == [0] * 48
 
 
 class TestSimulatedDecryption:

@@ -10,10 +10,11 @@ factor is the half twist D; crossings moved one at a time, which
 ``_left_weight_pair`` returns; near-D factors divided out of a prefix
 instead of percolated, the factors that division crossed and the letters
 it moved across them; the crossings of the whole engine, the pair
-kernel's plus the division's; and the pair calls and crossings made
-inside ``normal_form``.  Counts are exact and repeat between runs;
-nothing is timed.  A checkout whose pair kernel returns a bool instead of
-its crossings is refused.
+kernel's plus the division's; the pair calls and crossings made inside
+``normal_form``; and the complement words computed, which a form's kept
+steps spare when it is a tail operand again.  Counts are exact and
+repeat between runs; nothing is timed.  A checkout whose pair kernel
+returns a bool instead of its crossings is refused.
 
 ``engine_work`` is also the one engine counter of the test suite, which
 loads this file by path.
@@ -46,15 +47,17 @@ def engine_work(braid):
     """Count the engine's work while the block runs, on every thread.
 
     Wraps ``braid._left_weight_pair``, ``braid._complement_word``,
-    ``braid._divide`` and ``normal_form`` in every ``twincsp`` module that
-    imported it, yields the counts and puts the originals back on exit:
+    ``braid._divide_out``, ``braid._divide`` and ``normal_form`` in every
+    ``twincsp`` module that imported it, yields the counts and puts the
+    originals back on exit:
 
     - ``pair_calls``; ``d_right``, the pairs whose right factor is D on
       entry; ``d_made``, the pairs whose left factor is D on exit;
     - ``loop_crossings``, the sum of the kernel's return values;
     - ``near_d``, the tail factors divided out of a prefix instead of
-      percolated; ``crossed``, the ``_divide`` calls, one per factor a
-      word crossed; ``letters``, the letters of those words; and
+      percolated, one ``_divide_out`` call each; ``complement_words``,
+      the ``_complement_word`` calls; ``crossed``, the ``_divide`` calls,
+      one per factor a word crossed; ``letters``, the letters of those words; and
       ``divide_crossings``, the crossings of their braids by
       ``permutations.inversion_count``, equal to ``letters`` exactly when
       every word is reduced;
@@ -64,11 +67,12 @@ def engine_work(braid):
     from twincsp.permutations import inversion_count
 
     work = SimpleNamespace(pair_calls=0, d_right=0, d_made=0, loop_crossings=0, near_d=0,
-                           crossed=0, letters=0, divide_crossings=0, nf_pair_calls=0,
-                           nf_crossings=0)
+                           complement_words=0, crossed=0, letters=0, divide_crossings=0,
+                           nf_pair_calls=0, nf_crossings=0)
     lock = threading.Lock()  # the key exchange runs its responder in a thread
     local = threading.local()  # local.depth: normal_form calls open on this thread
     pair, complement, divide = braid._left_weight_pair, braid._complement_word, braid._divide
+    divide_out = braid._divide_out
     normal_form = braid.normal_form
 
     def counted_pair(a, b, n):
@@ -87,8 +91,13 @@ def engine_work(braid):
 
     def counted_complement(f):
         with lock:
-            work.near_d += 1
+            work.complement_words += 1
         return complement(f)
+
+    def counted_divide_out(facs, word, rev):
+        with lock:
+            work.near_d += 1
+        return divide_out(facs, word, rev)
 
     def counted_divide(a, word):
         p = list(range(len(a)))  # the word's braid: its last letter is word[0]
@@ -115,12 +124,14 @@ def engine_work(braid):
                  and getattr(m, "normal_form", None) is normal_form]
     braid._left_weight_pair, braid._complement_word, braid._divide = (
         counted_pair, counted_complement, counted_divide)
+    braid._divide_out = counted_divide_out
     for mod in importers:
         mod.normal_form = counted_normal_form
     try:
         yield work
     finally:
         braid._left_weight_pair, braid._complement_word, braid._divide = pair, complement, divide
+        braid._divide_out = divide_out
         for mod in importers:
             mod.normal_form = normal_form
 
@@ -134,6 +145,7 @@ def count_work(braid, workload) -> dict:
         "d_right_pair_calls_per_op": work.d_right / ops,
         "loop_crossings_per_op": work.loop_crossings / ops,
         "near_d_divisions_per_op": work.near_d / ops,
+        "complement_words_per_op": work.complement_words / ops,
         "factors_crossed_per_op": work.crossed / ops,
         "letters_moved_per_op": work.letters / ops,
         "crossings_per_op": (work.loop_crossings + work.divide_crossings) / ops,
