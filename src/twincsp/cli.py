@@ -8,32 +8,23 @@ chosen seed to stderr so runs can be reproduced).  Exit codes: 0 success,
 key confirmation, or any ProtocolError of the key exchange (a transport
 failure or timeout, a truncated stream, a wrong frame type, a bad element
 payload).
+
+The three demo commands import the key exchange, the trapdoor test and the
+reduction when they run, so keygen, encrypt, decrypt and inspect load none
+of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import socket
 import sys
 
 from . import keyfiles
 from .braid import default_params, nf_conjugate
 from .codec import AuthenticationError, CodecError
 from .elgamal import SCHEME_NAMES, KeyPair, decrypt, encrypt, keygen
-from .kex import (
-    KeyConfirmError,
-    ProtocolError,
-    Role,
-    StreamChannel,
-    kex_run,
-    loopback_run,
-    nike_keygen,
-    nike_shared_key,
-)
-from .reduction import make_ccs_instance, probing_adversary, run_reduction
 from .sampling import SeededRng, SubgroupSide
-from .trapdoor import trapdoor_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -224,7 +215,25 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", port
 
 
+def _crypto_failure(exc: Exception) -> int:
+    print(f"twincsp: crypto failure: {exc}", file=sys.stderr)
+    return EXIT_CRYPTO
+
+
 def _cmd_kex_demo(args) -> int:
+    from .kex import KeyConfirmError, ProtocolError
+
+    try:
+        return _kex_demo(args)
+    except (KeyConfirmError, ProtocolError) as exc:
+        return _crypto_failure(exc)
+
+
+def _kex_demo(args) -> int:
+    import socket
+
+    from .kex import Role, StreamChannel, kex_run, loopback_run, nike_keygen, nike_shared_key
+
     rng = _get_rng(args)
     params = default_params(args.l, args.r, args.length)
     confirm = not args.no_confirm
@@ -268,6 +277,8 @@ def _cmd_kex_demo(args) -> int:
 
 
 def _cmd_trapdoor_demo(args) -> int:
+    from .trapdoor import trapdoor_stats
+
     rng = _get_rng(args)
     params = default_params(args.l, args.r, args.length)
     trials = args.trials
@@ -281,6 +292,8 @@ def _cmd_trapdoor_demo(args) -> int:
 
 
 def _cmd_reduce_demo(args) -> int:
+    from .reduction import make_ccs_instance, probing_adversary, run_reduction
+
     rng = _get_rng(args)
     params = default_params(args.l, args.r, args.length)
     inst = make_ccs_instance(params, rng.fork("instance"))
@@ -307,9 +320,8 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (AuthenticationError, KeyConfirmError, ProtocolError) as exc:
-        print(f"twincsp: crypto failure: {exc}", file=sys.stderr)
-        return EXIT_CRYPTO
+    except AuthenticationError as exc:  # kex-demo maps the key exchange's own failures
+        return _crypto_failure(exc)
     except (CodecError, OSError) as exc:  # before ValueError: a CodecError is one
         print(f"twincsp: {exc}", file=sys.stderr)
         return EXIT_IO

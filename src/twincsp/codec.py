@@ -120,6 +120,7 @@ def read_canonical(r: Reader) -> CanonicalForm:
     delta_exp, count = r.unpack(">iI", "header")
     table = struct.Struct(f">{n}H")
     ident, rev = pm.identity(n), pm.half_twist(n)
+    inv = [0] * n  # the inverse of each factor in turn
     factors: list[PermutationBraid] = []
     for _ in range(count):
         at = r.offset
@@ -130,9 +131,15 @@ def read_canonical(r: Reader) -> CanonicalForm:
             raise r.error("identity factor in canonical form", at)
         if perm == rev:
             raise r.error("half-twist factor in canonical form", at)
-        # left-weighted: S(B), the descents of B^-1, lies in F(A), A's descents
-        if factors and not pm.descents(pm.inverse(perm)) <= pm.descents(factors[-1].perm):
-            raise r.error("factor pair not left-weighted", at)
+        # left-weighted: S(B), the descents of B^-1, lies in F(A), the
+        # descents of the previous factor A
+        if factors:
+            prev = factors[-1].perm
+            for x, v in enumerate(perm):
+                inv[v] = x
+            for i in range(1, n):
+                if inv[i - 1] > inv[i] and prev[i - 1] < prev[i]:
+                    raise r.error("factor pair not left-weighted", at)
         factors.append(PermutationBraid(perm))
     return CanonicalForm(n, delta_exp, tuple(factors))
 

@@ -24,7 +24,7 @@ from twincsp import (
     sample_subgroup,
     serialize_canonical,
 )
-from twincsp import cli
+from twincsp import kex
 from twincsp.cli import EXIT_CRYPTO, EXIT_IO, EXIT_OK, EXIT_USAGE, dispatch
 from twincsp.kex import MSG_INIT, MSG_RESP, KeyConfirmError, encode_frame
 from twincsp.keyfiles import decode_keypair, encode_keypair, encode_public_key
@@ -323,15 +323,17 @@ class TestDemos:
     @pytest.mark.parametrize("side", [0, 1], ids=["initiator", "responder"])
     def test_kex_demo_loopback_party_failure_is_exit_3(self, workdir, capsys, monkeypatch, side):
         """loopback_run returns a party's failure in place of its result; the
-        demo raises it, so a failed confirmation on either side is exit 3."""
-        real_run = cli.loopback_run
+        demo raises it, so a failed confirmation on either side is exit 3.
+        The demo imports loopback_run from kex when it runs, so the patch
+        goes on kex."""
+        real_run = kex.loopback_run
 
         def one_side_fails(*args, **kwargs):
             results = list(real_run(*args, **kwargs))
             results[side] = KeyConfirmError("confirmation tag mismatch")
             return tuple(results)
 
-        monkeypatch.setattr(cli, "loopback_run", one_side_fails)
+        monkeypatch.setattr(kex, "loopback_run", one_side_fails)
         assert dispatch(["kex-demo", "--seed", SEED]) == EXIT_CRYPTO
         captured = capsys.readouterr()
         assert "crypto failure: confirmation tag mismatch" in captured.err

@@ -1,6 +1,7 @@
 """Serialization, the element hash, and the symmetric cipher pair."""
 
 import hashlib
+import itertools
 import struct
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_word, rewrite_equivalent, rng_from
+from twincsp import permutations as pm
 from twincsp import (
     AuthenticationError,
     BraidWord,
@@ -169,6 +171,27 @@ class TestStrictDecode:
         # s_1 then s_1 is left-weighted: the normal form of s_1^2
         assert deserialize_canonical(encode_factors(4, 0, [s1, s1])) == normal_form(
             BraidWord(4, (1, 1)))
+
+    def test_left_weighted_check_on_every_triple_of_b4_factors(self):
+        """Every three-factor table over B_4's 22 proper simple factors: it
+        decodes exactly when each adjacent pair (A, B) has S(B), the descents
+        of B^-1, inside F(A), the descents of A; otherwise the error names
+        the first B that fails."""
+        simple = [p for p in itertools.permutations(range(4))
+                  if p not in ((0, 1, 2, 3), (3, 2, 1, 0))]
+
+        def left_weighted(a, b):
+            return pm.descents(pm.inverse(b)) <= pm.descents(a)
+
+        for table in itertools.product(simple, repeat=3):
+            data = encode_factors(4, 0, table)
+            bad = [j for j in (1, 2) if not left_weighted(table[j - 1], table[j])]
+            if not bad:
+                assert [f.perm for f in deserialize_canonical(data).factors] == list(table)
+                continue
+            with pytest.raises(CodecError, match="left-weighted") as exc:
+                deserialize_canonical(data)
+            assert exc.value.offset == 16 + 8 * bad[0]
 
     def test_decode_encode_is_identity_on_engine_outputs(self):
         rng = rng_from(33)

@@ -109,6 +109,36 @@ def test_pair_work_refuses_a_kernel_that_returns_a_bool(tmp_path):
     assert "returns a bool" in proc.stderr
 
 
+@pytest.mark.parametrize("first_import", ["before", "inside"])
+def test_engine_work_counts_a_submodule_first_imported_inside_a_block(first_import):
+    """The trapdoor normalizes its random elements with normal_form, imported
+    by name, and the package loads it on first use.  Whether it is imported
+    before the first block or inside it, every block counts one
+    trapdoor_stats call the same."""
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'tools')!r}]\n"
+        "import twincsp\n"
+        "from pair_work import engine_work\n"
+        "from twincsp import braid\n"
+        "from twincsp.sampling import SeededRng\n"
+        f"if {first_import == 'before'}:\n"
+        "    import twincsp.trapdoor\n"
+        "counts = []\n"
+        "for _ in range(2):\n"
+        "    with engine_work(braid) as work:\n"
+        "        twincsp.trapdoor_stats(braid.default_params(), 2, SeededRng(bytes(32)))\n"
+        "    counts.append(vars(work))\n"
+        "print(json.dumps(counts))\n"
+    )
+    proc = subprocess.run([sys.executable, "-B", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, second = json.loads(proc.stdout)
+    assert first["nf_pair_calls"] > 0
+    assert second == first
+
+
 def result_line(**values) -> dict:
     return {"correct": True, "attempted": 100, "failed": 0,
             "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}

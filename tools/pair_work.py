@@ -119,6 +119,13 @@ def engine_work(braid):
         finally:
             local.depth -= 1
 
+    # A module first imported inside the block would take the counting
+    # normal_form by name and keep it after the block, so the submodules
+    # the package loads on first use are loaded before the scan.
+    import twincsp.kex  # noqa: F401
+    import twincsp.reduction  # noqa: F401
+    import twincsp.trapdoor  # noqa: F401
+
     importers = [m for name, m in sys.modules.items()  # braid and every module importing it
                  if name.split(".")[0] == "twincsp"
                  and getattr(m, "normal_form", None) is normal_form]
