@@ -1,14 +1,13 @@
 """Frozen value records, built from closures.
 
 ``@record`` turns an annotated class body into an immutable value type:
-fields in annotation order, filled by position or keyword, with trailing
-class-level defaults; ``__post_init__`` runs after the fields are set and
-may validate them or, through ``object.__setattr__``, normalize them.
-Two records are equal only when they are of the same class with equal
-fields, and equal records hash equal.  Assigning or deleting an attribute
-raises ``AttributeError``; ``functools.cached_property`` still works,
-since it writes the instance ``__dict__`` directly.  An ``__init__`` that
-the class body writes out (a fixed signature builds faster) is kept.
+fields in annotation order, filled by position only, with no defaults;
+``__post_init__`` runs after the fields are set and may validate them or,
+through ``object.__setattr__``, normalize them.  Two records are equal
+only when they are of the same class with equal fields, and equal records
+hash equal.  Assigning or deleting an attribute raises ``AttributeError``.
+An ``__init__`` that the class body writes out (a fixed signature builds
+faster) is kept.
 
 It does for these classes what the standard library's frozen data classes
 did, without generating and compiling the source of each method, which
@@ -22,30 +21,18 @@ from __future__ import annotations
 from operator import attrgetter
 
 _set = object.__setattr__
-_MISSING = object()
 
 
 def record(cls):
     """Make cls a frozen value record, as the module docstring describes."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
     fields = attrgetter(*names)
     title = cls.__qualname__
 
-    def bind(args: tuple, kwargs: dict) -> list:
-        """Field values from positions, keywords and defaults."""
-        values = list(args)
-        for name in names[len(args):]:
-            values.append(kwargs.pop(name, defaults.get(name, _MISSING)))
-        if kwargs or len(values) > len(names) or _MISSING in values:
-            raise TypeError(f"{title}() takes {', '.join(names)} by position or keyword"
-                            + (f", with defaults for {', '.join(defaults)}" if defaults else ""))
-        return values
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(names):
-            args = bind(args, kwargs)
+    def __init__(self, *args):
+        if len(args) != len(names):
+            raise TypeError(f"{title}() takes {', '.join(names)} by position")
         for name, value in zip(names, args):
             _set(self, name, value)
         if post_init is not None:

@@ -57,15 +57,18 @@ B_32 becomes about a third as many factors as it has letters.
 D^{-p-k} followed by the complements of A_k .. A_1, flipped alternately,
 and that sequence is already a normal form.
 
-Some state is computed lazily and kept.  Conjugation by t needs the
-normal forms of both t and t^{-1}; a BraidWord keeps both, computed on
-first use (``form`` and ``inverse_form``), so a secret, an ephemeral or
-the base element g that conjugates or is conjugated several times is
-normalized and inverted only once; ``nf_conjugate`` takes the word
-itself.  A CanonicalForm keeps its tail steps, computed the first time
-it is a tail operand of a product (``_tail_steps``): for each factor its
-near-D complement word or its factor list, in both tau frames.  A public
-key, g or an inverse secret that recurs as a tail computes none again.
+Some state is computed lazily and kept, all of it one way: in a
+class-level ``None`` slot that is not a field, written once on the
+instance with ``_set``.  Two threads may both compute a value; the values
+are equal.  Conjugation by t needs the normal forms of both t and
+t^{-1}; a BraidWord keeps both, computed on first use (``form`` and
+``inverse_form``), so a secret, an ephemeral or the base element g that
+conjugates or is conjugated several times is normalized and inverted
+only once; ``nf_conjugate`` takes the word itself.  A CanonicalForm
+keeps its tail steps, computed the first time it is a tail operand of a
+product (``_tail_steps``): for each factor its near-D complement word or
+its factor list, in both tau frames.  A public key, g or an inverse
+secret that recurs as a tail computes none again.
 
 Factors the engine builds are permutations by construction, and outside
 bytes are checked once, where they are read (``codec.read_canonical``),
@@ -76,7 +79,6 @@ All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import sub
 
 from . import permutations as pm
@@ -98,7 +100,9 @@ class BraidWord:
     """A free word in signed Artin generators of B_n."""
 
     n: int
-    letters: tuple[int, ...] = ()
+    letters: tuple[int, ...]
+
+    _form = _inverse_form = None  # not fields: kept by form and inverse_form
 
     def __post_init__(self):
         if self.n < 2:
@@ -111,17 +115,19 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    # Cached on first use.  In Python 3.11 one lock guards each property for
-    # every instance, so normal_form must never read form or inverse_form.
-    @cached_property
+    @property
     def form(self) -> "CanonicalForm":
-        """The word's normal form."""
-        return normal_form(self)
+        """The word's normal form, kept on first use."""
+        if self._form is None:
+            _set(self, "_form", normal_form(self))
+        return self._form
 
-    @cached_property
+    @property
     def inverse_form(self) -> "CanonicalForm":
-        """The normal form of the word's inverse."""
-        return nf_invert(self.form)
+        """The normal form of the word's inverse, kept on first use."""
+        if self._inverse_form is None:
+            _set(self, "_inverse_form", nf_invert(self.form))
+        return self._inverse_form
 
 
 @record
@@ -133,7 +139,7 @@ class PermutationBraid:
 
     # The engine builds about ten factors per form, over a hundred per op on
     # every workload; a fixed signature is faster than record's generic one.
-    def __init__(self, perm: Perm):
+    def __init__(self, perm: Perm, /):
         _set(self, "perm", perm)
 
 
@@ -148,7 +154,7 @@ class CanonicalForm:
 
     n: int
     delta_exp: int
-    factors: tuple[PermutationBraid, ...] = ()
+    factors: tuple[PermutationBraid, ...]
 
     _steps = None  # not a field: set by _tail_steps on first use as a tail
 
@@ -165,7 +171,7 @@ class GroupParams:
     l: int
     r: int
     g: BraidWord
-    W: int = 16
+    W: int
 
     def __post_init__(self):
         if self.l < 2 or self.r < 2:
@@ -204,7 +210,7 @@ def default_params(l: int = 8, r: int = 8, W: int = 16) -> GroupParams:
             (abs(v) - 1) % (n - 1) + 1 if v > 0 else -((abs(v) - 1) % (n - 1) + 1)
             for v in DEFAULT_G_LETTERS
         ))
-    return GroupParams(l=l, r=r, g=g, W=W)
+    return GroupParams(l, r, g, W)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +368,7 @@ def _steps(n: int, facs: list[list[int]]) -> tuple:
 
 def _tail_steps(y: CanonicalForm) -> tuple:
     """y's ``_steps``, kept on y by the first product that takes it as a
-    tail operand.  Written to the instance directly: a cached_property
-    would take one lock shared by every form, on every thread.  Two threads
-    may both compute it; their steps are equal."""
+    tail operand."""
     steps = y._steps
     if steps is None:
         steps = _steps(y.n, [list(f.perm) for f in y.factors])

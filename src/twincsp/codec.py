@@ -279,7 +279,7 @@ def _xor_keystream(key: SymKey, data: bytes) -> bytes:
 def sym_encrypt(key: SymKey, message: bytes) -> SealedBox:
     """XOR with the SHAKE-256 keystream, then MAC the ciphertext."""
     ct = _xor_keystream(key, message)
-    return SealedBox(ct=ct, tag=_tag(key, ct))
+    return SealedBox(ct, _tag(key, ct))
 
 
 def sym_decrypt(key: SymKey, box: SealedBox) -> bytes:

@@ -95,7 +95,7 @@ def decode_key(data: bytes, role: int | None = None) -> PublicKey | KeyPair:
     n, l, rr, W = r.unpack(">HHHH", "params")
     g = r.element(read_word, "base element")
     try:
-        params = GroupParams(l=l, r=rr, g=g, W=W)
+        params = GroupParams(l, rr, g, W)
     except ValueError as exc:
         raise r.error(f"bad params: {exc}", len(KEY_MAGIC) + 3) from exc
     if params.n != n:

@@ -47,10 +47,9 @@ rejects every z1-corrupted, z2-corrupted and random query of the suite's
 fixed seeds (32 of 32 each), nearly always at the first strand.  It
 cannot reject a query whose images agree: the shift above, the
 pure-subgroup query (v, v, 1) and every honest query go on to the normal
-forms.  At B_16 (Python 3.11, one core of a 2-CPU x86-64 VM, median
-thread CPU time in five runs of 256 honest and 3,264 rejected checks on
-16 trapdoors) an honest query takes 0.81-0.83 ms and a rejected one
-0.0032-0.0039 ms.
+forms.  On reduce-b16, whose median check is one the filter rejects,
+the median check takes 0.0046 ms (``BENCH_33.json``, per-layer
+``trapdoor.check_ms_p50``).
 """
 
 from __future__ import annotations
@@ -129,8 +128,8 @@ def trapdoor_check(td: Trapdoor, q: DecisionQuery) -> bool:
     before any strand is read.  The strand images of s^{-1} Z2hat r Z1hat
     and Yhat (s^{-1} r), the balance times Z1hat on the right, are compared
     one strand at a time, and the first strand that differs rejects the
-    query with no normal-form work (0.003-0.004 ms at B_16); a query whose
-    images agree costs two passes, one per side (0.8 ms)."""
+    query with no normal-form work; a query whose images agree costs two
+    passes, one per side."""
     Y, Z1, Z2 = q.Yhat, q.Z1hat, q.Z2hat
     for x in (Y, Z1, Z2):
         _check_same_strands(x, td.r)

@@ -126,8 +126,8 @@ def test_a_word_is_normalized_once(monkeypatch, normal_forms):
 
 def test_threads_share_words_without_deadlock():
     """Threads conjugating by shared words get the word-path results and
-    finish: in Python 3.11 each cached property holds one lock for every
-    word, and inverse_form takes form's lock while holding its own."""
+    finish.  A word keeps its forms without a lock, so two threads may both
+    compute one; the kept values are equal."""
     rng = rng_from(509)
     ws = [random_word(16, 20, rng) for _ in range(5)]
     x = normal_form(random_word(16, 20, rng))

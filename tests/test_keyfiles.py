@@ -341,7 +341,7 @@ class TestParamLimits:
 
     def test_group_params_beyond_the_fields(self):
         with pytest.raises(ValueError, match=self.LIMIT):
-            GroupParams(l=32800, r=32800, g=BraidWord(65600, (1,)), W=1)
+            GroupParams(32800, 32800, BraidWord(65600, (1,)), 1)
 
     @staticmethod
     def oversized_public_key() -> bytes:

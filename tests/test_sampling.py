@@ -66,17 +66,17 @@ class TestGroupParams:
     def test_subgroup_size_floor(self):
         g = BraidWord(4, (1,))
         with pytest.raises(ValueError):
-            GroupParams(l=1, r=3, g=g)
+            GroupParams(1, 3, g, 16)
         with pytest.raises(ValueError):
-            GroupParams(l=3, r=1, g=g)
+            GroupParams(3, 1, g, 16)
 
     def test_base_element_strand_check(self):
         with pytest.raises(ValueError):
-            GroupParams(l=2, r=2, g=BraidWord(5, (1,)))
+            GroupParams(2, 2, BraidWord(5, (1,)), 16)
 
     def test_bad_sample_length(self):
         with pytest.raises(ValueError):
-            GroupParams(l=2, r=2, g=BraidWord(4, (1,)), W=0)
+            GroupParams(2, 2, BraidWord(4, (1,)), 0)
 
 
 class TestSampling:

@@ -169,6 +169,13 @@ def test_every_public_definition_has_a_caller_or_is_traced():
     assert uncalled <= traced_names()
 
 
+def test_no_module_keeps_state_with_cached_property():
+    """Lazy state is kept one way (braid.py's paragraph on kept state): a
+    class-level None slot written once with _set.  No module imports,
+    names or applies functools.cached_property."""
+    assert "cached_property" not in names_read_in_src()
+
+
 def test_every_private_definition_is_read_in_src():
     """A private helper that only the tests call (say, a strand-image
     builder kept after the package stopped using it) fails here."""

@@ -212,7 +212,7 @@ class TestPermutationFilter:
         # the factor-free forms D^p: the half twist alone, or the identity
         x = random_element(params, rng_from(12_550))
         for p in range(-2, 3):
-            d = CanonicalForm(params.n, p)
+            d = CanonicalForm(params.n, p, ())
             assert image(d) == permutation_of(word_of(d)).perm
             assert image(nf_multiply(d, x)) == pm.compose(image(d), image(x))
             assert image(nf_multiply(x, d)) == pm.compose(image(x), image(d))

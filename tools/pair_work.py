@@ -1,7 +1,6 @@
 """Counted work of the normal-form engine per benchmark op.
 
     python3 tools/pair_work.py --checkout . --workload kex-b32 --seed 1
-    python3 tools/pair_work.py --workload kex-b32 --replay [--strands 20]
 
 Runs one round of a ``perfbench`` workload against the package in
 ``CHECKOUT/src`` and prints one JSON line of counts per op, all taken by
@@ -18,24 +17,15 @@ returns a bool instead of its crossings is refused.
 
 ``engine_work`` is also the one engine counter of the test suite, which
 loads this file by path.
-
-``--replay`` times the pair kernel instead.  It records the inputs of
-every ``_left_weight_pair`` call in the round and replays them through
-the checkout's kernel; the figure is the median, over 9 repetitions, of
-thread CPU microseconds per pair call.  ``--strands N`` runs kex-b32's
-exchanges at B_N (l = N // 2) instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import json
-import statistics
 import sys
 import threading
-import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -145,7 +135,8 @@ def engine_work(braid):
 
 def count_work(braid, workload) -> dict:
     with engine_work(braid) as work:
-        run_round(workload)
+        for i in range(workload.units):
+            workload.check(i, workload.run(i))
     ops = workload.units * workload.ops_per_unit
     return {
         "pair_calls_per_op": work.pair_calls / ops,
@@ -161,72 +152,24 @@ def count_work(braid, workload) -> dict:
     }
 
 
-def run_round(workload) -> None:
-    for i in range(workload.units):
-        workload.check(i, workload.run(i))
-
-
-def replay(braid, workload, reps: int = 9) -> dict:
-    recorded = []
-    pair = braid._left_weight_pair
-
-    def recording(a, b, n):
-        recorded.append((tuple(a), tuple(b), n))  # list.append is atomic
-        return pair(a, b, n)
-
-    braid._left_weight_pair = recording
-    run_round(workload)
-    braid._left_weight_pair = pair
-
-    # The kernel changes its arguments in place, so each chunk of 500 pairs
-    # is copied afresh outside the timed loop.
-    chunks = [recorded[k:k + 500] for k in range(0, len(recorded), 500)]
-    times = []
-    gc.disable()  # the replay makes no cycles
-    for _ in range(reps):
-        total = 0
-        for chunk in chunks:
-            args = [(list(a), list(b), n) for a, b, n in chunk]
-            t0 = time.thread_time_ns()
-            for a, b, n in args:
-                pair(a, b, n)
-            total += time.thread_time_ns() - t0
-        times.append(total / 1e3 / len(recorded))
-    gc.enable()
-    return {"pairs": len(recorded), "reps": reps, "us_per_call": statistics.median(times)}
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--checkout", type=Path, default=ROOT)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--replay", action="store_true", help="time the pair kernel on the round's pairs")
-    ap.add_argument("--strands", type=int, help="kex-b32 only: run the exchanges at B_N")
     args = ap.parse_args(argv)
-    if args.strands and args.workload != "kex-b32":
-        ap.error("--strands applies to kex-b32 only")
     sys.path[:0] = [str(args.checkout.resolve() / "src"), str(ROOT / "perfbench")]
     import twincsp
     import twincsp.keyfiles  # noqa: F401  (workloads reach it as tc.keyfiles)
-    from checks import word_invariants
     from twincsp import braid
     from workloads import WORKLOADS
 
     workload = WORKLOADS[args.workload](twincsp, args.seed)
     head = {"workload": args.workload, "seed": args.seed}
-    if args.strands:
-        n = args.strands
-        workload.params = braid.default_params(n // 2, n - n // 2, 32)
-        workload.ref = word_invariants(n, workload.params.g.letters)
-        head["strands"] = n
-    if args.replay:
-        head.update(replay(braid, workload))
-    elif isinstance(braid._left_weight_pair([0, 1], [1, 0], 2), bool):
+    if isinstance(braid._left_weight_pair([0, 1], [1, 0], 2), bool):
         sys.exit(f"{args.checkout}: _left_weight_pair returns a bool, not the crossings it "
                  "moved, so its crossings cannot be counted")
-    else:
-        head.update(count_work(braid, workload))
+    head.update(count_work(braid, workload))
     print(json.dumps(head))
     return 0
 
