@@ -11,12 +11,16 @@ and no second encoding of an element exists.  Domain labels
 ("cs", "twin", "nike", "kex", "confirm") keep the protocols' key spaces
 disjoint.
 
-The cipher XORs the message with SHAKE-256(key || "ks") (the FIPS 202
+The cipher XORs the message with SHAKE-128(key || "ks") (the FIPS 202
 extendable-output function, one call per message) and appends an
-HMAC-SHA-256 tag over "mac" || ciphertext; HMAC, unlike a bare hash of
-key || data, cannot be extended to a longer ciphertext without the key.
-Keys here are one-time outputs of H, which is what makes that adequate;
-this is deliberately not a general-purpose AEAD.
+HMAC-SHA-256 tag over "mac" || version || ciphertext, where version is
+``CIPHER_VERSION``, the ciphertext file's version byte: a body cannot be
+relabelled to another version without failing the tag.  HMAC, unlike a
+bare hash of key || data, cannot be extended to a longer ciphertext
+without the key.  Keys here are 256-bit one-time outputs of H, which is
+what makes that adequate (SHAKE-128's 128-bit strength matches the
+SHA-256 collision resistance H relies on); this is deliberately not a
+general-purpose AEAD.
 
 Wire encoding of a canonical form (all integers big-endian):
 
@@ -53,6 +57,9 @@ KIND_WORD = 0x01
 KIND_CANONICAL = 0x02
 
 KEY_BYTES = 32
+# The version of the symmetric box; a ciphertext file carries it as its
+# version byte, and the tag covers it.
+CIPHER_VERSION = 0x04
 
 
 class AuthenticationError(Exception):
@@ -252,11 +259,11 @@ def hash_elements(label: str, elems: list[CanonicalForm] | tuple[CanonicalForm, 
 
 
 def _keystream(key: SymKey, length: int) -> bytes:
-    return hashlib.shake_256(key.bytes + b"ks").digest(length)
+    return hashlib.shake_128(key.bytes + b"ks").digest(length)
 
 
 def _tag(key: SymKey, ct: bytes) -> bytes:
-    mac = hmac.new(key.bytes, b"mac", hashlib.sha256)
+    mac = hmac.new(key.bytes, b"mac" + bytes([CIPHER_VERSION]), hashlib.sha256)
     mac.update(ct)
     return mac.digest()
 
@@ -277,7 +284,7 @@ def _xor_keystream(key: SymKey, data: bytes) -> bytes:
 
 
 def sym_encrypt(key: SymKey, message: bytes) -> SealedBox:
-    """XOR with the SHAKE-256 keystream, then MAC the ciphertext."""
+    """XOR with the SHAKE-128 keystream, then MAC the version and ciphertext."""
     ct = _xor_keystream(key, message)
     return SealedBox(ct, _tag(key, ct))
 

@@ -120,6 +120,7 @@ def decrypt(kp: KeyPair, ct: Ciphertext, k: int | None = None) -> bytes:
     """Agree with the header Y (Z_i = w_i Y w_i^{-1}) and open the box; raises
     AuthenticationError on forged or mis-keyed ciphertexts."""
     label = _label(kp, k)
+    _label(kp, ct.scheme)  # the ciphertext's scheme byte must be the key's k
     header = PublicKey(kp.params, SubgroupSide.RIGHT, (ct.Y,))
     key = hash_elements(label, [ct.Y, *shared_conjugates(kp, header)])
     return sym_decrypt(key, ct.box)

@@ -6,12 +6,15 @@ field, 4-byte length + payload, read by ``codec.Reader``):
     key file:   "TCSPKEY" | version 0x01 | scheme (0x01 cs / 0x02 twin) |
                 role (0x01 public / 0x02 secret) | n:2 l:2 r:2 W:2 |
                 blob(raw word g) | key material blobs
-    ct file:    "TCSPCT"  | version 0x03 | scheme |
+    ct file:    "TCSPCT"  | version 0x04 | scheme |
                 blob(canonical Y) | blob(ciphertext) | blob(tag)
 
-Version 0x03 carries the codec's SHAKE-256 keystream and HMAC tag; older
-versions are refused (``REFUSED_CT_VERSIONS``), since a 0x02 body would pass
-the tag, which covers only the ciphertext, and open to garbage.
+The version byte is the codec's ``CIPHER_VERSION``: version 0x04 carries
+the SHAKE-128 keystream and an HMAC tag over "mac" || version || body.
+Older versions are refused (``REFUSED_CT_VERSIONS``).  Every header byte
+is bound: the decoder checks the magic, the tag the version, the
+decrypting key the scheme byte (``elgamal.decrypt``), and Y enters the
+box key through H.
 
 Key files hold one key type for both schemes: the scheme byte is k, the
 number of secrets, and the key material is the k secret words w_1..w_k
@@ -35,6 +38,7 @@ import struct
 
 from .braid import BraidWord, GroupParams
 from .codec import (
+    CIPHER_VERSION,
     Reader,
     SealedBox,
     blob,
@@ -49,10 +53,11 @@ from .sampling import SubgroupSide
 KEY_MAGIC = b"TCSPKEY"
 CT_MAGIC = b"TCSPCT"
 KEY_FILE_VERSION = 0x01
-CT_FILE_VERSION = 0x03
+CT_FILE_VERSION = CIPHER_VERSION
 REFUSED_CT_VERSIONS = {
     0x01: "its tag is forgeable by length extension",
     0x02: "its body uses the SHA-256 counter keystream",
+    0x03: "its body uses the SHAKE-256 keystream",
 }
 ROLE_PUBLIC = 0x01
 ROLE_SECRET = 0x02
@@ -131,13 +136,11 @@ def decode_keypair(data: bytes) -> KeyPair:
 
 
 def encode_ciphertext(ct: Ciphertext) -> bytes:
-    return (
-        CT_MAGIC
-        + bytes([CT_FILE_VERSION, ct.scheme])
-        + blob(serialize_canonical(ct.Y))
-        + blob(ct.box.ct)
-        + blob(ct.box.tag)
-    )
+    # The blobs' length prefixes go into one join, so the body is copied once.
+    parts = [CT_MAGIC, bytes([CT_FILE_VERSION, ct.scheme])]
+    for field in (serialize_canonical(ct.Y), ct.box.ct, ct.box.tag):
+        parts += (struct.pack(">I", len(field)), field)
+    return b"".join(parts)
 
 
 def decode_ciphertext(data: bytes, key: KeyPair | None = None) -> Ciphertext:

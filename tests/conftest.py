@@ -1,3 +1,5 @@
+import hashlib
+import hmac
 import importlib.util
 import socket
 import threading
@@ -31,8 +33,10 @@ from twincsp import (
     trapdoor_setup,
 )
 from twincsp import permutations as pm
-from twincsp.elgamal import SCHEME_CS, Ciphertext, decrypt, keygen
+from twincsp.codec import blob, serialize_canonical
+from twincsp.elgamal import SCHEME_CS, SCHEME_NAMES, Ciphertext, decrypt, keygen
 from twincsp.kex import StreamChannel, run_parties
+from twincsp.keyfiles import CT_MAGIC, decode_ciphertext
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,6 +144,23 @@ def oracle_leak_demo(
         return decrypt(kp, forged, SCHEME_CS) == probe
     except AuthenticationError:
         return False
+
+
+def version_3_file(kp: KeyPair, data: bytes) -> bytes:
+    """The ciphertext file data, which kp opens, rebuilt by the rules of file
+    version 0x03: body = message XOR SHAKE-256(K || "ks") and tag =
+    HMAC-SHA-256(K, "mac" || body), K = H(label, Y, Z_1, .., Z_k).  The
+    package keeps no code for old versions, so the tests build such files
+    here."""
+    ct = decode_ciphertext(data, kp)
+    message = decrypt(kp, ct)
+    Z = [nf_conjugate(ct.Y, w) for w in kp.secrets]
+    key = hash_elements(SCHEME_NAMES[kp.k], [ct.Y, *Z]).bytes
+    stream = hashlib.shake_256(key + b"ks").digest(len(message))
+    body = bytes(m ^ s for m, s in zip(message, stream))
+    tag = hmac.new(key, b"mac" + body, hashlib.sha256).digest()
+    return (CT_MAGIC + bytes([0x03, ct.scheme]) + blob(serialize_canonical(ct.Y))
+            + blob(body) + blob(tag))
 
 
 class FlippingChannel(StreamChannel):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import version_3_file
 from twincsp import (
     BraidWord,
     KeyPair,
@@ -221,10 +222,17 @@ class TestExitCodes:
 
     def test_version_2_ciphertext_is_exit_2(self, workdir, capsys):
         blob = bytearray(self.encrypted(workdir))
-        assert blob[6] == 0x03
+        assert blob[6] == 0x04
         blob[6] = 0x02
         assert self.decrypt(workdir, bytes(blob)) == EXIT_IO
         assert "SHA-256 counter keystream" in capsys.readouterr().err
+
+    def test_version_3_ciphertext_is_exit_2_and_relabelled_exit_3(self, workdir, capsys):
+        data = self.encrypted(workdir)
+        old = version_3_file(decode_keypair((workdir / "k.sec").read_bytes()), data)
+        assert self.decrypt(workdir, old) == EXIT_IO
+        assert "0x03: its body uses the SHAKE-256 keystream" in capsys.readouterr().err
+        assert self.decrypt(workdir, old[:6] + b"\x04" + old[7:]) == EXIT_CRYPTO
 
     def test_key_material_not_matching_params_is_exit_2(self, workdir, capsys):
         (workdir / "msg").write_bytes(b"x")

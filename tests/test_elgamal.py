@@ -30,7 +30,7 @@ from twincsp import (
     twin_encrypt,
     twin_keygen,
 )
-from twincsp.elgamal import SCHEME_CS, SCHEME_NAMES, shared_conjugates
+from twincsp.elgamal import SCHEME_CS, SCHEME_NAMES, SCHEME_TWIN, shared_conjugates
 
 
 class TestCcsShared:
@@ -240,6 +240,16 @@ class TestOneKeyType:
             twin_encrypt(right.public, b"m", rng)
         with pytest.raises(ValueError, match="left-subgroup"):
             twin_decrypt(right, ct)
+
+    def test_ciphertext_of_the_other_scheme_is_refused(self, params):
+        """A ciphertext's scheme byte must be the key's k, also when its file
+        was decoded without the key, which leaves that byte unchecked."""
+        rng = rng_from(60)
+        for kp, other in ((twin_keygen(params, rng), SCHEME_CS),
+                          (keygen(params, SubgroupSide.LEFT, SCHEME_CS, rng), SCHEME_TWIN)):
+            ct = encrypt(kp.public, b"m", rng)
+            with pytest.raises(ValueError, match="does not fit"):
+                decrypt(kp, Ciphertext(other, ct.Y, ct.box))
 
     def test_generic_path_takes_k_from_the_key(self, params):
         rng = rng_from(59)

@@ -1,23 +1,27 @@
 """Key and ciphertext file round trips and parse diagnostics."""
 
+import hashlib
 import re
 import struct
 
 import pytest
 
-from conftest import rng_from
+from conftest import rng_from, version_3_file
 from twincsp import (
+    AuthenticationError,
     BraidWord,
     GroupParams,
     KeyPair,
     PublicKey,
     SubgroupSide,
     default_params,
+    decrypt,
     encrypt,
     keygen,
     nike_keygen,
     normal_form,
     sample_subgroup,
+    twin_decrypt,
     twin_encrypt,
     twin_keygen,
 )
@@ -102,11 +106,28 @@ class TestDiagnostics:
         would still verify, so the version byte is what refuses it."""
         _, ct = twin_material
         data = bytearray(encode_ciphertext(ct))
-        assert data[6] == CT_FILE_VERSION == 0x03
+        assert data[6] == CT_FILE_VERSION == 0x04
         data[6] = 0x02
         with pytest.raises(CodecError, match="0x02.*SHA-256 counter keystream") as exc:
             decode_ciphertext(bytes(data))
         assert exc.value.offset == 6
+
+    def test_ciphertext_version_3_refused(self, twin_material):
+        """A 0x03 body was XORed with the SHAKE-256 keystream under a tag that
+        did not cover the version byte: the version byte refuses the file,
+        and the same bytes relabelled 0x04 fail the tag."""
+        kp, ct = twin_material
+        old = version_3_file(kp, encode_ciphertext(ct))
+        # the file the 0x03 code wrote for this material
+        assert hashlib.sha256(old).hexdigest() == (
+            "0ebf6c3db2b5f2c75490dd428fe307499b7631d968471e09573a4ee94c6a91e0"
+        )
+        with pytest.raises(CodecError, match="0x03.*SHAKE-256 keystream") as exc:
+            decode_ciphertext(old, kp)
+        assert exc.value.offset == 6
+        relabelled = decode_ciphertext(old[:6] + bytes([CT_FILE_VERSION]) + old[7:], kp)
+        with pytest.raises(AuthenticationError):
+            twin_decrypt(kp, relabelled)
 
     def test_unknown_scheme(self, twin_material):
         kp, _ = twin_material
@@ -361,3 +382,33 @@ class TestParamLimits:
         path.write_bytes(self.oversized_public_key())
         assert dispatch(["inspect", "--in", str(path)]) == EXIT_IO
         assert "bad params" in capsys.readouterr().err
+
+
+class TestBitFlips:
+    """Every single-bit flip of a B_16 ciphertext file either fails to decode
+    with the key, or decodes to a ciphertext that re-encodes to the flipped
+    bytes and does not open."""
+
+    # (bits in the file, flips that decode): those in the body and the tag,
+    # and the 32 in Y's half-twist exponent, since D^p A_1..A_k is canonical
+    # for every p
+    @pytest.mark.parametrize("material, counts", [
+        ("twin_material", (2216, 424)),
+        ("cs_material", (3736, 408)),
+    ], ids=["twin", "cs"])
+    def test_no_flip_opens(self, request, material, counts):
+        kp, ct = request.getfixturevalue(material)
+        data = encode_ciphertext(ct)
+        decoded = 0
+        for bit in range(8 * len(data)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            try:
+                got = decode_ciphertext(bytes(flipped), kp)
+            except CodecError:
+                continue
+            decoded += 1
+            assert encode_ciphertext(got) == flipped
+            with pytest.raises(AuthenticationError):
+                decrypt(kp, got)
+        assert (8 * len(data), decoded) == counts
