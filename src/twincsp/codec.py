@@ -13,11 +13,14 @@ disjoint.
 
 The cipher XORs the message with SHAKE-128(key || "ks") (the FIPS 202
 extendable-output function, one call per message) and appends an
-HMAC-SHA-256 tag over "mac" || version || ciphertext, where version is
+HMAC-SHA-256 tag over "tag" || version || ciphertext, where version is
 ``CIPHER_VERSION``, the ciphertext file's version byte: a body cannot be
-relabelled to another version without failing the tag.  HMAC, unlike a
-bare hash of key || data, cannot be extended to a longer ciphertext
-without the key.  Keys here are 256-bit one-time outputs of H, which is
+relabelled to another version without failing the tag.  Versions 0x02
+and 0x03 tagged "mac" || ciphertext under the same key, so the domain
+must not start with "mac": an old body that starts with the new version
+byte could then be shifted into the version and keep its tag.  HMAC,
+unlike a bare hash of key || data, cannot be extended to a longer
+ciphertext without the key.  Keys here are 256-bit one-time outputs of H, which is
 what makes that adequate (SHAKE-128's 128-bit strength matches the
 SHA-256 collision resistance H relies on); this is deliberately not a
 general-purpose AEAD.
@@ -32,7 +35,8 @@ Hash input: label length (1) | ASCII label | element count (1) |
 concatenated serializations.  H is SHA-256.
 
 Key files, ciphertext files and key-exchange frames share one field
-layout, blob = 4-byte big-endian length | payload, built by ``blob``.
+layout, blob = 4-byte big-endian length | payload, built by ``blob_parts``
+(``blob`` joins them).
 ``Reader`` is the one parser of outside bytes, element decoders included:
 truncation, magics, one-byte tables and trailing bytes are each checked
 by one of its methods, and ``Reader.element`` parses an element from a
@@ -182,9 +186,18 @@ def _read_common(r: Reader, kind: int) -> int:
     return n
 
 
+def blob_parts(*payloads: bytes) -> list[bytes]:
+    """Length-prefixed fields as parts for one join: for each payload its
+    4-byte big-endian length, then the payload itself, uncopied."""
+    parts = []
+    for payload in payloads:
+        parts += (struct.pack(">I", len(payload)), payload)
+    return parts
+
+
 def blob(payload: bytes) -> bytes:
     """A length-prefixed field: 4-byte big-endian length, then the payload."""
-    return struct.pack(">I", len(payload)) + payload
+    return b"".join(blob_parts(payload))
 
 
 class Reader:
@@ -263,7 +276,7 @@ def _keystream(key: SymKey, length: int) -> bytes:
 
 
 def _tag(key: SymKey, ct: bytes) -> bytes:
-    mac = hmac.new(key.bytes, b"mac" + bytes([CIPHER_VERSION]), hashlib.sha256)
+    mac = hmac.new(key.bytes, b"tag" + bytes([CIPHER_VERSION]), hashlib.sha256)
     mac.update(ct)
     return mac.digest()
 

@@ -10,7 +10,7 @@ field, 4-byte length + payload, read by ``codec.Reader``):
                 blob(canonical Y) | blob(ciphertext) | blob(tag)
 
 The version byte is the codec's ``CIPHER_VERSION``: version 0x04 carries
-the SHAKE-128 keystream and an HMAC tag over "mac" || version || body.
+the SHAKE-128 keystream and an HMAC tag over "tag" || version || body.
 Older versions are refused (``REFUSED_CT_VERSIONS``).  Every header byte
 is bound: the decoder checks the magic, the tag the version, the
 decrypting key the scheme byte (``elgamal.decrypt``), and Y enters the
@@ -42,6 +42,7 @@ from .codec import (
     Reader,
     SealedBox,
     blob,
+    blob_parts,
     read_canonical,
     read_word,
     serialize_canonical,
@@ -136,11 +137,9 @@ def decode_keypair(data: bytes) -> KeyPair:
 
 
 def encode_ciphertext(ct: Ciphertext) -> bytes:
-    # The blobs' length prefixes go into one join, so the body is copied once.
-    parts = [CT_MAGIC, bytes([CT_FILE_VERSION, ct.scheme])]
-    for field in (serialize_canonical(ct.Y), ct.box.ct, ct.box.tag):
-        parts += (struct.pack(">I", len(field)), field)
-    return b"".join(parts)
+    # One join over the blobs' parts, so the body is copied once.
+    fields = blob_parts(serialize_canonical(ct.Y), ct.box.ct, ct.box.tag)
+    return b"".join([CT_MAGIC, bytes([CT_FILE_VERSION, ct.scheme]), *fields])
 
 
 def decode_ciphertext(data: bytes, key: KeyPair | None = None) -> Ciphertext:

@@ -33,10 +33,10 @@ from twincsp import (
     trapdoor_setup,
 )
 from twincsp import permutations as pm
-from twincsp.codec import blob, serialize_canonical
+from twincsp.codec import SealedBox, blob, serialize_canonical
 from twincsp.elgamal import SCHEME_CS, SCHEME_NAMES, Ciphertext, decrypt, keygen
 from twincsp.kex import StreamChannel, run_parties
-from twincsp.keyfiles import CT_MAGIC, decode_ciphertext
+from twincsp.keyfiles import CT_FILE_VERSION, CT_MAGIC, decode_ciphertext, encode_ciphertext
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,21 +146,34 @@ def oracle_leak_demo(
         return False
 
 
-def version_3_file(kp: KeyPair, data: bytes) -> bytes:
+def version_3_file(kp: KeyPair, data: bytes, lead: int | None = None) -> bytes:
     """The ciphertext file data, which kp opens, rebuilt by the rules of file
     version 0x03: body = message XOR SHAKE-256(K || "ks") and tag =
-    HMAC-SHA-256(K, "mac" || body), K = H(label, Y, Z_1, .., Z_k).  The
-    package keeps no code for old versions, so the tests build such files
-    here."""
+    HMAC-SHA-256(K, "mac" || body), K = H(label, Y, Z_1, .., Z_k).  Given
+    lead, one byte goes before the message, chosen so that the body starts
+    with the byte lead.  The package keeps no code for old versions, so the
+    tests build such files here."""
     ct = decode_ciphertext(data, kp)
     message = decrypt(kp, ct)
     Z = [nf_conjugate(ct.Y, w) for w in kp.secrets]
     key = hash_elements(SCHEME_NAMES[kp.k], [ct.Y, *Z]).bytes
-    stream = hashlib.shake_256(key + b"ks").digest(len(message))
+    stream = hashlib.shake_256(key + b"ks").digest(len(message) + 1)
+    if lead is not None:
+        message = bytes([lead ^ stream[0]]) + message
     body = bytes(m ^ s for m, s in zip(message, stream))
     tag = hmac.new(key, b"mac" + body, hashlib.sha256).digest()
     return (CT_MAGIC + bytes([0x03, ct.scheme]) + blob(serialize_canonical(ct.Y))
             + blob(body) + blob(tag))
+
+
+def shifted_into_version_4(old: bytes) -> bytes:
+    """The 0x03 file old, whose body starts with 0x04, as a 0x04 file: that
+    body byte becomes the version byte and the body length shrinks by one.
+    Its 0x03 tag covers "mac" || body, so a 0x04 tag over "mac" || version
+    || body would accept the result."""
+    ct = decode_ciphertext(old[:6] + bytes([CT_FILE_VERSION]) + old[7:])
+    assert ct.box.ct[0] == CT_FILE_VERSION == 0x04
+    return encode_ciphertext(Ciphertext(ct.scheme, ct.Y, SealedBox(ct.box.ct[1:], ct.box.tag)))
 
 
 class FlippingChannel(StreamChannel):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import version_3_file
+from conftest import shifted_into_version_4, version_3_file
 from twincsp import (
     BraidWord,
     KeyPair,
@@ -233,6 +233,11 @@ class TestExitCodes:
         assert self.decrypt(workdir, old) == EXIT_IO
         assert "0x03: its body uses the SHAKE-256 keystream" in capsys.readouterr().err
         assert self.decrypt(workdir, old[:6] + b"\x04" + old[7:]) == EXIT_CRYPTO
+
+    def test_version_3_body_shifted_into_version_4_is_exit_3(self, workdir):
+        data = self.encrypted(workdir)
+        old = version_3_file(decode_keypair((workdir / "k.sec").read_bytes()), data, lead=0x04)
+        assert self.decrypt(workdir, shifted_into_version_4(old)) == EXIT_CRYPTO
 
     def test_key_material_not_matching_params_is_exit_2(self, workdir, capsys):
         (workdir / "msg").write_bytes(b"x")

@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from conftest import rng_from, version_3_file
+from conftest import rng_from, shifted_into_version_4, version_3_file
 from twincsp import (
     AuthenticationError,
     BraidWord,
@@ -128,6 +128,15 @@ class TestDiagnostics:
         relabelled = decode_ciphertext(old[:6] + bytes([CT_FILE_VERSION]) + old[7:], kp)
         with pytest.raises(AuthenticationError):
             twin_decrypt(kp, relabelled)
+
+    def test_version_3_body_shifted_into_version_4_fails_the_tag(self, twin_material):
+        """0x03 tagged "mac" || body under the same K.  A 0x03 body that
+        starts with 0x04, moved into the version byte with the body length
+        fixed, must not open as 0x04: no 0x04 tag input is an old one."""
+        kp, ct = twin_material
+        shifted = shifted_into_version_4(version_3_file(kp, encode_ciphertext(ct), lead=0x04))
+        with pytest.raises(AuthenticationError):
+            twin_decrypt(kp, decode_ciphertext(shifted, kp))
 
     def test_unknown_scheme(self, twin_material):
         kp, _ = twin_material
