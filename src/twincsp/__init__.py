@@ -32,6 +32,8 @@ from .braid import (
 from .codec import (
     AuthenticationError,
     CodecError,
+    KeyConfirmError,
+    ProtocolError,
     SealedBox,
     SymKey,
     hash_elements,
@@ -54,8 +56,7 @@ from .sampling import SeededRng, SubgroupSide, sample_subgroup
 
 # The public names of the submodules loaded on first use, by submodule.
 _LAZY = {
-    "kex": ("KeyConfirmError", "ProtocolError", "Role", "kex_run", "loopback_run",
-            "nike_keygen", "nike_shared_key"),
+    "kex": ("Role", "kex_run", "loopback_run", "nike_keygen", "nike_shared_key"),
     "reduction": ("CcsInstance", "ReductionResult", "make_ccs_instance", "probing_adversary",
                   "run_reduction"),
     "trapdoor": ("DecisionQuery", "Trapdoor", "honest_query", "random_element",

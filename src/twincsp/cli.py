@@ -22,7 +22,7 @@ import sys
 
 from . import keyfiles
 from .braid import default_params, nf_conjugate
-from .codec import AuthenticationError, CodecError
+from .codec import AuthenticationError, CodecError, KeyConfirmError, ProtocolError
 from .elgamal import SCHEME_NAMES, KeyPair, decrypt, encrypt, keygen
 from .sampling import SeededRng, SubgroupSide
 
@@ -91,7 +91,6 @@ def _build_parser() -> _Parser:
     peer = sp.add_mutually_exclusive_group()
     peer.add_argument("--listen", metavar="HOST:PORT", help="over a socket, as responder")
     peer.add_argument("--connect", metavar="HOST:PORT", help="over a socket, as initiator")
-    sp.add_argument("--no-confirm", action="store_true", help="derivation-only, skip confirmation")
     add_params(sp)
     add_seed(sp)
 
@@ -215,28 +214,13 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", port
 
 
-def _crypto_failure(exc: Exception) -> int:
-    print(f"twincsp: crypto failure: {exc}", file=sys.stderr)
-    return EXIT_CRYPTO
-
-
 def _cmd_kex_demo(args) -> int:
-    from .kex import KeyConfirmError, ProtocolError
-
-    try:
-        return _kex_demo(args)
-    except (KeyConfirmError, ProtocolError) as exc:
-        return _crypto_failure(exc)
-
-
-def _kex_demo(args) -> int:
     import socket
 
     from .kex import Role, StreamChannel, kex_run, loopback_run, nike_keygen, nike_shared_key
 
     rng = _get_rng(args)
     params = default_params(args.l, args.r, args.length)
-    confirm = not args.no_confirm
 
     if args.mode == "nike":
         if args.listen or args.connect:
@@ -259,14 +243,12 @@ def _kex_demo(args) -> int:
             conn = socket.create_connection(_parse_hostport(args.connect), timeout=30.0)
             role = Role.INITIATOR
         with conn:
-            result = kex_run(role, StreamChannel(conn, timeout=30.0), params, rng,
-                             confirm=confirm)
+            result = kex_run(role, StreamChannel(conn, timeout=30.0), params, rng)
         print(f"{role.value}: key {_fingerprint(result.key)} "
               f"({len(result.sent)} bytes sent, {len(result.received)} received)")
         return EXIT_OK
 
-    res_i, res_r = loopback_run(params, rng.fork("initiator"), rng.fork("responder"),
-                                confirm=confirm)
+    res_i, res_r = loopback_run(params, rng.fork("initiator"), rng.fork("responder"))
     for res in (res_i, res_r):
         if isinstance(res, Exception):
             raise res
@@ -320,8 +302,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except AuthenticationError as exc:  # kex-demo maps the key exchange's own failures
-        return _crypto_failure(exc)
+    except (AuthenticationError, KeyConfirmError, ProtocolError) as exc:
+        print(f"twincsp: crypto failure: {exc}", file=sys.stderr)
+        return EXIT_CRYPTO
     except (CodecError, OSError) as exc:  # before ValueError: a CodecError is one
         print(f"twincsp: {exc}", file=sys.stderr)
         return EXIT_IO

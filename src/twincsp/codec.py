@@ -43,6 +43,11 @@ by one of its methods, and ``Reader.element`` parses an element from a
 reader bounded by its blob.  Every parse failure is a ``CodecError``
 built by ``Reader.error``, naming one absolute byte offset; the CLI maps
 it to exit 2, kex to ProtocolError.
+
+The package's four failure types live here: ``CodecError`` (malformed
+bytes), ``AuthenticationError`` (a tag that does not verify), and the key
+exchange's ``ProtocolError`` and ``KeyConfirmError``, so the CLI maps
+the last three to exit 3 without loading kex.
 """
 
 from __future__ import annotations
@@ -68,6 +73,14 @@ CIPHER_VERSION = 0x04
 
 class AuthenticationError(Exception):
     """Tag verification failed: forged, truncated, or mis-keyed ciphertext."""
+
+
+class ProtocolError(Exception):
+    """Malformed frame, unexpected message type, or truncated stream."""
+
+
+class KeyConfirmError(Exception):
+    """The peer's confirmation tag did not verify."""
 
 
 class CodecError(ValueError):

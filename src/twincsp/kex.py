@@ -6,8 +6,7 @@ left-subgroup party's publics and Y the right's, from
 ``elgamal.shared_conjugates`` of its key and the peer's ``PublicKey``.
 The non-interactive variant assumes the publics arrived out of band; the
 interactive variant ships them as frames over a socket and finishes with
-a key-confirmation round so that tampering has a testable failure mode
-(confirmation can be disabled for derivation-only runs).
+a key-confirmation round so that tampering has a testable failure mode.
 
 Wire format: 4-byte big-endian frame length, 1-byte message type
 (0x01 INIT, 0x02 RESP, 0x03 CONFIRM), payload.  Frames are checked where
@@ -37,6 +36,8 @@ from ._record import record
 from .braid import GroupParams
 from .codec import (
     CodecError,
+    KeyConfirmError,
+    ProtocolError,
     Reader,
     SymKey,
     blob,
@@ -56,14 +57,6 @@ ROLE_BYTE = {"initiator": b"\x01", "responder": b"\x02"}
 MAX_FRAME = 1 << 20
 
 LOOPBACK_TIMEOUT = 5.0
-
-
-class ProtocolError(Exception):
-    """Malformed frame, unexpected message type, or truncated stream."""
-
-
-class KeyConfirmError(Exception):
-    """The peer's confirmation tag did not verify."""
 
 
 class Role(Enum):
@@ -177,19 +170,14 @@ class KexResult:
     received: bytes
 
 
-def kex_run(
-    role: Role,
-    channel: StreamChannel,
-    params: GroupParams,
-    rng: SeededRng,
-    confirm: bool = True,
-) -> KexResult:
+def kex_run(role: Role, channel: StreamChannel, params: GroupParams,
+            rng: SeededRng) -> KexResult:
     """Run one side of the interactive exchange over a StreamChannel.
 
     The initiator plays the left subgroup and sends INIT(X1, X2); the
     responder plays the right subgroup and replies RESP(Y1, Y2).  Both
-    derive the four-conjugate key under label "kex" and, unless confirm
-    is disabled, exchange and verify confirmation tags.
+    derive the four-conjugate key under label "kex" and exchange and
+    verify confirmation tags.
     """
     if role is Role.INITIATOR:
         me = nike_keygen(params, SubgroupSide.LEFT, rng)
@@ -202,18 +190,17 @@ def kex_run(
 
     key = nike_shared_key(me, peer, label="kex")
 
-    if confirm:
-        mine = confirm_tag(key, role)
-        other_role = Role.RESPONDER if role is Role.INITIATOR else Role.INITIATOR
-        expected = confirm_tag(key, other_role)
-        if role is Role.INITIATOR:
-            channel.send_frame(MSG_CONFIRM, mine)
-            theirs = channel.recv_frame(MSG_CONFIRM)
-        else:
-            theirs = channel.recv_frame(MSG_CONFIRM)
-            channel.send_frame(MSG_CONFIRM, mine)
-        if not hmac.compare_digest(theirs, expected):
-            raise KeyConfirmError("peer confirmation tag mismatch")
+    mine = confirm_tag(key, role)
+    other_role = Role.RESPONDER if role is Role.INITIATOR else Role.INITIATOR
+    expected = confirm_tag(key, other_role)
+    if role is Role.INITIATOR:
+        channel.send_frame(MSG_CONFIRM, mine)
+        theirs = channel.recv_frame(MSG_CONFIRM)
+    else:
+        theirs = channel.recv_frame(MSG_CONFIRM)
+        channel.send_frame(MSG_CONFIRM, mine)
+    if not hmac.compare_digest(theirs, expected):
+        raise KeyConfirmError("peer confirmation tag mismatch")
 
     return KexResult(key, channel.sent, channel.received)
 
@@ -222,20 +209,15 @@ def kex_run(
 # Two-party driver
 # ---------------------------------------------------------------------------
 
-def loopback_run(
-    params: GroupParams,
-    init_rng: SeededRng,
-    resp_rng: SeededRng,
-    confirm: bool = True,
-):
+def loopback_run(params: GroupParams, init_rng: SeededRng, resp_rng: SeededRng):
     """Run both sides over an in-process socket pair through run_parties;
     each socket times out after LOOPBACK_TIMEOUT seconds."""
     chan_i, chan_r = (StreamChannel(sock, LOOPBACK_TIMEOUT) for sock in socket.socketpair())
-    return run_parties(params, chan_i, chan_r, init_rng, resp_rng, confirm)
+    return run_parties(params, chan_i, chan_r, init_rng, resp_rng)
 
 
 def run_parties(params: GroupParams, chan_i: StreamChannel, chan_r: StreamChannel,
-                init_rng: SeededRng, resp_rng: SeededRng, confirm: bool = True):
+                init_rng: SeededRng, resp_rng: SeededRng):
     """Run the initiator on chan_i and the responder on chan_r, the
     responder on a thread; each channel is closed when its party finishes.
 
@@ -246,7 +228,7 @@ def run_parties(params: GroupParams, chan_i: StreamChannel, chan_r: StreamChanne
 
     def side(role: Role, channel: StreamChannel, rng: SeededRng) -> None:
         try:
-            outcomes[role] = kex_run(role, channel, params, rng, confirm=confirm)
+            outcomes[role] = kex_run(role, channel, params, rng)
         except Exception as exc:
             outcomes[role] = exc
         finally:

@@ -204,12 +204,6 @@ class TestInteractive:
         # responder stream: RESP then CONFIRM
         assert res_r.sent[4] == MSG_RESP
 
-    def test_derivation_only_mode(self, params):
-        res_i, res_r = loopback_run(params, rng_from(98), rng_from(99), confirm=False)
-        assert res_i.key == res_r.key
-        assert MSG_CONFIRM not in (res_i.sent[4], res_r.sent[4])
-        assert len(res_i.sent) < 4 + 1 + 2 * 1000  # single frame only
-
     def test_peer_closed_socket_is_protocol_error(self):
         chan_a, chan_b = loopback_channels(timeout=2.0)
         chan_a.send_bytes(b"left unread")
@@ -335,7 +329,7 @@ class TestElementPayload:
     codec's CodecError, whose offset is into the payload."""
 
     def init_payload(self, params) -> bytes:
-        res_i, _ = loopback_run(params, rng_from(111), rng_from(112), confirm=False)
+        res_i, _ = loopback_run(params, rng_from(111), rng_from(112))
         (length,) = struct.unpack(">I", res_i.sent[:4])
         return res_i.sent[5 : 4 + length]
 

@@ -3,9 +3,11 @@
 benchmark, not only by the tests; ``__all__`` is exactly the public names
 ``__init__`` imports or loads on first use, and ``import twincsp`` loads
 only the encryption core; every public module-level function or class of
-the package has such a caller or is one the benchmark traces by name; and
+the package has such a caller or is one the benchmark traces by name;
 every private module-level name is read by the package itself, so no
-helper stays in ``src/`` only for the tests."""
+helper stays in ``src/`` only for the tests; and every default-valued
+parameter of a public function or method is passed by such a caller, so
+no option stays only for the tests."""
 
 import ast
 import importlib.util
@@ -19,19 +21,23 @@ import twincsp
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def nodes_outside_the_tests():
+    """Every AST node of src/, tools/ and perfbench/, test files excluded."""
+    for top in ("src", "tools", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            if not path.name.startswith("test_"):
+                yield from ast.walk(ast.parse(path.read_text(), str(path)))
+
+
 def referenced_names() -> set[str]:
     """Every Name id and Attribute attr in src/, tools/ and perfbench/,
     test files excluded; import aliases are not Name nodes."""
     names = set()
-    for top in ("src", "tools", "perfbench"):
-        for path in (ROOT / top).rglob("*.py"):
-            if path.name.startswith("test_"):
-                continue
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+    for node in nodes_outside_the_tests():
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
     return names
 
 
@@ -45,6 +51,50 @@ def public_definitions() -> set[str]:
                     and not node.name.startswith("_")):
                 defs.add(f"{path.stem}.{node.name}")
     return defs
+
+
+def default_parameters() -> dict[str, tuple[str, int | None, str]]:
+    """"module.function(param)" -> (callee, position, param) for every
+    parameter with a default of a public module-level function, or of a
+    public method or __init__ of a public class, in src/twincsp/.  A call
+    names a method by its own name and __init__ by its class; position
+    counts the arguments a call passes (a method's first parameter is
+    bound) and is None for a keyword-only parameter."""
+    params = {}
+    for path in (ROOT / "src" / "twincsp").glob("*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                funcs = [(node.name, node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                funcs = [(f"{node.name}.{f.name}", node.name if f.name == "__init__" else f.name,
+                          f, 1)
+                         for f in node.body if isinstance(f, ast.FunctionDef)
+                         and (f.name == "__init__" or not f.name.startswith("_"))]
+            else:
+                funcs = []
+            for qual, callee, func, bound in funcs:
+                args = func.args
+                names = [arg.arg for arg in args.posonlyargs + args.args]
+                for i in range(len(names) - len(args.defaults), len(names)):
+                    params[f"{path.stem}.{qual}({names[i]})"] = (callee, i - bound, names[i])
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        params[f"{path.stem}.{qual}({arg.arg})"] = (callee, None, arg.arg)
+    return params
+
+
+def passed_arguments() -> dict[str, tuple[int, set[str]]]:
+    """Callee -> (the most positional arguments, every keyword) over the
+    calls in src/, tools/ and perfbench/, test files excluded; the callee
+    is a called Name's id or Attribute's attr."""
+    passed = {}
+    for node in nodes_outside_the_tests():
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            most, keywords = passed.get(callee, (0, set()))
+            passed[callee] = (max(most, len(node.args)),
+                              keywords | {kw.arg for kw in node.keywords})
+    return passed
 
 
 def private_definitions() -> dict[str, str]:
@@ -135,14 +185,18 @@ LAZY_MODULES = ("twincsp.kex", "twincsp.trapdoor", "twincsp.reduction")
 
 def test_package_and_cli_imports_load_no_application():
     """import twincsp and import twincsp.cli load the encryption core only:
-    not the key exchange, the trapdoor test, the reduction or socket."""
+    not the key exchange, the trapdoor test, the reduction or socket.  The
+    key exchange's failure types live in codec, so reading them loads
+    nothing more."""
     out = fresh_interpreter(
         f"lazy = {LAZY_MODULES + ('socket',)!r}\n"
         "import twincsp\n"
         "print(*[m for m in lazy if m in sys.modules])\n"
         "import twincsp.cli\n"
+        "print(*[m for m in lazy if m in sys.modules])\n"
+        "twincsp.ProtocolError, twincsp.KeyConfirmError\n"
         "print(*[m for m in lazy if m in sys.modules])\n")
-    assert out.splitlines() == ["", ""]
+    assert out.splitlines() == ["", "", ""]
 
 
 def test_star_import_binds_every_public_name():
@@ -174,6 +228,20 @@ def test_no_module_keeps_state_with_cached_property():
     class-level None slot written once with _set.  No module imports,
     names or applies functools.cached_property."""
     assert "cached_property" not in names_read_in_src()
+
+
+def test_every_default_parameter_is_passed_outside_the_tests():
+    """A parameter with a default that only the tests pass is a knob kept
+    for them; a call in the package, the tools or the benchmark that passes
+    it by position or by keyword keeps it.  dispatch's argv is the seam the
+    tests drive the CLI through; main calls dispatch() with none."""
+    passed = passed_arguments()
+    unpassed = set()
+    for label, (callee, position, name) in default_parameters().items():
+        most, keywords = passed.get(callee, (0, set()))
+        if name not in keywords and (position is None or most <= position):
+            unpassed.add(label)
+    assert unpassed == {"cli.dispatch(argv)"}
 
 
 def test_every_private_definition_is_read_in_src():
