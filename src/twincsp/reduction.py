@@ -41,12 +41,6 @@ Adversary = Callable[
     tuple[CanonicalForm, CanonicalForm] | None,
 ]
 
-DEFAULT_QUERY_BUDGET = 1024
-
-
-class QueryBudgetError(RuntimeError):
-    """The adversary exceeded its decision-query budget."""
-
 
 @record
 class CcsInstance:
@@ -85,7 +79,6 @@ def run_reduction(
     inst: CcsInstance,
     adversary: Adversary,
     rng: SeededRng,
-    query_budget: int = DEFAULT_QUERY_BUDGET,
 ) -> ReductionResult:
     """Simulate the reduction on one instance.
 
@@ -99,8 +92,6 @@ def run_reduction(
     transcript: list[tuple[DecisionQuery, bool]] = []
 
     def oracle(q: DecisionQuery) -> bool:
-        if len(transcript) >= query_budget:
-            raise QueryBudgetError(f"budget of {query_budget} queries exhausted")
         answer = trapdoor_check(td, q)
         transcript.append((q, answer))
         return answer
@@ -117,7 +108,7 @@ def probing_adversary(
     params: GroupParams,
     witness_y: BraidWord,
     rng: SeededRng,
-    n_queries: int = 50,
+    n_queries: int,
 ) -> tuple[Adversary, list[bool]]:
     """An adversary that first fires a mix of honest and corrupted decision
     queries, then answers perfectly.

@@ -444,13 +444,23 @@ class TestDemos:
         assert "completeness 25/25" in out
         assert "half-dishonest rejected 25/25" in out
 
+    def test_trapdoor_demo_fails_on_one_random_pass_in_50(self, workdir, capsys, monkeypatch):
+        """At most 1% of random queries may pass, so 1 of 50 fails the demo
+        although every honest query passes and every half-dishonest one fails."""
+        import twincsp.trapdoor
+
+        monkeypatch.setattr(twincsp.trapdoor, "trapdoor_stats",
+                            lambda params, trials, rng: (50, 50, 1))
+        assert dispatch(["trapdoor-demo", "--trials", "50", "--seed", SEED]) == EXIT_CRYPTO
+        assert "random-query passes 1/50 (2.00%)" in capsys.readouterr().out
+
     def test_reduce_demo(self, workdir, capsys):
         assert dispatch(["reduce-demo", "--seed", SEED, "--queries", "20"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "ground-truth match: yes" in out
         assert "agreement 20/20" in out
 
-    def test_reduce_demo_beyond_the_default_query_budget(self, workdir, capsys):
+    def test_reduce_demo_with_more_than_1024_queries(self, workdir, capsys):
         argv = ["reduce-demo", "--queries", "1025", "--l", "3", "--r", "3", "--length", "2",
                 "--seed", "11" * 32]
         assert dispatch(argv) == EXIT_OK

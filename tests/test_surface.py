@@ -7,7 +7,8 @@ the package has such a caller or is one the benchmark traces by name;
 every private module-level name is read by the package itself, so no
 helper stays in ``src/`` only for the tests; and every default-valued
 parameter of a public function or method is passed by such a caller, so
-no option stays only for the tests."""
+no option stays only for the tests, and left out by one, so no default
+goes unused."""
 
 import ast
 import importlib.util
@@ -83,18 +84,23 @@ def default_parameters() -> dict[str, tuple[str, int | None, str]]:
     return params
 
 
-def passed_arguments() -> dict[str, tuple[int, set[str]]]:
-    """Callee -> (the most positional arguments, every keyword) over the
-    calls in src/, tools/ and perfbench/, test files excluded; the callee
-    is a called Name's id or Attribute's attr."""
-    passed = {}
+def calls_by_callee() -> dict[str, list[tuple[int, set[str]]]]:
+    """Callee -> (positional arguments, keywords) of each call in src/,
+    tools/ and perfbench/, test files excluded; the callee is a called
+    Name's id or Attribute's attr."""
+    calls = {}
     for node in nodes_outside_the_tests():
         if isinstance(node, ast.Call):
             callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            most, keywords = passed.get(callee, (0, set()))
-            passed[callee] = (max(most, len(node.args)),
-                              keywords | {kw.arg for kw in node.keywords})
-    return passed
+            calls.setdefault(callee, []).append(
+                (len(node.args), {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def passes(call: tuple[int, set[str]], position: int | None, name: str) -> bool:
+    """Whether a call passes the parameter, by position or by keyword."""
+    n_args, keywords = call
+    return name in keywords or (position is not None and n_args > position)
 
 
 def private_definitions() -> dict[str, str]:
@@ -235,13 +241,20 @@ def test_every_default_parameter_is_passed_outside_the_tests():
     for them; a call in the package, the tools or the benchmark that passes
     it by position or by keyword keeps it.  dispatch's argv is the seam the
     tests drive the CLI through; main calls dispatch() with none."""
-    passed = passed_arguments()
-    unpassed = set()
-    for label, (callee, position, name) in default_parameters().items():
-        most, keywords = passed.get(callee, (0, set()))
-        if name not in keywords and (position is None or most <= position):
-            unpassed.add(label)
+    calls = calls_by_callee()
+    unpassed = {label for label, (callee, position, name) in default_parameters().items()
+                if not any(passes(call, position, name) for call in calls.get(callee, []))}
     assert unpassed == {"cli.dispatch(argv)"}
+
+
+def test_every_default_parameter_is_left_out_outside_the_tests():
+    """A default that every call in the package, the tools and the
+    benchmark overrides is a value no caller uses; the parameter should be
+    required.  main's dispatch() leaves argv out."""
+    calls = calls_by_callee()
+    always_passed = {label for label, (callee, position, name) in default_parameters().items()
+                     if all(passes(call, position, name) for call in calls.get(callee, []))}
+    assert always_passed == set()
 
 
 def test_every_private_definition_is_read_in_src():
