@@ -52,7 +52,9 @@ sign, each a simple braid P or the inverse Q^{-1} = D^{-1} (D Q^{-1}) of
 one: a letter joins the latest run of its sign that stays simple with
 it, passing back only runs whose letters commute with it, and otherwise
 starts a run.  Each run is one factor of the pass, so a secret word of
-B_32 becomes about a third as many factors as it has letters.
+B_32 becomes about a third as many factors as it has letters.  A negative
+run brings its own division word: the complement of D Q^{-1} is Q, whose
+letters the run keeps in order.
 ``nf_invert`` left-weights nothing: the inverse of D^p A_1 .. A_k is
 D^{-p-k} followed by the complements of A_k .. A_1, flipped alternately,
 and that sequence is already a normal form.
@@ -342,24 +344,27 @@ def _divide(a: list[int], word: list[int]) -> list[int]:
     return out
 
 
-def _steps(n: int, facs: list[list[int]]) -> tuple:
-    """Each factor's tail step, (near, frame0, frame1): for a factor f near
-    D, near is True and the frames are c's reduced word (``_complement_word``)
-    and tau(c)'s, the same letters i mapped to n - i; otherwise they are f
-    and tau(f).  f is near D when f[0] - f[-1] > (n-1) // 2 and its footrule
-    distance from D, between c's crossing count and twice it, is under
-    max(n, n^2/16); both tests read f and tau(f) alike.  Percolating f
-    costs about n^2/2 crossings for each factor it passes, dividing by c
-    about c's letters for each.  Timed both ways from the same states of
-    the benchmark's reduce-b16 and kex-b32 (Python 3.11, one core of a
-    2-CPU x86-64 VM), they broke even near n^2/16 at B_16 and at B_32.
-    Below B_16 the bound stays n."""
+def _steps(n: int, facs: list[tuple[list[int], list[int] | None]]) -> tuple:
+    """Each factor's tail step, (near, frame0, frame1), for facs a list of
+    (f, word), word c's reduced word when the caller knows it, else None:
+    for f near D, near is True and the frames are c's reduced word (word,
+    or ``_complement_word``) and tau(c)'s, the same letters i mapped to
+    n - i; otherwise they are f and tau(f).  f is near D when f[0] - f[-1]
+    > (n-1) // 2 and its footrule distance from D, between c's crossing
+    count and twice it, is under max(n, n^3/256); both tests read f and
+    tau(f) alike.  Percolating f costs about n^2/2 crossings per factor it
+    passes, dividing by c about c's letters per factor.  Timed both ways
+    from the same engine states (Python 3.11, one core of a 2-CPU x86-64
+    VM), the summed time was least with the bound at 15-23 at B_16, 73 at
+    B_24, and at B_32 and B_48 with every f that passes the first test
+    divided (bound 129 and 143 up); n^3/256 is 16, 54, 128 and 432."""
     top, rev = n - 1, range(n - 1, -1, -1)
-    near = max(n, n * n // 16)
+    near = max(n, n ** 3 // 256)
     out = []
-    for f in facs:
+    for f, word in facs:
         if f[0] - f[-1] > top // 2 and sum(map(abs, map(sub, f, rev))) < near:
-            word = _complement_word(f)
+            if word is None:
+                word = _complement_word(f)
             out.append((True, word, [n - j for j in word]))
         else:
             out.append((False, f, [top - v for v in reversed(f)]))
@@ -371,7 +376,7 @@ def _tail_steps(y: CanonicalForm) -> tuple:
     tail operand."""
     steps = y._steps
     if steps is None:
-        steps = _steps(y.n, [list(f.perm) for f in y.factors])
+        steps = _steps(y.n, [(list(f.perm), None) for f in y.factors])
         _set(y, "_steps", steps)
     return steps
 
@@ -436,13 +441,15 @@ def _form(n: int, dexp: int, facs: list[list[int]], tails) -> CanonicalForm:
 def normal_form(a: BraidWord) -> CanonicalForm:
     """Unique left-greedy normal form of a word; group-equal words agree.
 
-    The letters are first gathered into runs [negative, p, mask]: a simple
-    braid P (p = perm(P)) or the inverse Q^-1 of one (p = perm(Q^-1)), and
-    the bitset of the generator indices it uses.  A letter +-i joins the
-    latest run of its sign with p[i-1] < p[i] (P s_i, or s_i Q, is still
-    simple), passing back only runs that use none of i-1, i, i+1, whose
-    letters commute with s_i; otherwise it starts a run.  Each run is one
-    tail of ``_form``: P, or Q^-1 = D^-1 C with perm(C) = rev . p.
+    The letters are first gathered into runs [negative, p, mask, word]: a
+    simple braid P (p = perm(P)) or the inverse Q^-1 of one (p =
+    perm(Q^-1)), the bitset of the generator indices it uses, and its
+    indices in order.  A letter +-i joins the latest run of its sign with
+    p[i-1] < p[i] (P s_i, or s_i Q, is still simple), passing back only
+    runs that use none of i-1, i, i+1, whose letters commute with s_i;
+    otherwise it starts a run.  Each run is one tail of ``_form``: P, or
+    Q^-1 = D^-1 C with perm(C) = rev . p, whose complement word is Q's,
+    the run's word.
     """
     n, top = a.n, a.n - 1
     runs: list[list] = []
@@ -456,12 +463,14 @@ def normal_form(a: BraidWord) -> CanonicalForm:
             if run[2] >> (i - 1) & 7:
                 break
         if join is None:
-            join = [negative, list(range(n)), 0]
+            join = [negative, list(range(n)), 0, []]
             runs.append(join)
         p = join[1]
         p[i - 1], p[i] = p[i], p[i - 1]
         join[2] |= 1 << i
-    steps = _steps(n, [[top - v for v in p] if negative else p for negative, p, _ in runs])
+        join[3].append(i)
+    steps = _steps(n, [([top - v for v in p], word) if negative else (p, None)
+                       for negative, p, _, word in runs])
     return _form(n, 0, [], [(-run[0], (step,)) for run, step in zip(runs, steps)])
 
 

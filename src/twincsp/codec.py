@@ -296,7 +296,8 @@ def _tag(key: SymKey, ct: bytes) -> bytes:
 
 # XOR as big integers one chunk at a time: converting a whole 1 MiB message,
 # its keystream and their XOR to ints raised pke-bulk's peak memory by
-# 2.6 MiB (BENCH_31.json).
+# 2.6 MiB (BENCH_31.json).  The three conversions cost about as much as the
+# keystream; no other XOR tried saves more than 4% of it (ROADMAP item 9).
 _XOR_CHUNK = 1 << 16
 
 

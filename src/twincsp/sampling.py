@@ -7,12 +7,16 @@ the load-bearing fact of the whole construction, and the tests check it
 on sampled pairs.
 
 Randomness comes from a counter-mode generator over SHA-256 so that every
-fixture is bit-reproducible from a 32-byte seed.
+fixture is bit-reproducible from a 32-byte seed.  A sampled word's letters
+(``SeededRng.rand_letters``) take their sign and index words from one
+``rand_bytes`` call and reject as ``rand_below`` does, so the letters and
+the stream after them are those of per-letter draws.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from enum import Enum
 
 from .braid import BraidWord, GroupParams, free_reduce
@@ -62,11 +66,23 @@ class SeededRng:
             if v < limit:
                 return v % m
 
-    def choice(self, seq):
-        return seq[self.rand_below(len(seq))]
-
-    def rand_sign(self) -> int:
-        return 1 if self.rand_below(2) else -1
+    def rand_letters(self, idx: range, count: int) -> tuple[int, ...]:
+        """count letters +-i, i in idx: per letter the sign of rand_below(2)
+        (1 is +) and idx[rand_below(len(idx))], drawn in batches of the
+        four-byte words still needed if none were rejected."""
+        m = len(idx)
+        limit = (2**32 // m) * m
+        letters: list[int] = []
+        sign = 0  # 0 while the next word is a sign draw
+        while len(letters) < count:
+            need = 2 * (count - len(letters)) - (sign != 0)
+            for v in struct.unpack(f">{need}I", self.rand_bytes(4 * need)):
+                if not sign:
+                    sign = 1 if v & 1 else -1
+                elif v < limit:
+                    letters.append(sign * idx[v % m])
+                    sign = 0
+        return tuple(letters)
 
 
 def generator_range(params: GroupParams, side: SubgroupSide) -> range:
@@ -78,6 +94,5 @@ def generator_range(params: GroupParams, side: SubgroupSide) -> range:
 
 def sample_subgroup(params: GroupParams, side: SubgroupSide, rng: SeededRng) -> BraidWord:
     """W uniform signed letters over the side's generator range, freely reduced."""
-    idx = generator_range(params, side)
-    letters = tuple(rng.rand_sign() * rng.choice(idx) for _ in range(params.W))
+    letters = rng.rand_letters(generator_range(params, side), params.W)
     return BraidWord(params.n, free_reduce(letters))

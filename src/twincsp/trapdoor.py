@@ -159,9 +159,7 @@ def honest_query(td_publics: tuple[CanonicalForm, CanonicalForm],
 def random_element(params: GroupParams, rng: SeededRng) -> CanonicalForm:
     """Normal form of a random word of 2W letters over all generators; used
     for fully-random (overwhelmingly dishonest) query material."""
-    letters = tuple(
-        rng.rand_sign() * (1 + rng.rand_below(params.n - 1)) for _ in range(2 * params.W)
-    )
+    letters = rng.rand_letters(range(1, params.n), 2 * params.W)
     return normal_form(BraidWord(params.n, letters))
 
 

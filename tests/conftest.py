@@ -287,9 +287,7 @@ def random_adversary(params, rng: SeededRng):
 
 def random_word(n: int, length: int, rng: SeededRng, indices=None) -> BraidWord:
     """Uniform signed letters; indices defaults to the full generator range."""
-    idx = list(indices) if indices is not None else list(range(1, n))
-    letters = tuple(rng.rand_sign() * rng.choice(idx) for _ in range(length))
-    return BraidWord(n, letters)
+    return BraidWord(n, rng.rand_letters(indices or range(1, n), length))
 
 
 def rewrite_equivalent(word: BraidWord, rng: SeededRng, steps: int = 50) -> BraidWord:
@@ -322,7 +320,7 @@ def rewrite_equivalent(word: BraidWord, rng: SeededRng, steps: int = 50) -> Brai
         if op == 2:
             # free insertion
             i = rng.rand_below(len(letters) + 1)
-            v = rng.rand_sign() * (1 + rng.rand_below(n - 1))
+            (v,) = rng.rand_letters(range(1, n), 1)
             letters[i:i] = [v, -v]
             continue
         # free cancellation

@@ -48,7 +48,7 @@ def test_conjugator_path_matches_word_path(pair):
 
 def test_conjugator_holds_an_inverse_pair():
     rng = rng_from(500)
-    t = BraidWord(8, tuple(rng.rand_sign() * (1 + rng.rand_below(7)) for _ in range(30)))
+    t = BraidWord(8, rng.rand_letters(range(1, 8), 30))
     assert t.form == normal_form(t)
     assert t.inverse_form == normal_form(invert(t))
     assert is_identity(nf_multiply(t.form, t.inverse_form))
@@ -157,8 +157,7 @@ def test_engine_factors_skip_revalidation(monkeypatch):
     counter = CallCounter(permutations.is_permutation)
     monkeypatch.setattr(permutations, "is_permutation", counter)
     rng = rng_from(507)
-    cf = normal_form(BraidWord(16, tuple(
-        rng.rand_sign() * (1 + rng.rand_below(15)) for _ in range(40))))
+    cf = normal_form(BraidWord(16, rng.rand_letters(range(1, 16), 40)))
     assert cf.factors and counter.total == 0
     assert deserialize_canonical(serialize_canonical(cf)) == cf
     assert counter.total == len(cf.factors)  # decoded factors are still checked

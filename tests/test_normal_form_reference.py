@@ -262,7 +262,7 @@ def test_run_gathering_equals_reference(n):
     words = run_words(n)
     rng = rng_from(7500 + n)
     # Concatenations, so that runs of each shape meet runs of the others.
-    words += [BraidWord(n, sum((rng.choice(words).letters for _ in range(6)), ()))
+    words += [BraidWord(n, sum((words[rng.rand_below(len(words))].letters for _ in range(6)), ()))
               for _ in range(20)]
     for w in words:
         assert normal_form(w) == reference_normal_form(w), w
@@ -283,6 +283,20 @@ def test_normal_form_pair_calls_on_b32_secrets():
     assert (work.near_d, work.crossed, work.letters) == (162, 454, 1796)
     assert work.divide_crossings == work.letters
     assert forms == [reference_normal_form(w) for w in secrets]
+
+
+@pytest.mark.parametrize("n", (16, 32))
+def test_negative_runs_bring_their_division_words(n):
+    """A near-D run Q^-1 is divided by its own letters, since its
+    complement is Q, so words of negative letters only compute no
+    complement word, and their forms equal the reference."""
+    rng = rng_from(7650 + n)
+    words = [BraidWord(n, tuple(-1 - rng.rand_below(n - 1) for _ in range(3 * n)))
+             for _ in range(8)]
+    with engine_work(braid) as work:
+        forms = [normal_form(w) for w in words]
+    assert work.near_d > 0 and work.complement_words == 0
+    assert forms == [reference_normal_form(w) for w in words]
 
 
 def division_cases(n: int, tag: int):

@@ -52,9 +52,44 @@ class TestSeededRng:
         assert rng_from(7).fork("x").rand_bytes(16) == rng_from(7).fork("x").rand_bytes(16)
 
     def test_sign_values(self):
-        rng = rng_from(8)
-        signs = {rng.rand_sign() for _ in range(64)}
-        assert signs == {1, -1}
+        assert set(rng_from(8).rand_letters(range(1, 2), 64)) == {1, -1}
+
+
+def per_letter(rng: SeededRng, idx: range, count: int) -> tuple[int, ...]:
+    """rand_letters' rule, one rand_below call per draw: the sign, then
+    the index."""
+    return tuple((1 if rng.rand_below(2) else -1) * idx[rng.rand_below(len(idx))]
+                 for _ in range(count))
+
+
+class TestBatchDraw:
+    """rand_letters draws a word's four-byte words in one batch, yet gives
+    the letters of per-letter draws and leaves the stream where they do."""
+
+    @pytest.mark.parametrize("lrw", [(8, 8, 16), (16, 16, 32), (3, 3, 4)])
+    def test_equals_per_letter_draws(self, lrw):
+        params = default_params(*lrw)
+        draws = ((range(1, params.l), params.W), (range(params.l + 1, params.n), params.W),
+                 (range(1, params.n), 2 * params.W))  # sample_subgroup's, random_element's
+        for seed in range(300):
+            for idx, count in draws:
+                batch, single = rng_from(seed), rng_from(seed)
+                assert batch.rand_letters(idx, count) == per_letter(single, idx, count)
+                assert batch.rand_bytes(7) == single.rand_bytes(7)
+
+    def test_rejected_words_are_redrawn_in_order(self):
+        # 2**32 // m * m = m here, so a quarter of the index words are rejected
+        idx, count = range(3 * 2**30), 16
+        rejecting = 0
+        for seed in range(300):
+            batch, single = rng_from(seed), rng_from(seed)
+            assert batch.rand_letters(idx, count) == per_letter(single, idx, count)
+            tail = batch.rand_bytes(7)
+            assert tail == single.rand_bytes(7)
+            no_rejection = rng_from(seed)
+            no_rejection.rand_bytes(8 * count)
+            rejecting += tail != no_rejection.rand_bytes(7)
+        assert rejecting > 250  # (3/4)**16 of the seeds reject none
 
 
 class TestGroupParams:

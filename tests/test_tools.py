@@ -42,7 +42,7 @@ def test_pair_work_counts_pke_short():
     assert counts["d_right_pair_calls_per_op"] == 0.0
     assert counts["loop_crossings_per_op"] == 2210.84375
     assert counts["near_d_divisions_per_op"] == 22.59375
-    assert counts["complement_words_per_op"] == 7.9765625
+    assert counts["complement_words_per_op"] == 4.32421875
     assert counts["factors_crossed_per_op"] == 106.8125
     assert counts["letters_moved_per_op"] == 677.9609375
     assert counts["crossings_per_op"] == 2888.8046875  # loop crossings + letters moved
@@ -56,7 +56,7 @@ def test_pair_work_counts_pke_bulk():
     assert counts["d_right_pair_calls_per_op"] == 0.0
     assert counts["loop_crossings_per_op"] == 1038.0
     assert counts["near_d_divisions_per_op"] == 21.0625
-    assert counts["complement_words_per_op"] == 7.9375
+    assert counts["complement_words_per_op"] == 4.125
     assert counts["factors_crossed_per_op"] == 86.375
     assert counts["letters_moved_per_op"] == 472.0
     assert counts["crossings_per_op"] == 1510.0
@@ -66,14 +66,14 @@ def test_pair_work_counts_pke_bulk():
 
 def test_pair_work_counts_kex_b32():
     counts = pair_work("kex-b32")
-    assert counts["pair_calls_per_op"] == 304.3125
+    assert counts["pair_calls_per_op"] == 291.34375
     assert counts["d_right_pair_calls_per_op"] == 0.0
-    assert counts["loop_crossings_per_op"] == 4622.125
-    assert counts["near_d_divisions_per_op"] == 73.3125
-    assert counts["complement_words_per_op"] == 39.21875
-    assert counts["factors_crossed_per_op"] == 306.34375
-    assert counts["letters_moved_per_op"] == 3261.9375
-    assert counts["crossings_per_op"] == 7884.0625
+    assert counts["loop_crossings_per_op"] == 1962.9375
+    assert counts["near_d_divisions_per_op"] == 75.75
+    assert counts["complement_words_per_op"] == 21.03125
+    assert counts["factors_crossed_per_op"] == 319.96875
+    assert counts["letters_moved_per_op"] == 3857.875
+    assert counts["crossings_per_op"] == 5820.8125
     assert counts["normal_form_pair_calls_per_op"] == 42.5625
     assert counts["normal_form_crossings_per_op"] == 273.75
 
@@ -84,7 +84,7 @@ def test_pair_work_counts_reduce_b16():
     assert counts["d_right_pair_calls_per_op"] == 0.0
     assert counts["loop_crossings_per_op"] == 4390.6953125
     assert counts["near_d_divisions_per_op"] == 31.74609375
-    assert counts["complement_words_per_op"] == 20.875
+    assert counts["complement_words_per_op"] == 7.2578125
     assert counts["factors_crossed_per_op"] == 147.7109375
     assert counts["letters_moved_per_op"] == 1025.5078125
     assert counts["crossings_per_op"] == 5416.203125
